@@ -6,6 +6,7 @@ order, channel-major across C. Readers reject a wrong magic, extent/length
 mismatches, and non-finite payloads.
 """
 
+import math
 import struct
 from pathlib import Path
 
@@ -44,7 +45,7 @@ def read_tensor(path) -> np.ndarray:
     dims = struct.unpack_from(f"<{rank}I", raw, 8)
     if min(dims) < 1:
         raise ShapeError(f"{path}: all extents must be >= 1, got {dims}")
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # Python ints: np.prod wraps at 2**64
     expected = header_end + 4 * count
     if len(raw) != expected:
         raise ValidationError(

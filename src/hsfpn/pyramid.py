@@ -289,23 +289,43 @@ def write_pyramid_dir(path, pyr: FeaturePyramid, prefix: str = "p") -> None:
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _read_manifest(path: Path) -> dict:
+    """Parse a manifest.json, which must hold a JSON object."""
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as err:  # invalid JSON or not UTF-8
+        raise ValidationError(f"{path}: not valid JSON: {err}") from None
+    if not isinstance(manifest, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    return manifest
+
+
+def _malformed(path: Path, what: str, err: Exception) -> ValidationError:
+    detail = f"missing key {err}" if isinstance(err, KeyError) else str(err)
+    return ValidationError(f"{path}: malformed {what}: {detail}")
+
+
 def read_pyramid_dir(path, prefix: str = "c") -> FeaturePyramid:
-    """Read `<prefix><level>.pft` files, validated against the directory manifest."""
+    """Read `<prefix><level>.pft` files, validated against the directory manifest.
+
+    A manifest that is not a JSON object, or whose level entries are not
+    objects naming their file as a string, raises ValidationError.
+    """
     path = Path(path)
     manifest_path = path / "manifest.json"
-    manifest = None
+    entries = {}
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
+        entries = _read_manifest(manifest_path).get("levels", {})
+        if not isinstance(entries, dict) or not all(isinstance(e, dict) for e in entries.values()):
+            raise ValidationError(f"{manifest_path}: 'levels' must map level names to objects")
     levels = {}
     for level in LEVELS:
-        name = f"{prefix}{level}.pft"
-        entry = None
-        if manifest is not None:
-            entry = manifest.get("levels", {}).get(str(level))
-            if entry is not None and "file" in entry:
-                name = entry["file"]
+        entry = entries.get(str(level), {})
+        name = entry.get("file", f"{prefix}{level}.pft")
+        if not isinstance(name, str):
+            raise ValidationError(f"{manifest_path}: level {level} file must be a string")
         tensor = hio.read_tensor(path / name)
-        if entry is not None and "dims" in entry and list(tensor.shape) != list(entry["dims"]):
+        if "dims" in entry and list(tensor.shape) != entry["dims"]:
             raise ValidationError(
                 f"{name}: dims {list(tensor.shape)} disagree with manifest {entry['dims']}"
             )
@@ -381,39 +401,55 @@ def save_weights(path, weights: HsfpnWeights) -> None:
 
 
 def load_weights(path) -> HsfpnWeights:
-    """Inverse of :func:`save_weights`."""
+    """Inverse of :func:`save_weights`.
+
+    A manifest that is not a JSON object, lacks a config field or layer
+    entry, or holds a value of the wrong type raises ValidationError.
+    """
     path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text())
+    manifest_path = path / "manifest.json"
+    manifest = _read_manifest(manifest_path)
     if manifest.get("format") != "hsfpn-weights-v1":
         raise ValidationError(f"unknown weight manifest format {manifest.get('format')!r}")
-    cfg = manifest["config"]
-    config = PyramidConfig(
-        channels=cfg["channels"],
-        alpha=cfg["alpha"],
-        k=cfg["k"],
-        groups=cfg["groups"],
-        fusion_mode=cfg["fusion_mode"],
-        mode=cfg["mode"],
-        seed=cfg["seed"],
-        filter_levels=tuple(cfg["filter_levels"]),
-        conv_bias=cfg["conv_bias"],
-        sdp_bias=cfg["sdp_bias"],
-        squash=cfg["squash"],
-    )
+    try:
+        cfg = manifest["config"]
+        config = PyramidConfig(
+            channels=cfg["channels"],
+            alpha=cfg["alpha"],
+            k=cfg["k"],
+            groups=cfg["groups"],
+            fusion_mode=cfg["fusion_mode"],
+            mode=cfg["mode"],
+            seed=cfg["seed"],
+            filter_levels=tuple(cfg["filter_levels"]),
+            conv_bias=cfg["conv_bias"],
+            sdp_bias=cfg["sdp_bias"],
+            squash=cfg["squash"],
+        )
+        layers = manifest["layers"]
+    except (KeyError, TypeError) as err:
+        raise _malformed(manifest_path, "config", err) from None
+    if not isinstance(layers, dict):
+        raise ValidationError(f"{manifest_path}: 'layers' must be an object")
 
     def layer(name: str) -> ConvLayer:
-        entry = manifest["layers"][name]
-        spec = ConvSpec(
-            entry["in_channels"],
-            entry["out_channels"],
-            kernel=entry["kernel"],
-            groups=entry["groups"],
-            has_bias=entry["has_bias"],
-        )
-        weight = hio.read_tensor(path / entry["weight"])
+        try:
+            entry = layers[name]
+            spec = ConvSpec(
+                entry["in_channels"],
+                entry["out_channels"],
+                kernel=entry["kernel"],
+                groups=entry["groups"],
+                has_bias=entry["has_bias"],
+            )
+            weight_path = path / entry["weight"]
+            bias_path = path / entry["bias"] if "bias" in entry else None
+        except (KeyError, TypeError) as err:
+            raise _malformed(manifest_path, f"layer {name!r}", err) from None
+        weight = hio.read_tensor(weight_path)
         if weight.shape != spec.weight_shape:
             raise ShapeError(f"{name}: weight dims {weight.shape} do not match {spec.weight_shape}")
-        bias = hio.read_tensor(path / entry["bias"]) if "bias" in entry else None
+        bias = hio.read_tensor(bias_path) if bias_path is not None else None
         if spec.has_bias and bias is None:
             raise ValidationError(f"{name}: manifest marks a bias but names no file")
         return ConvLayer(spec, weight, bias)
@@ -439,8 +475,10 @@ def load_weights(path) -> HsfpnWeights:
         )
     for level in LEVELS:
         weights.out_convs[level] = layer(f"out{level}.conv")
-    for name in manifest["layers"]:
+    for name in layers:
         if name.startswith("lateral"):
-            level = int(name[len("lateral"):].split(".")[0])
-            weights.laterals[level] = layer(name)
+            level = name[len("lateral"):].split(".")[0]
+            if not level.isdecimal():
+                raise ValidationError(f"{manifest_path}: bad lateral layer name {name!r}")
+            weights.laterals[int(level)] = layer(name)
     return weights

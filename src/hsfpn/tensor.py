@@ -9,7 +9,6 @@ pure functions: the same inputs produce bitwise-identical outputs.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError, ValidationError
 
@@ -101,7 +100,23 @@ def conv2d(x, spec: ConvSpec, weight, bias=None) -> np.ndarray:
 
     kernel 3 uses zero padding 1, kernel 1 no padding, so the output is
     (N, out_channels, H, W). Each output value is the plain dot product of the
-    kernel with its (zero-padded) input window, accumulated in float64.
+    kernel with its (zero-padded) input window, accumulated in float64 and
+    rounded once to float32.
+
+    kernel 1 (full maps and (N, C, 1, 1) vectors alike) is one batched float64
+    matrix product, (G, cout_g, cin_g) x (N, G, cin_g, H*W), over the groups.
+    Its working memory is float64 copies of the input and output, twice their
+    float32 size.
+
+    kernel 3 is the shifted-GEMM form (Chellapilla et al., 2006). The input is
+    zero-padded once into a float64 buffer of rows W+2 wide plus one spare
+    row, flattened per channel. Tap (di, dj) is then the strided view of
+    length H*(W+2) starting at di*(W+2)+dj, which BLAS reads without a copy;
+    the nine products accumulate into an (N, G, cout_g, H*(W+2)) float64
+    buffer, and the two wrap-around columns of each row are dropped at the
+    end. Working memory is the padded buffer (about twice the input) plus the
+    accumulator and one product (about twice the output each); the 9x window
+    copy of im2col is never made.
     """
     x = as_tensor(x, rank=4)
     n, c, h, w = x.shape
@@ -124,25 +139,36 @@ def conv2d(x, spec: ConvSpec, weight, bias=None) -> np.ndarray:
         if not np.isfinite(bias).all():
             raise ValidationError("convolution bias contains non-finite values")
 
-    k = spec.kernel
-    if k == 3:
-        x = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    # (N, C, H, W, k, k) windows over the padded input
-    windows = sliding_window_view(x, (k, k), axis=(2, 3))
-
-    cin_g = spec.in_channels // spec.groups
-    cout_g = spec.out_channels // spec.groups
-    w64 = weight.astype(np.float64)
-    out = np.empty((n, spec.out_channels, h, w), dtype=np.float64)
-    for g in range(spec.groups):
-        xs = windows[:, g * cin_g:(g + 1) * cin_g].astype(np.float64)
-        ws = w64[g * cout_g:(g + 1) * cout_g]
-        out[:, g * cout_g:(g + 1) * cout_g] = np.einsum(
-            "nchwij,ocij->nohw", xs, ws, optimize=True
-        )
+    g = spec.groups
+    cin_g = spec.in_channels // g
+    cout_g = spec.out_channels // g
+    if spec.kernel == 1:
+        w64 = weight.reshape(g, cout_g, cin_g).astype(np.float64)
+        acc = w64 @ x.reshape(n, g, cin_g, h * w).astype(np.float64)
+        pitch = w
+    else:
+        pitch = w + 2
+        # the spare last row: tap (2, 2) reads two elements past row h + 1
+        padded = np.zeros((n, c, h + 3, pitch))
+        padded[:, :, 1:h + 1, 1:w + 1] = x
+        flat = padded.reshape(n, g, cin_g, (h + 3) * pitch)
+        taps = weight.reshape(g, cout_g, cin_g, 3, 3).astype(np.float64)
+        length = h * pitch
+        acc = np.empty((n, g, cout_g, length))
+        product = np.empty_like(acc)
+        for di in range(3):
+            for dj in range(3):
+                start = di * pitch + dj
+                view = flat[..., start:start + length]
+                if di == dj == 0:
+                    np.matmul(taps[..., 0, 0], view, out=acc)
+                else:
+                    np.matmul(taps[..., di, dj], view, out=product)
+                    acc += product
+    acc = acc.reshape(n, spec.out_channels, h, pitch)
     if bias is not None:
-        out += bias.astype(np.float64)[:, None, None]
-    return out.astype(DTYPE)
+        acc += bias.astype(np.float64)[:, None, None]
+    return acc[..., :w].astype(DTYPE)
 
 
 def adaptive_pool(x, out_h: int, out_w: int, mode: str = "avg") -> np.ndarray:

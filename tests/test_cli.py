@@ -168,6 +168,14 @@ class TestForward:
         assert added_f == 0
         assert added_h - added_f == expected
 
+    def test_invalid_manifest_config_error(self, pyramid_dir, tmp_path, capsys):
+        (pyramid_dir / "manifest.json").write_text("{not json")
+        code = main(["forward", str(pyramid_dir), "-o", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("hsfpn: config: ") and "manifest.json" in err
+        assert len(err.splitlines()) == 1
+
     def test_missing_level_config_error(self, pyramid_dir, tmp_path, capsys):
         (pyramid_dir / "c4.pft").unlink()
         code = main(["forward", str(pyramid_dir), "-o", str(tmp_path / "out"), "--k", "2"])

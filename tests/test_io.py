@@ -31,6 +31,13 @@ class TestPft:
         with pytest.raises(ValidationError, match="payload"):
             read_tensor(path)
 
+    def test_extent_product_past_int64_rejected(self, tmp_path):
+        # 65536**4 wraps to 0 in int64, which would let a header-only file pass
+        path = tmp_path / "huge.pft"
+        path.write_bytes(b"PFT1" + struct.pack("<I", 4) + struct.pack("<4I", *(65536,) * 4))
+        with pytest.raises(ValidationError, match="payload"):
+            read_tensor(path)
+
     def test_zero_extent_rejected(self, tmp_path):
         path = tmp_path / "zero.pft"
         path.write_bytes(b"PFT1" + struct.pack("<I", 2) + struct.pack("<2I", 0, 3))

@@ -311,6 +311,33 @@ class TestPyramidIo:
         with pytest.raises(ValidationError):
             read_pyramid_dir(tmp_path / "pyr", prefix="c")
 
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"levels": [1]}',
+                                      '{"levels": {"2": {"file": 7}}}'],
+                             ids=["not-json", "not-object", "levels-list", "file-not-string"])
+    def test_malformed_pyramid_manifest(self, tmp_path, text):
+        write_pyramid_dir(tmp_path / "pyr", small_pyramid(), prefix="c")
+        (tmp_path / "pyr" / "manifest.json").write_text(text)
+        with pytest.raises(ValidationError):
+            read_pyramid_dir(tmp_path / "pyr", prefix="c")
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: "{not json",
+        lambda m: m.replace('"config"', '"konfig"'),
+        lambda m: m.replace('"channels"', '"chans"'),
+        lambda m: m.replace('"hfp2.gap_conv"', '"hfp2.gap"'),
+        lambda m: m.replace('"weight": "out2.conv.weight.pft"', '"weight": 5'),
+        lambda m: m.replace('"lateral2.conv"', '"lateralX.conv"'),
+    ], ids=["not-json", "no-config", "no-channels", "no-layer", "weight-not-string",
+            "bad-lateral-name"])
+    def test_malformed_weight_manifest(self, tmp_path, edit):
+        save_weights(tmp_path / "w", init_weights(SMALL, backbone_channels={2: 6, 3: 6, 4: 6, 5: 6}))
+        manifest = tmp_path / "w" / "manifest.json"
+        edited = edit(manifest.read_text())
+        assert edited != manifest.read_text()
+        manifest.write_text(edited)
+        with pytest.raises(ValidationError):
+            load_weights(tmp_path / "w")
+
     def test_weights_roundtrip_same_forward(self, tmp_path):
         weights = init_weights(SMALL)
         save_weights(tmp_path / "w", weights)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,89 @@ class TestConv2d:
         spec = ConvSpec(2, 2, kernel=3, has_bias=False)
         with pytest.raises(ShapeError):
             conv2d(randf(1, 2, 4, 4), spec, randf(2, 2, 1, 1))
+
+
+class TestConv2dEdgeCases:
+    """Shapes where the padded, row-flattened 3x3 form and the grouped 1x1 form can slip."""
+
+    @pytest.mark.parametrize("hw", [(1, 1), (1, 7), (6, 1)])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_3x3_thin_planes(self, hw, with_bias):
+        x = randf(1, 3, *hw)
+        spec = ConvSpec(3, 4, kernel=3, has_bias=with_bias)
+        weight = randf(*spec.weight_shape)
+        bias = randf(4) if with_bias else None
+        out = conv2d(x, spec, weight, bias)
+        np.testing.assert_allclose(out, naive_conv2d(x, weight, bias), atol=1e-5)
+
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_3x3_batch2_groups4(self, with_bias):
+        x = randf(2, 8, 5, 6)
+        spec = ConvSpec(8, 12, kernel=3, groups=4, has_bias=with_bias)
+        weight = randf(*spec.weight_shape)
+        bias = randf(12) if with_bias else None
+        out = conv2d(x, spec, weight, bias)
+        np.testing.assert_allclose(out, naive_conv2d(x, weight, bias, groups=4), atol=1e-5)
+
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_grouped_1x1_vector_merge_shape(self, with_bias):
+        # the channel path's merge conv: 2C -> C at groups 16 on (N, 2C, 1, 1)
+        x = randf(2, 64, 1, 1)
+        spec = ConvSpec(64, 32, kernel=1, groups=16, has_bias=with_bias)
+        weight = randf(*spec.weight_shape)
+        bias = randf(32) if with_bias else None
+        out = conv2d(x, spec, weight, bias)
+        np.testing.assert_allclose(out, naive_conv2d(x, weight, bias, groups=16), atol=1e-5)
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_noncontiguous_input(self, kernel):
+        x = randf(1, 4, 7, 5).transpose(0, 1, 3, 2)
+        assert not x.flags.c_contiguous
+        spec = ConvSpec(4, 6, kernel=kernel, groups=2)
+        weight, bias = randf(*spec.weight_shape), randf(6)
+        out = conv2d(x, spec, weight, bias)
+        np.testing.assert_allclose(out, naive_conv2d(x, weight, bias, groups=2), atol=1e-5)
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_float64_input(self, kernel):
+        x = RNG.standard_normal((2, 3, 4, 5))
+        spec = ConvSpec(3, 5, kernel=kernel)
+        weight, bias = randf(*spec.weight_shape), randf(5)
+        out = conv2d(x, spec, weight, bias)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, naive_conv2d(x, weight, bias), atol=1e-5)
+
+
+class TestConv2dMemoryAndAccumulation:
+    def test_3x3_peak_memory_bounded_by_input(self):
+        x = randf(1, 64, 128, 128)
+        spec = ConvSpec(64, 64, kernel=3)
+        weight, bias = randf(*spec.weight_shape), randf(64)
+        conv2d(x, spec, weight, bias)  # first call outside the measurement
+        tracemalloc.start()
+        try:
+            conv2d(x, spec, weight, bias)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * x.nbytes, f"peak {peak} B is {peak / x.nbytes:.1f}x the input"
+
+    def test_1x1_accumulates_in_float64(self):
+        # float32 accumulation in channel order loses the 1 next to 1e8 and
+        # returns 0. A 4x4 map, not a single pixel: a BLAS matrix-vector
+        # kernel may sum 1e8 - 1e8 first and hide float32 accumulation.
+        x = np.array([1e8, 1.0, -1e8], np.float32)[None, :, None, None].repeat(4, 2).repeat(4, 3)
+        spec = ConvSpec(3, 1, kernel=1, has_bias=False)
+        out = conv2d(x, spec, np.ones((1, 3, 1, 1), np.float32))
+        np.testing.assert_array_equal(out, np.ones((1, 1, 4, 4), np.float32))
+
+    def test_3x3_accumulates_in_float64(self):
+        # the same three values in one window, one per tap of the top row
+        x = np.zeros((1, 1, 3, 3), np.float32)
+        x[0, 0, 0] = [1e8, 1.0, -1e8]
+        spec = ConvSpec(1, 1, kernel=3, has_bias=False)
+        out = conv2d(x, spec, np.ones((1, 1, 3, 3), np.float32))
+        assert out[0, 0, 1, 1] == 1.0
 
 
 class TestConvSpec:
