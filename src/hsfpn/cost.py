@@ -156,6 +156,20 @@ class OpCostReport:
         return "\n".join("  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in rows)
 
 
+# Report row of each pyramid layer role (see :func:`hsfpn.pyramid.layer_specs`).
+# The channel path's convolutions act on pooled (N, C, 1, 1) vectors.
+_ROW = {
+    "gap_conv": "cp",
+    "gmp_conv": "cp",
+    "merge_conv": "cp",
+    "spatial_conv": "sp",
+    "fuse_conv": "hfp_fuse",
+    "q_conv": "sdp",
+    "k_conv": "sdp",
+    "v_conv": "sdp",
+}
+
+
 def count_params(
     config,
     base_hw=(200, 200),
@@ -171,9 +185,8 @@ def count_params(
     counted whenever the channel or spatial path is enabled. With every module
     disabled the report is empty (zero added parameters).
     """
-    from .pyramid import LEVELS, SDP_LEVELS, conv_specs_for  # local import, no cycle
+    from .pyramid import LEVELS, SDP_LEVELS, layer_specs, split_layer_name  # local import, no cycle
 
-    specs = conv_specs_for(config)
     report = OpCostReport()
     h2, w2 = base_hw
     if h2 < 1 or w2 < 1:
@@ -182,21 +195,17 @@ def count_params(
     if h5 < 1 or w5 < 1 or h5 << 3 != h2 or w5 << 3 != w2:
         raise ValidationError(f"base extents {base_hw} are not divisible across 4 levels")
 
-    for i, level in enumerate(LEVELS):
-        h, w = h2 >> i, w2 >> i
-        if with_cp:
-            params = sum(specs[name].param_count for name in ("gap", "gmp", "merge"))
-            macs = sum(specs[name].macs(1, 1) for name in ("gap", "gmp", "merge"))
-            report.add(level, "cp", params, macs)
-        if with_sp:
-            report.add(level, "sp", specs["spatial"].param_count, specs["spatial"].macs(h, w))
-        if with_cp or with_sp:
-            report.add(level, "hfp_fuse", specs["fuse"].param_count, specs["fuse"].macs(h, w))
-        if with_sdp and level in SDP_LEVELS:
-            proj_params = 3 * specs["proj"].param_count
-            proj_macs = 3 * specs["proj"].macs(h, w)
-            attn = attention_cost(
-                CostModel(n=(h // h5) * (w // w5), h=h5, w=w5, c=config.channels), "sdp"
-            )
-            report.add(level, "sdp", proj_params, proj_macs + attn)
+    enabled = {"cp": with_cp, "sp": with_sp, "hfp_fuse": with_cp or with_sp, "sdp": with_sdp}
+    for name, spec in layer_specs(config).items():
+        _, level, role = split_layer_name(name)
+        row = _ROW.get(role)  # output convolutions exist in a plain FPN too
+        if row is None or not enabled[row]:
+            continue
+        shift = level - LEVELS[0]
+        extents = (1, 1) if row == "cp" else (h2 >> shift, w2 >> shift)
+        report.add(level, row, spec.param_count, spec.macs(*extents))
+    if with_sdp:
+        for level in SDP_LEVELS:  # blocks have the top level's extents: 4 per level step
+            model = CostModel(n=4 ** (LEVELS[-1] - level), h=h5, w=w5, c=config.channels)
+            report.add(level, "sdp", 0, attention_cost(model, "sdp"))
     return report

@@ -23,7 +23,8 @@ import numpy as np
 from .errors import DegenerateBackgroundError, ShapeError, ValidationError
 from .tensor import DTYPE, as_tensor, check_finite
 
-PYRAMID_LEVELS = (2, 3, 4, 5)
+# Pyramid levels, largest first; each halves the extents of the one before.
+LEVELS = (2, 3, 4, 5)
 
 # Filtering is applied only on the two highest-resolution levels by default.
 DEFAULT_FILTER_LEVELS = (2, 3)
@@ -35,18 +36,18 @@ class FilterSpec:
 
     alpha: float
     per_level_enabled: Mapping[int, bool] = field(
-        default_factory=lambda: {lv: lv in DEFAULT_FILTER_LEVELS for lv in PYRAMID_LEVELS}
+        default_factory=lambda: {lv: lv in DEFAULT_FILTER_LEVELS for lv in LEVELS}
     )
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
         for level in self.per_level_enabled:
-            if level not in PYRAMID_LEVELS:
+            if level not in LEVELS:
                 raise ValidationError(f"unknown pyramid level {level}")
 
     def enabled(self, level: int) -> bool:
-        if level not in PYRAMID_LEVELS:
+        if level not in LEVELS:
             raise ValidationError(f"unknown pyramid level {level}")
         return bool(self.per_level_enabled.get(level, False))
 

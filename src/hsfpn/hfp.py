@@ -14,8 +14,6 @@ from .errors import ValidationError
 from .frequency import FilterSpec, highfreq_response
 from .tensor import ConvLayer, adaptive_pool, as_tensor, relu, sigmoid
 
-DEFAULT_POOL_EXTENT = 16
-
 
 @dataclass
 class HfpParams:
@@ -56,10 +54,6 @@ class HfpParams:
                 )
         if self.fuse_conv.spec.kernel != 3:
             raise ValidationError("fuse_conv must be a 3x3 convolution")
-
-    @property
-    def channels(self) -> int:
-        return self.gap_conv.spec.in_channels
 
     def with_pool_extent(self, k: int) -> "HfpParams":
         return replace(self, k=k)

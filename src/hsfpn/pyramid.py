@@ -10,20 +10,19 @@ comparisons with identical output convolutions.
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import io as hio
 from .errors import ShapeError, ValidationError
-from .frequency import FilterSpec
+from .frequency import DEFAULT_FILTER_LEVELS, LEVELS, FilterSpec
 from .hfp import HfpParams, hfp_forward
 from .sdp import SdpParams, sdp_forward
 from .tensor import ConvLayer, ConvSpec, as_tensor, check_finite, upsample2x
 
-LEVELS = (2, 3, 4, 5)
-SDP_LEVELS = (2, 3, 4)
+SDP_LEVELS = LEVELS[:-1]  # every level but the top fuses with the one above
 
 FUSION_MODES = ("sdp_only", "sdp_plus_add")
 PYRAMID_MODES = ("hsfpn", "fpn_baseline")
@@ -38,7 +37,7 @@ class PyramidConfig:
     fusion_mode: str = "sdp_only"
     mode: str = "hsfpn"
     seed: int = 0
-    filter_levels: tuple = (2, 3)
+    filter_levels: tuple = DEFAULT_FILTER_LEVELS
     conv_bias: bool = True
     sdp_bias: bool = False
     squash: bool = False
@@ -48,6 +47,8 @@ class PyramidConfig:
             raise ValidationError("channel count must be positive")
         if self.k < 1:
             raise ValidationError("pooling extent k must be positive")
+        if self.groups < 1:
+            raise ValidationError(f"group count must be positive, got {self.groups}")
         if self.channels % self.groups or (2 * self.channels) % self.groups:
             raise ValidationError(
                 f"groups={self.groups} must divide channels={self.channels} and 2x channels"
@@ -58,6 +59,7 @@ class PyramidConfig:
             raise ValidationError(f"fusion_mode must be one of {FUSION_MODES}")
         if self.mode not in PYRAMID_MODES:
             raise ValidationError(f"mode must be one of {PYRAMID_MODES}")
+        object.__setattr__(self, "filter_levels", tuple(self.filter_levels))
         for level in self.filter_levels:
             if level not in LEVELS:
                 raise ValidationError(f"unknown filter level {level}")
@@ -115,18 +117,40 @@ class FeaturePyramid:
         return tuple(self._levels[level].shape[2:])
 
 
-def conv_specs_for(config: PyramidConfig) -> dict:
-    """The per-level convolution shapes implied by a config (shared by init and costing)."""
+def layer_specs(config: PyramidConfig, backbone_channels: dict | None = None) -> dict:
+    """Every convolution of the network as `{name: ConvSpec}`, in draw order.
+
+    Names are `<module><level>.<field>`: per level 2..5 the reweighting
+    convolutions `hfp<L>.{gap,gmp,merge,spatial,fuse}_conv`, then the
+    attention projections `sdp<L>.{q,k,v}_conv` for levels 2..4, then the
+    output convolutions `out<L>.conv`, then `lateral<L>.conv` if backbone
+    channel counts are given. `<field>` names the HfpParams/SdpParams field
+    the layer fills. Init, save, load and cost accounting all walk this table.
+    """
     c, g, bias = config.channels, config.groups, config.conv_bias
-    return {
-        "gap": ConvSpec(c, c, kernel=1, groups=g, has_bias=bias),
-        "gmp": ConvSpec(c, c, kernel=1, groups=g, has_bias=bias),
-        "merge": ConvSpec(2 * c, c, kernel=1, groups=g, has_bias=bias),
-        "spatial": ConvSpec(c, 1, kernel=1, has_bias=bias),
-        "fuse": ConvSpec(c, c, kernel=3, has_bias=bias),
-        "proj": ConvSpec(c, c, kernel=1, has_bias=config.sdp_bias),
-        "out": ConvSpec(c, c, kernel=3, has_bias=bias),
+    hfp = {
+        "gap_conv": ConvSpec(c, c, kernel=1, groups=g, has_bias=bias),
+        "gmp_conv": ConvSpec(c, c, kernel=1, groups=g, has_bias=bias),
+        "merge_conv": ConvSpec(2 * c, c, kernel=1, groups=g, has_bias=bias),
+        "spatial_conv": ConvSpec(c, 1, kernel=1, has_bias=bias),
+        "fuse_conv": ConvSpec(c, c, kernel=3, has_bias=bias),
     }
+    proj = ConvSpec(c, c, kernel=1, has_bias=config.sdp_bias)
+    specs = {f"hfp{lv}.{role}": spec for lv in LEVELS for role, spec in hfp.items()}
+    specs.update({f"sdp{lv}.{role}": proj for lv in SDP_LEVELS for role in ("q_conv", "k_conv", "v_conv")})
+    specs.update({f"out{lv}.conv": ConvSpec(c, c, kernel=3, has_bias=bias) for lv in LEVELS})
+    if backbone_channels is not None:
+        specs.update({
+            f"lateral{lv}.conv": ConvSpec(backbone_channels[lv], c, kernel=1, has_bias=bias)
+            for lv in LEVELS
+        })
+    return specs
+
+
+def split_layer_name(name: str) -> tuple:
+    """`"hfp2.gap_conv"` -> `("hfp", 2, "gap_conv")`, for names from :func:`layer_specs`."""
+    group, role = name.split(".")
+    return group[:-1], int(group[-1]), role
 
 
 @dataclass
@@ -146,44 +170,40 @@ def _draw_layer(rng, spec: ConvSpec) -> ConvLayer:
     return ConvLayer(spec, check_finite(weight, "initialised weight"), bias)
 
 
+def _assemble(config: PyramidConfig, layers: dict) -> HsfpnWeights:
+    """Group `{name: ConvLayer}` (names as in :func:`layer_specs`) into HsfpnWeights."""
+    parts = {}
+    for name, layer in layers.items():
+        module, level, role = split_layer_name(name)
+        parts.setdefault(module, {}).setdefault(level, {})[role] = layer
+    fspec = config.filter_spec
+    return HsfpnWeights(
+        config=config,
+        hfp={lv: HfpParams(k=config.k, filter=fspec, squash=config.squash, **kw)
+             for lv, kw in parts["hfp"].items()},
+        sdp={lv: SdpParams(**kw) for lv, kw in parts["sdp"].items()},
+        out_convs={lv: kw["conv"] for lv, kw in parts["out"].items()},
+        laterals={lv: kw["conv"] for lv, kw in parts.get("lateral", {}).items()},
+    )
+
+
+def _layer(weights: HsfpnWeights, name: str) -> ConvLayer:
+    """The layer of `weights` that a :func:`layer_specs` name refers to."""
+    module, level, role = split_layer_name(name)
+    if module in ("hfp", "sdp"):
+        return getattr(getattr(weights, module)[level], role)
+    return (weights.out_convs if module == "out" else weights.laterals)[level]
+
+
 def init_weights(config: PyramidConfig, backbone_channels: dict | None = None) -> HsfpnWeights:
     """Seeded weight initialisation: uniform on +-sqrt(3/fan_in), zero biases.
 
-    The draw order is fixed (per level: gap, gmp, merge, spatial, fuse; then
-    the three attention projections for levels 2..4; then output convolutions;
-    then laterals if backbone channel counts are given), so a seed pins every
+    Layers are drawn in :func:`layer_specs` order, so a seed pins every
     weight bitwise.
     """
     rng = np.random.default_rng(config.seed)
-    specs = conv_specs_for(config)
-    weights = HsfpnWeights(config=config)
-    fspec = config.filter_spec
-    for level in LEVELS:
-        weights.hfp[level] = HfpParams(
-            k=config.k,
-            gap_conv=_draw_layer(rng, specs["gap"]),
-            gmp_conv=_draw_layer(rng, specs["gmp"]),
-            merge_conv=_draw_layer(rng, specs["merge"]),
-            spatial_conv=_draw_layer(rng, specs["spatial"]),
-            fuse_conv=_draw_layer(rng, specs["fuse"]),
-            filter=fspec,
-            squash=config.squash,
-        )
-    for level in SDP_LEVELS:
-        weights.sdp[level] = SdpParams(
-            q_conv=_draw_layer(rng, specs["proj"]),
-            k_conv=_draw_layer(rng, specs["proj"]),
-            v_conv=_draw_layer(rng, specs["proj"]),
-        )
-    for level in LEVELS:
-        weights.out_convs[level] = _draw_layer(rng, specs["out"])
-    if backbone_channels is not None:
-        for level in LEVELS:
-            spec = ConvSpec(
-                backbone_channels[level], config.channels, kernel=1, has_bias=config.conv_bias
-            )
-            weights.laterals[level] = _draw_layer(rng, spec)
-    return weights
+    specs = layer_specs(config, backbone_channels)
+    return _assemble(config, {name: _draw_layer(rng, spec) for name, spec in specs.items()})
 
 
 def build_laterals(backbone_feats: FeaturePyramid, weights: HsfpnWeights) -> FeaturePyramid:
@@ -333,29 +353,6 @@ def read_pyramid_dir(path, prefix: str = "c") -> FeaturePyramid:
     return FeaturePyramid(levels)
 
 
-def _iter_named_layers(weights: HsfpnWeights):
-    for level in LEVELS:
-        p = weights.hfp.get(level)
-        if p is not None:
-            yield f"hfp{level}.gap_conv", p.gap_conv
-            yield f"hfp{level}.gmp_conv", p.gmp_conv
-            yield f"hfp{level}.merge_conv", p.merge_conv
-            yield f"hfp{level}.spatial_conv", p.spatial_conv
-            yield f"hfp{level}.fuse_conv", p.fuse_conv
-    for level in SDP_LEVELS:
-        p = weights.sdp.get(level)
-        if p is not None:
-            yield f"sdp{level}.q_conv", p.q_conv
-            yield f"sdp{level}.k_conv", p.k_conv
-            yield f"sdp{level}.v_conv", p.v_conv
-    for level in LEVELS:
-        layer = weights.out_convs.get(level)
-        if layer is not None:
-            yield f"out{level}.conv", layer
-    for level in sorted(weights.laterals):
-        yield f"lateral{level}.conv", weights.laterals[level]
-
-
 def save_weights(path, weights: HsfpnWeights) -> None:
     """Write every weight as a PFT1 file plus a manifest naming them.
 
@@ -364,35 +361,12 @@ def save_weights(path, weights: HsfpnWeights) -> None:
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    cfg = weights.config
-    manifest = {
-        "format": "hsfpn-weights-v1",
-        "config": {
-            "channels": cfg.channels,
-            "alpha": cfg.alpha,
-            "k": cfg.k,
-            "groups": cfg.groups,
-            "fusion_mode": cfg.fusion_mode,
-            "mode": cfg.mode,
-            "seed": cfg.seed,
-            "filter_levels": list(cfg.filter_levels),
-            "conv_bias": cfg.conv_bias,
-            "sdp_bias": cfg.sdp_bias,
-            "squash": cfg.squash,
-        },
-        "layers": {},
-    }
-    for name, layer in _iter_named_layers(weights):
-        spec = layer.spec
-        entry = {
-            "in_channels": spec.in_channels,
-            "out_channels": spec.out_channels,
-            "kernel": spec.kernel,
-            "groups": spec.groups,
-            "has_bias": spec.has_bias,
-            "weight": f"{name}.weight.pft",
-        }
-        hio.write_tensor(path / entry["weight"], layer.weight.reshape(spec.weight_shape))
+    backbone = {lv: layer.spec.in_channels for lv, layer in weights.laterals.items()} or None
+    manifest = {"format": "hsfpn-weights-v1", "config": asdict(weights.config), "layers": {}}
+    for name in layer_specs(weights.config, backbone):
+        layer = _layer(weights, name)
+        entry = {**asdict(layer.spec), "weight": f"{name}.weight.pft"}
+        hio.write_tensor(path / entry["weight"], layer.weight.reshape(layer.spec.weight_shape))
         if layer.bias is not None:
             entry["bias"] = f"{name}.bias.pft"
             hio.write_tensor(path / entry["bias"], layer.bias)
@@ -404,7 +378,9 @@ def load_weights(path) -> HsfpnWeights:
     """Inverse of :func:`save_weights`.
 
     A manifest that is not a JSON object, lacks a config field or layer
-    entry, or holds a value of the wrong type raises ValidationError.
+    entry, or holds a value of the wrong type raises ValidationError. So does
+    a layer whose spec differs from the one its config implies, a layer name
+    the config does not imply, and laterals for some levels but not all.
     """
     path = Path(path)
     manifest_path = path / "manifest.json"
@@ -413,72 +389,39 @@ def load_weights(path) -> HsfpnWeights:
         raise ValidationError(f"unknown weight manifest format {manifest.get('format')!r}")
     try:
         cfg = manifest["config"]
-        config = PyramidConfig(
-            channels=cfg["channels"],
-            alpha=cfg["alpha"],
-            k=cfg["k"],
-            groups=cfg["groups"],
-            fusion_mode=cfg["fusion_mode"],
-            mode=cfg["mode"],
-            seed=cfg["seed"],
-            filter_levels=tuple(cfg["filter_levels"]),
-            conv_bias=cfg["conv_bias"],
-            sdp_bias=cfg["sdp_bias"],
-            squash=cfg["squash"],
-        )
+        config = PyramidConfig(**{f.name: cfg[f.name] for f in fields(PyramidConfig)})
         layers = manifest["layers"]
     except (KeyError, TypeError) as err:
         raise _malformed(manifest_path, "config", err) from None
     if not isinstance(layers, dict):
         raise ValidationError(f"{manifest_path}: 'layers' must be an object")
+    backbone = None
+    try:
+        if any(name.startswith("lateral") for name in layers):
+            backbone = {lv: layers[f"lateral{lv}.conv"]["in_channels"] for lv in LEVELS}
+        expected = layer_specs(config, backbone)
+    except (KeyError, TypeError) as err:
+        raise _malformed(manifest_path, "laterals (all of levels 2..5 or none)", err) from None
+    unexpected = sorted(set(layers) - set(expected))
+    if unexpected:
+        raise ValidationError(f"{manifest_path}: layers {unexpected} do not belong to the config")
 
-    def layer(name: str) -> ConvLayer:
+    def layer(name: str, expected_spec: ConvSpec) -> ConvLayer:
         try:
             entry = layers[name]
-            spec = ConvSpec(
-                entry["in_channels"],
-                entry["out_channels"],
-                kernel=entry["kernel"],
-                groups=entry["groups"],
-                has_bias=entry["has_bias"],
-            )
+            spec = ConvSpec(**{f.name: entry[f.name] for f in fields(ConvSpec)})
             weight_path = path / entry["weight"]
             bias_path = path / entry["bias"] if "bias" in entry else None
         except (KeyError, TypeError) as err:
             raise _malformed(manifest_path, f"layer {name!r}", err) from None
+        if spec != expected_spec:
+            raise ValidationError(f"{name}: manifest spec {spec} disagrees with config {expected_spec}")
+        if spec.has_bias != (bias_path is not None):
+            raise ValidationError(f"{name}: a bias file must be named iff has_bias is true")
         weight = hio.read_tensor(weight_path)
         if weight.shape != spec.weight_shape:
             raise ShapeError(f"{name}: weight dims {weight.shape} do not match {spec.weight_shape}")
         bias = hio.read_tensor(bias_path) if bias_path is not None else None
-        if spec.has_bias and bias is None:
-            raise ValidationError(f"{name}: manifest marks a bias but names no file")
         return ConvLayer(spec, weight, bias)
 
-    weights = HsfpnWeights(config=config)
-    fspec = config.filter_spec
-    for level in LEVELS:
-        weights.hfp[level] = HfpParams(
-            k=config.k,
-            gap_conv=layer(f"hfp{level}.gap_conv"),
-            gmp_conv=layer(f"hfp{level}.gmp_conv"),
-            merge_conv=layer(f"hfp{level}.merge_conv"),
-            spatial_conv=layer(f"hfp{level}.spatial_conv"),
-            fuse_conv=layer(f"hfp{level}.fuse_conv"),
-            filter=fspec,
-            squash=config.squash,
-        )
-    for level in SDP_LEVELS:
-        weights.sdp[level] = SdpParams(
-            q_conv=layer(f"sdp{level}.q_conv"),
-            k_conv=layer(f"sdp{level}.k_conv"),
-            v_conv=layer(f"sdp{level}.v_conv"),
-        )
-    for level in LEVELS:
-        weights.out_convs[level] = layer(f"out{level}.conv")
-    for name in layers:
-        if name.startswith("lateral"):
-            level = name[len("lateral"):].split(".")[0]
-            if not level.isdecimal():
-                raise ValidationError(f"{manifest_path}: bad lateral layer name {name!r}")
-            weights.laterals[int(level)] = layer(name)
-    return weights
+    return _assemble(config, {name: layer(name, spec) for name, spec in expected.items()})

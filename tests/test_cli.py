@@ -227,11 +227,15 @@ class TestParams:
         out = capsys.readouterr().out
         assert "hfp_fuse" in out and "total" in out
 
-    def test_invalid_groups_config_error(self, capsys):
-        code = main(["params", "--channels", "30", "--groups", "16"])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("hsfpn: config:")
+    def test_invalid_groups_config_error(self, pyramid_dir, tmp_path, capsys):
+        for argv in (["params", "--channels", "30", "--groups", "16"],
+                     ["params", "--groups", "0"],
+                     ["forward", str(pyramid_dir), "-o", str(tmp_path / "out"), "--groups", "0"]):
+            code = main(argv)
+            assert code == 3, argv
+            err = capsys.readouterr().err
+            assert err.startswith("hsfpn: config:"), argv
+            assert len(err.splitlines()) == 1, argv
 
 
 class TestUsage:

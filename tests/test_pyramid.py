@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -26,6 +28,9 @@ from oracles import naive_conv2d, naive_fpn_forward, naive_hsfpn_forward
 RNG = np.random.default_rng(424242)
 
 SMALL = PyramidConfig(channels=4, alpha=0.25, k=2, groups=2, seed=1)
+NON_DEFAULT = PyramidConfig(channels=8, alpha=0.5, k=3, groups=4, fusion_mode="sdp_plus_add",
+                            mode="fpn_baseline", seed=9, filter_levels=(2, 3, 4, 5),
+                            conv_bias=False, sdp_bias=True, squash=True)
 
 
 def small_pyramid(seed=0, channels=4, base=(16, 16)):
@@ -295,6 +300,25 @@ class TestCountParams:
             count_params(PyramidConfig(channels=32, groups=4), base_hw=(100, 100))
 
 
+def json_edit(change):
+    """A manifest-text edit that applies `change` to the parsed manifest."""
+    def edit(text):
+        manifest = json.loads(text)
+        change(manifest)
+        return json.dumps(manifest, indent=2) + "\n"  # as save_weights writes it
+    return edit
+
+
+def partial_laterals(manifest):
+    layers = manifest["layers"]
+    layers["lateral7.conv"] = layers.pop("lateral4.conv")
+    del layers["lateral5.conv"]
+
+
+def extra_layer(manifest):
+    manifest["layers"]["hfp6.gap_conv"] = manifest["layers"]["hfp5.gap_conv"]
+
+
 class TestPyramidIo:
     def test_dir_roundtrip(self, tmp_path):
         pyr = small_pyramid(seed=19)
@@ -327,8 +351,13 @@ class TestPyramidIo:
         lambda m: m.replace('"hfp2.gap_conv"', '"hfp2.gap"'),
         lambda m: m.replace('"weight": "out2.conv.weight.pft"', '"weight": 5'),
         lambda m: m.replace('"lateral2.conv"', '"lateralX.conv"'),
+        json_edit(lambda m: m["config"].update(groups=0)),
+        json_edit(lambda m: m["config"].update(conv_bias=False)),
+        json_edit(partial_laterals),
+        json_edit(extra_layer),
     ], ids=["not-json", "no-config", "no-channels", "no-layer", "weight-not-string",
-            "bad-lateral-name"])
+            "bad-lateral-name", "groups-zero", "config-contradicts-bias", "laterals-2-3-7",
+            "extra-layer"])
     def test_malformed_weight_manifest(self, tmp_path, edit):
         save_weights(tmp_path / "w", init_weights(SMALL, backbone_channels={2: 6, 3: 6, 4: 6, 5: 6}))
         manifest = tmp_path / "w" / "manifest.json"
@@ -339,14 +368,39 @@ class TestPyramidIo:
             load_weights(tmp_path / "w")
 
     def test_weights_roundtrip_same_forward(self, tmp_path):
-        weights = init_weights(SMALL)
-        save_weights(tmp_path / "w", weights)
-        loaded = load_weights(tmp_path / "w")
-        pyr = small_pyramid(seed=23)
-        a = hsfpn_forward(pyr, weights)
-        b = hsfpn_forward(pyr, loaded)
-        for lv in (2, 3, 4, 5):
-            assert a[lv].tobytes() == b[lv].tobytes()
+        # NON_DEFAULT sets every config field away from its default.
+        configs = {"small": SMALL, "non-default-fpn": NON_DEFAULT,
+                   "non-default-hsfpn": dataclasses.replace(NON_DEFAULT, mode="hsfpn")}
+        for name, config in configs.items():
+            weights = init_weights(config)
+            save_weights(tmp_path / name, weights)
+            loaded = load_weights(tmp_path / name)
+            assert loaded.config == weights.config, name
+            pyr = small_pyramid(seed=23, channels=config.channels)
+            a = hsfpn_forward(pyr, weights)
+            b = hsfpn_forward(pyr, loaded)
+            for lv in (2, 3, 4, 5):
+                assert a[lv].tobytes() == b[lv].tobytes(), name
+
+    # Digests of the files `save_weights` writes: the manifest alone, and a
+    # `sha256sum`-style listing ("<sha256>  <name>" per file, sorted by name)
+    # that pins every file's name and bytes. A change to init draw order,
+    # layer names, manifest key order or the PFT1 encoding moves them.
+    @pytest.mark.parametrize("config, backbone, files, manifest_sha, listing_sha", [
+        (SMALL, {2: 6, 3: 6, 4: 6, 5: 6}, 66,
+         "ea40a28d3a9f8a91f9bfae2222fdea98456ac955f8c264723f2b9837540f50f0",
+         "5511b8365caad1ed4292186f086f5786b5cec18f9eb4f7d37a20aa22a6e027d0"),
+        (NON_DEFAULT, None, 43,
+         "2ab0733e3f47542fd7151b12d931d4ee750c920600a22622960cf8527a765cd6",
+         "31f506555d46d55b59bfc0185fccea4bb6b595d1272963698faa872d952e1f15"),
+    ], ids=["small-laterals", "non-default"])
+    def test_saved_files_pinned(self, tmp_path, config, backbone, files, manifest_sha, listing_sha):
+        save_weights(tmp_path / "w", init_weights(config, backbone_channels=backbone))
+        paths = sorted((tmp_path / "w").iterdir())
+        listing = "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n" for p in paths)
+        assert len(paths) == files
+        assert hashlib.sha256((tmp_path / "w" / "manifest.json").read_bytes()).hexdigest() == manifest_sha
+        assert hashlib.sha256(listing.encode()).hexdigest() == listing_sha, listing
 
     def test_weights_roundtrip_with_laterals(self, tmp_path):
         weights = init_weights(SMALL, backbone_channels={2: 6, 3: 6, 4: 6, 5: 6})
