@@ -10,8 +10,10 @@ from .frequency import (
     dct_matrix,
     filter_plane,
     highfreq_response,
+    highpass_cut,
     highpass_mask,
     idct2,
+    lowcut_filter,
     lowcut_mask,
     scr,
     scr_filter_sweep,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cost import CostModel, cost_rows, cost_table, count_params
 from .errors import DegenerateBackgroundError, PgmParseError, ShapeError, ValidationError
-from .frequency import ScrWindows, dct2, highpass_mask, idct2, lowcut_mask, scr, scr_filter_sweep
+from .frequency import ScrWindows, highpass_cut, lowcut_filter, scr, scr_filter_sweep
 from .io import read_pgm, write_pgm
 from .pyramid import (
     PyramidConfig,
@@ -125,12 +125,12 @@ def cmd_filter(args) -> int:
     image = read_pgm(args.image)
     h, w = image.shape
     if args.alpha is not None:
-        mask = highpass_mask(h, w, args.alpha)
+        cut = highpass_cut(h, w, args.alpha)
         cut_desc = {"alpha": args.alpha}
     else:
-        mask = lowcut_mask(h, w, *args.cut)
+        cut = args.cut
         cut_desc = {"cut_rows": args.cut[0], "cut_cols": args.cut[1]}
-    filtered = idct2(dct2(image) * mask)
+    filtered = lowcut_filter(image, *cut)
 
     export = filtered + np.float32(0.5) if args.recenter else filtered
     write_pgm(args.output, export)

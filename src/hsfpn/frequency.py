@@ -8,8 +8,10 @@ filtering once.
 
 Low frequencies of a DCT plane sit in the top-left corner. The binary masks
 here zero that corner, either as a fraction of the plane (``highpass_mask``)
-or as an absolute coefficient region (``lowcut_mask``), and
-``highfreq_response`` applies the fractional mask per channel. The
+or as an absolute coefficient region (``lowcut_mask``).
+``lowcut_filter`` removes such a corner from every plane as a projection
+onto the corner's DCT basis, without transforming the whole plane, and
+``highfreq_response`` applies it with the fractional cut per channel. The
 signal-to-clutter ratio ``scr`` quantifies how salient a small target is
 against its surroundings before and after such filtering.
 """
@@ -70,11 +72,13 @@ def _plane_transform(planes: np.ndarray, row_mat: np.ndarray, col_mat: np.ndarra
     return (row_mat @ z @ col_mat.T).astype(DTYPE)
 
 
+def _as_planes(x) -> np.ndarray:
+    """A bare (H, W) plane or an (N, C, H, W) tensor, as float32."""
+    return as_tensor(x, rank=2) if np.ndim(x) == 2 else as_tensor(x, rank=4)
+
+
 def _per_plane(x, forward: bool) -> np.ndarray:
-    if np.ndim(x) == 2:
-        x = as_tensor(x, rank=2)
-    else:
-        x = as_tensor(x, rank=4)
+    x = _as_planes(x)
     h, w = x.shape[-2], x.shape[-1]
     dh, dw = dct_matrix(h), dct_matrix(w)
     if not forward:
@@ -96,21 +100,25 @@ def idct2(x) -> np.ndarray:
     return _per_plane(x, forward=False)
 
 
-def highpass_mask(h: int, w: int, alpha: float) -> np.ndarray:
-    """Binary (h, w) mask that zeroes the top-left corner of a DCT plane.
+def highpass_cut(h: int, w: int, alpha: float) -> tuple:
+    """Extents (r, s) of the top-left DCT corner that the fraction `alpha` blocks.
 
-    Entry (u, v) is 0 iff u < alpha*h and v < alpha*w, with the comparison on
-    the real-valued products (no rounding): alpha=0.25 on h=10 zeroes
-    u in {0, 1, 2}. alpha=0 passes everything, alpha=1 blocks everything.
+    r counts the rows u with u < alpha*h and s the columns v with v < alpha*w,
+    compared on the real-valued products (no rounding): alpha=0.25 on h=10
+    blocks u in {0, 1, 2}. alpha=0 blocks nothing, alpha=1 everything.
     """
     if h < 1 or w < 1:
         raise ShapeError("mask extents must be >= 1")
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
-    u = np.arange(h, dtype=np.float64)[:, None]
-    v = np.arange(w, dtype=np.float64)[None, :]
-    blocked = (u < alpha * h) & (v < alpha * w)
-    return (~blocked).astype(DTYPE)
+    r = np.count_nonzero(np.arange(h, dtype=np.float64) < alpha * h)
+    s = np.count_nonzero(np.arange(w, dtype=np.float64) < alpha * w)
+    return int(r), int(s)
+
+
+def highpass_mask(h: int, w: int, alpha: float) -> np.ndarray:
+    """Binary (h, w) mask that zeroes the corner :func:`highpass_cut` blocks."""
+    return lowcut_mask(h, w, *highpass_cut(h, w, alpha))
 
 
 def lowcut_mask(h: int, w: int, cut_rows: int, cut_cols: int) -> np.ndarray:
@@ -133,18 +141,43 @@ def filter_plane(plane, mask) -> np.ndarray:
     return idct2(dct2(plane) * mask)
 
 
+def lowcut_filter(x, cut_rows: int, cut_cols: int) -> np.ndarray:
+    """idct2(dct2(x) * lowcut_mask(...)) of each plane, as an orthogonal projection.
+
+    Accepts an (N, C, H, W) tensor or a bare (H, W) plane. With D_r the first
+    r = min(cut_rows, H) rows of the order-H DCT matrix and D_s the first
+    s = min(cut_cols, W) rows of the order-W one, the result is
+    x - D_r.T @ (D_r @ x @ D_s.T) @ D_s, evaluated in float64 and rounded once.
+    This removes the r x s corner without transforming the whole plane. An
+    empty cut returns the input unchanged (bitwise).
+    """
+    x = _as_planes(x)
+    if cut_rows < 0 or cut_cols < 0:
+        raise ValidationError("cut extents must be >= 0")
+    h, w = x.shape[-2:]
+    r, s = min(cut_rows, h), min(cut_cols, w)
+    if r == 0 or s == 0:
+        return x
+    d_r, d_s = dct_matrix(h)[:r], dct_matrix(w)[:s]
+    # Corner coefficients D_r @ x @ D_s.T; the W-axis product is one GEMM.
+    corner = d_r @ (x.reshape(-1, w) @ d_s.T).reshape(-1, h, s)
+    low = ((d_r.T @ corner).reshape(-1, s) @ d_s).reshape(x.shape)
+    np.subtract(x, low, out=low)
+    return low.astype(DTYPE)
+
+
 def highfreq_response(c, spec: FilterSpec, level: int) -> np.ndarray:
     """Per-channel low-cut filtering of an (N, C, H, W) tensor.
 
     When the filter is disabled at `level` the input is returned unchanged
-    (bitwise). Otherwise every channel plane is transformed, masked with
-    :func:`highpass_mask`, and transformed back; output dims equal input dims.
+    (bitwise). Otherwise every channel plane loses the DCT corner that
+    :func:`highpass_mask` zeroes (see :func:`lowcut_filter`); output dims equal
+    input dims.
     """
     c = as_tensor(c, rank=4)
     if not spec.enabled(level):
         return c
-    mask = highpass_mask(c.shape[2], c.shape[3], spec.alpha)
-    return idct2(dct2(c) * mask)
+    return lowcut_filter(c, *highpass_cut(c.shape[2], c.shape[3], spec.alpha))
 
 
 # ---------------------------------------------------------------------------

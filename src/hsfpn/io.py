@@ -20,8 +20,8 @@ MAX_RANK = 4
 
 
 def write_tensor(path, x) -> None:
-    """Serialise a tensor to a PFT1 file."""
-    x = as_tensor(x)
+    """Serialise a tensor to a PFT1 file; NaN/Inf are refused before any byte is written."""
+    x = check_finite(as_tensor(x), f"{path}")
     with open(path, "wb") as fh:
         fh.write(PFT_MAGIC)
         fh.write(struct.pack("<I", x.ndim))

@@ -422,6 +422,8 @@ def load_weights(path) -> HsfpnWeights:
         if weight.shape != spec.weight_shape:
             raise ShapeError(f"{name}: weight dims {weight.shape} do not match {spec.weight_shape}")
         bias = hio.read_tensor(bias_path) if bias_path is not None else None
+        if bias is not None and bias.shape != (spec.out_channels,):
+            raise ValidationError(f"{name}: bias dims {bias.shape} do not match ({spec.out_channels},)")
         return ConvLayer(spec, weight, bias)
 
     return _assemble(config, {name: layer(name, spec) for name, spec in expected.items()})

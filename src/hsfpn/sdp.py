@@ -13,7 +13,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor import ConvLayer, as_tensor, matmul, softmax_rows, upsample2x
+from .tensor import DTYPE, ConvLayer, as_tensor, upsample2x
 
 
 @dataclass
@@ -95,23 +95,44 @@ def reassemble_blocks(blocks, dims, block_h: int, block_w: int) -> np.ndarray:
     return np.ascontiguousarray(x.reshape(n_, c, h, w))
 
 
-def attention_weights(q, k) -> np.ndarray:
-    """Row-stochastic similarity matrix softmax(q @ k.T / sqrt(C)) for one block."""
-    q = np.ascontiguousarray(q, dtype=np.float32)
-    k = np.ascontiguousarray(k, dtype=np.float32)
+def _softmax_numerators(q, k):
+    """exp(s - rowmax(s)) for s = q @ k.T / sqrt(C), in float64, plus its row sums.
+
+    The shared front half of :func:`attention_weights` and :func:`block_attention`;
+    normalisation by the row sums is left to the caller.
+    """
+    q = np.asarray(q, dtype=np.float32)
+    k = np.asarray(k, dtype=np.float32)
     if q.ndim != 2 or k.ndim != 2 or q.shape != k.shape:
         raise ShapeError(f"expected equal (hw, C) matrices, got {q.shape} and {k.shape}")
-    c = q.shape[1]
-    logits = matmul(q, np.ascontiguousarray(k.T)) / np.float32(sqrt(c))
-    return softmax_rows(logits)
+    z = q.astype(np.float64) @ k.astype(np.float64).T
+    z *= 1.0 / sqrt(q.shape[1])
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    return z, z.sum(axis=1, keepdims=True)
+
+
+def attention_weights(q, k) -> np.ndarray:
+    """Row-stochastic similarity matrix softmax(q @ k.T / sqrt(C)) for one block."""
+    z, rowsum = _softmax_numerators(q, k)
+    z /= rowsum
+    return z.astype(DTYPE)
 
 
 def block_attention(q, k, v) -> np.ndarray:
-    """Attention output a @ v for one block, where a = attention_weights(q, k)."""
-    v = np.ascontiguousarray(v, dtype=np.float32)
+    """Attention output a @ v for one block, where a = attention_weights(q, k).
+
+    Normalisation is deferred: the unnormalised exponentials multiply v and the
+    (hw, C) product is divided by the row sums, so the (hw, hw) matrix is never
+    divided. Everything runs in float64 and rounds to float32 once.
+    """
+    v = np.asarray(v, dtype=np.float32)
     if v.shape != np.shape(q):
         raise ShapeError(f"value block {v.shape} does not match query block {np.shape(q)}")
-    return matmul(attention_weights(q, k), v)
+    z, rowsum = _softmax_numerators(q, k)
+    out = z @ v.astype(np.float64)
+    out /= rowsum
+    return out.astype(DTYPE)
 
 
 def sdp_forward(c_low, p_up, params: SdpParams) -> np.ndarray:

@@ -186,19 +186,32 @@ def adaptive_pool(x, out_h: int, out_w: int, mode: str = "avg") -> np.ndarray:
     if out_h > h or out_w > w:
         raise ShapeError(f"output extents ({out_h}, {out_w}) exceed input ({h}, {w})")
 
-    out = np.empty((n, c, out_h, out_w), dtype=DTYPE)
-    for i in range(out_h):
-        r0 = (i * h) // out_h
-        r1 = ((i + 1) * h + out_h - 1) // out_h
-        for j in range(out_w):
-            c0 = (j * w) // out_w
-            c1 = ((j + 1) * w + out_w - 1) // out_w
-            window = x[:, :, r0:r1, c0:c1]
-            if mode == "avg":
-                out[:, :, i, j] = window.astype(np.float64).mean(axis=(2, 3))
-            else:
-                out[:, :, i, j] = window.max(axis=(2, 3))
-    return out
+    rows, cols = _pool_windows(h, out_h), _pool_windows(w, out_w)
+    if mode == "avg":
+        # Window means as P_h @ x @ P_w.T, with 1/len weights in the pooling matrices.
+        by_col = (x.reshape(-1, w) @ _avg_matrix(w, *cols).T).reshape(n * c, h, out_w)
+        return (_avg_matrix(h, *rows) @ by_col).reshape(n, c, out_h, out_w).astype(DTYPE)
+    by_row = x[:, :, _window_index(*rows), :].max(axis=3)
+    return by_row[..., _window_index(*cols)].max(axis=4)
+
+
+def _pool_windows(size: int, out: int):
+    """Start and stop of each adaptive window: floor(i*size/out) .. ceil((i+1)*size/out)."""
+    i = np.arange(out)
+    return (i * size) // out, ((i + 1) * size + out - 1) // out
+
+
+def _avg_matrix(size: int, start, stop) -> np.ndarray:
+    """(out, size) float64 matrix whose row i averages positions start[i] .. stop[i]-1."""
+    j = np.arange(size)
+    inside = (j >= start[:, None]) & (j < stop[:, None])
+    return inside / (stop - start)[:, None]
+
+
+def _window_index(start, stop) -> np.ndarray:
+    """(out, longest window) positions of each window, padded by repeating its last index."""
+    offsets = np.arange((stop - start).max())
+    return np.minimum(start[:, None] + offsets, stop[:, None] - 1)
 
 
 def relu(x) -> np.ndarray:

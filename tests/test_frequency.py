@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from hsfpn import (
     dct2,
     filter_plane,
     highfreq_response,
+    highpass_cut,
     highpass_mask,
     idct2,
     lowcut_mask,
@@ -17,7 +20,7 @@ from hsfpn import (
     scr_filter_sweep,
 )
 
-from oracles import naive_dct2_plane, naive_idct2_plane
+from oracles import naive_dct2_plane, naive_highfreq_response, naive_idct2_plane
 
 RNG = np.random.default_rng(99)
 
@@ -151,6 +154,49 @@ class TestHighfreqResponse:
     def test_preserves_dims(self):
         x = RNG.standard_normal((2, 3, 10, 14)).astype(np.float32)
         assert highfreq_response(x, FilterSpec(alpha=0.4), 3).shape == x.shape
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("hw", [(9, 7), (10, 6)], ids=["9x7", "10x6"])
+    def test_matches_direct_sum_oracle(self, hw, alpha):
+        x = RNG.standard_normal((2, 2, *hw)).astype(np.float32)
+        np.testing.assert_allclose(highfreq_response(x, FilterSpec(alpha=alpha), 2),
+                                   naive_highfreq_response(x, alpha), rtol=0, atol=1e-5)
+
+    def test_cut_on_exact_row_boundary(self):
+        # alpha*h lands on an integer: that row is not blocked (u < alpha*h is strict)
+        assert highpass_cut(10, 6, 0.5) == (5, 3)
+        assert highpass_cut(10, 10, 0.1) == (1, 1)
+        assert highpass_cut(9, 7, 0.0) == (0, 0)
+        assert highpass_cut(9, 7, 1.0) == (9, 7)
+        for h, w, alpha in [(10, 6, 0.5), (9, 7, 0.25), (10, 10, 0.1)]:
+            r, s = highpass_cut(h, w, alpha)
+            assert highpass_mask(h, w, alpha).sum() == h * w - r * s
+
+    def test_alpha_zero_bitwise_identity(self):
+        x = RNG.standard_normal((1, 3, 9, 7)).astype(np.float32)
+        assert highfreq_response(x, FilterSpec(alpha=0.0), 2).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 1.0])
+    def test_matches_masked_filter_plane(self, alpha):
+        x = RNG.standard_normal((2, 2, 12, 10)).astype(np.float32)
+        out = highfreq_response(x, FilterSpec(alpha=alpha), 2)
+        mask = highpass_mask(12, 10, alpha)
+        for s in range(2):
+            for ch in range(2):
+                np.testing.assert_allclose(out[s, ch], filter_plane(x[s, ch], mask),
+                                           rtol=0, atol=1e-6)
+
+    def test_peak_memory_bounded_by_input(self):
+        x = RNG.standard_normal((1, 64, 128, 128)).astype(np.float32)
+        spec = FilterSpec(alpha=0.25)
+        highfreq_response(x, spec, 2)  # first call outside the measurement
+        tracemalloc.start()
+        try:
+            highfreq_response(x, spec, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * x.nbytes, f"peak {peak} B is {peak / x.nbytes:.1f}x the input"
 
 
 class TestScr:

@@ -50,6 +50,13 @@ class TestPft:
         with pytest.raises(ShapeError):
             read_tensor(path)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_write_nonfinite_rejected_before_writing(self, tmp_path, bad):
+        path = tmp_path / "bad.pft"
+        with pytest.raises(ValidationError, match="finite"):
+            write_tensor(path, np.array([1.0, bad], np.float32))
+        assert not path.exists()
+
     def test_nonfinite_rejected(self, tmp_path):
         path = tmp_path / "nan.pft"
         payload = struct.pack("<2f", 1.0, float("nan"))

@@ -21,6 +21,7 @@ from hsfpn import (
     read_pyramid_dir,
     save_weights,
     write_pyramid_dir,
+    write_tensor,
 )
 
 from oracles import naive_conv2d, naive_fpn_forward, naive_hsfpn_forward
@@ -319,6 +320,11 @@ def extra_layer(manifest):
     manifest["layers"]["hfp6.gap_conv"] = manifest["layers"]["hfp5.gap_conv"]
 
 
+def short_bias(manifest):
+    # out2.conv has 4 output channels; the spatial conv's bias file holds 1 value
+    manifest["layers"]["out2.conv"]["bias"] = manifest["layers"]["hfp2.spatial_conv"]["bias"]
+
+
 class TestPyramidIo:
     def test_dir_roundtrip(self, tmp_path):
         pyr = small_pyramid(seed=19)
@@ -355,9 +361,10 @@ class TestPyramidIo:
         json_edit(lambda m: m["config"].update(conv_bias=False)),
         json_edit(partial_laterals),
         json_edit(extra_layer),
+        json_edit(short_bias),
     ], ids=["not-json", "no-config", "no-channels", "no-layer", "weight-not-string",
             "bad-lateral-name", "groups-zero", "config-contradicts-bias", "laterals-2-3-7",
-            "extra-layer"])
+            "extra-layer", "bias-length"])
     def test_malformed_weight_manifest(self, tmp_path, edit):
         save_weights(tmp_path / "w", init_weights(SMALL, backbone_channels={2: 6, 3: 6, 4: 6, 5: 6}))
         manifest = tmp_path / "w" / "manifest.json"
@@ -365,6 +372,12 @@ class TestPyramidIo:
         assert edited != manifest.read_text()
         manifest.write_text(edited)
         with pytest.raises(ValidationError):
+            load_weights(tmp_path / "w")
+
+    def test_bias_file_length_checked_at_load(self, tmp_path):
+        save_weights(tmp_path / "w", init_weights(SMALL))
+        write_tensor(tmp_path / "w" / "out2.conv.bias.pft", np.zeros(7, np.float32))
+        with pytest.raises(ValidationError, match="bias"):
             load_weights(tmp_path / "w")
 
     def test_weights_roundtrip_same_forward(self, tmp_path):

@@ -110,6 +110,29 @@ class TestBlockAttention:
         np.testing.assert_allclose(block_attention(q, k, v), naive_block_attention(q, k, v),
                                    atol=1e-5)
 
+    def test_sharp_logits_match_row_oracle(self):
+        # q and k scaled x30 each: logits reach the thousands, past the float64
+        # exp overflow at ~709, so only the row-max subtraction keeps them finite.
+        q = (RNG.standard_normal((256, 64)) * 30).astype(np.float32)
+        k = (RNG.standard_normal((256, 64)) * 30).astype(np.float32)
+        v = RNG.standard_normal((256, 64)).astype(np.float32)
+        np.testing.assert_allclose(block_attention(q, k, v), naive_block_attention(q, k, v),
+                                   rtol=0, atol=1e-5)
+
+    def test_deferred_normalisation_equals_weights_times_values(self):
+        q = RNG.standard_normal((64, 16)).astype(np.float32)
+        k = RNG.standard_normal((64, 16)).astype(np.float32)
+        v = RNG.standard_normal((64, 16)).astype(np.float32)
+        composed = attention_weights(q, k).astype(np.float64) @ v.astype(np.float64)
+        np.testing.assert_allclose(block_attention(q, k, v), composed, rtol=0, atol=1e-6)
+
+    def test_value_product_accumulates_in_float64(self):
+        # uniform weights over [1e8, 1, -1e8, 0]: float32 accumulation loses the 1
+        q = np.zeros((4, 4), np.float32)
+        v = np.zeros((4, 4), np.float32)
+        v[:3] = np.array([1e8, 1.0, -1e8], np.float32)[:, None]
+        np.testing.assert_array_equal(block_attention(q, q, v), np.full((4, 4), 0.25, np.float32))
+
     def test_rows_sum_to_one(self):
         for _ in range(20):
             q = (RNG.standard_normal((9, 6)) * 5).astype(np.float32)

@@ -221,6 +221,31 @@ class TestAdaptivePool:
         with pytest.raises(ShapeError):
             adaptive_pool(randf(1, 1, 3, 3), 4, 2, "avg")
 
+    @pytest.mark.parametrize("mode", ["avg", "max"])
+    @pytest.mark.parametrize("shape, out", [
+        ((1, 2, 7, 5), (3, 4)),
+        ((1, 3, 128, 128), (16, 16)),
+        ((1, 2, 1, 9), (1, 4)),
+        ((1, 2, 6, 5), (6, 5)),
+        ((2, 3, 11, 8), (4, 3)),
+    ], ids=["7x5-to-3x4", "128x128-to-16x16", "1xW", "out-equals-in", "batch2"])
+    def test_matches_window_oracle(self, mode, shape, out):
+        x = randf(*shape)
+        np.testing.assert_allclose(adaptive_pool(x, *out, mode), naive_adaptive_pool(x, *out, mode),
+                                   rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("mode", ["avg", "max"])
+    def test_peak_memory_bounded_by_input(self, mode):
+        x = randf(1, 64, 128, 128)
+        adaptive_pool(x, 16, 16, mode)  # first call outside the measurement
+        tracemalloc.start()
+        try:
+            adaptive_pool(x, 16, 16, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * x.nbytes, f"peak {peak} B is {peak / x.nbytes:.1f}x the input"
+
 
 class TestRelu:
     def test_basic(self):
