@@ -23,7 +23,7 @@ for c in range(4):
     feature[0, c] = (c + 1) * 0.2 * (rows + cols)  # smooth clutter everywhere
 feature[0, 0, 7:9, 7:9] += 2.0                     # tiny detail only in channel 0
 
-filtered = highfreq_response(feature, params.filter, level=2)
+filtered = highfreq_response(feature, params.alpha)
 print("energy per channel before / after low-cut filtering:")
 for c in range(4):
     before = np.square(feature[0, c], dtype=np.float64).sum()
@@ -43,5 +43,5 @@ peak = np.unravel_index(np.abs(u_sp).argmax(), u_sp.shape)
 print(f"spatial mask u_sp peaks at pixel {tuple(int(v) for v in peak)} "
       "(the spot sits at (7..8, 7..8))")
 
-out = hfp_forward(feature, params, level=2)
+out = hfp_forward(feature, params)
 print(f"\nfull module output keeps the input dims: {feature.shape} -> {out.shape}")

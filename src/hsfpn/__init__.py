@@ -3,7 +3,6 @@
 from .cost import ATTENTION_LAYOUTS, CostModel, OpCostReport, attention_cost, cost_rows, cost_table, count_params
 from .errors import DegenerateBackgroundError, PgmParseError, ShapeError, ValidationError
 from .frequency import (
-    FilterSpec,
     ScrWindows,
     blob_scene,
     dct2,

@@ -10,48 +10,20 @@ Low frequencies of a DCT plane sit in the top-left corner. The binary masks
 here zero that corner, either as a fraction of the plane (``highpass_mask``)
 or as an absolute coefficient region (``lowcut_mask``).
 ``lowcut_filter`` removes such a corner from every plane as a projection
-onto the corner's DCT basis, without transforming the whole plane, and
-``highfreq_response`` applies it with the fractional cut per channel. The
-signal-to-clutter ratio ``scr`` quantifies how salient a small target is
-against its surroundings before and after such filtering.
+onto the corner's DCT basis, without transforming the whole plane;
+``highfreq_response`` applies it with the fractional cut per channel and
+``scr_filter_sweep`` with each absolute cut. The signal-to-clutter ratio
+``scr`` quantifies how salient a small target is against its surroundings
+before and after such filtering.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
 from .errors import DegenerateBackgroundError, ShapeError, ValidationError
 from .tensor import DTYPE, as_tensor, check_finite
-
-# Pyramid levels, largest first; each halves the extents of the one before.
-LEVELS = (2, 3, 4, 5)
-
-# Filtering is applied only on the two highest-resolution levels by default.
-DEFAULT_FILTER_LEVELS = (2, 3)
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Cut-off fraction plus per-level enable flags for the low-cut filter."""
-
-    alpha: float
-    per_level_enabled: Mapping[int, bool] = field(
-        default_factory=lambda: {lv: lv in DEFAULT_FILTER_LEVELS for lv in LEVELS}
-    )
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
-        for level in self.per_level_enabled:
-            if level not in LEVELS:
-                raise ValidationError(f"unknown pyramid level {level}")
-
-    def enabled(self, level: int) -> bool:
-        if level not in LEVELS:
-            raise ValidationError(f"unknown pyramid level {level}")
-        return bool(self.per_level_enabled.get(level, False))
 
 
 @lru_cache(maxsize=None)
@@ -166,18 +138,15 @@ def lowcut_filter(x, cut_rows: int, cut_cols: int) -> np.ndarray:
     return low.astype(DTYPE)
 
 
-def highfreq_response(c, spec: FilterSpec, level: int) -> np.ndarray:
+def highfreq_response(c, alpha: float) -> np.ndarray:
     """Per-channel low-cut filtering of an (N, C, H, W) tensor.
 
-    When the filter is disabled at `level` the input is returned unchanged
-    (bitwise). Otherwise every channel plane loses the DCT corner that
-    :func:`highpass_mask` zeroes (see :func:`lowcut_filter`); output dims equal
-    input dims.
+    Every channel plane loses the DCT corner that :func:`highpass_mask`
+    zeroes (see :func:`lowcut_filter`); output dims equal input dims. At
+    alpha=0 nothing is blocked and the input is returned unchanged (bitwise).
     """
     c = as_tensor(c, rank=4)
-    if not spec.enabled(level):
-        return c
-    return lowcut_filter(c, *highpass_cut(c.shape[2], c.shape[3], spec.alpha))
+    return lowcut_filter(c, *highpass_cut(c.shape[2], c.shape[3], alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +157,12 @@ def highfreq_response(c, spec: FilterSpec, level: int) -> np.ndarray:
 class ScrWindows:
     """Target and neighbourhood windows for the saliency ratio.
 
-    Both windows are squares centred on `target_center` (row, col); they are
-    clipped to the image bounds and statistics use the clipped regions. The
-    background region is the annulus: neighbourhood window minus target window.
+    Both windows are squares centred on `target_center` (row r, col c): an
+    extent e covers rows [r - e//2, r - e//2 + e) and likewise columns. They are
+    clipped to the image bounds and statistics use the clipped regions; a
+    target window with nothing left after clipping raises ValidationError.
+    The background region is the annulus: neighbourhood window minus target
+    window.
     """
 
     target_center: tuple
@@ -204,12 +176,8 @@ class ScrWindows:
             raise ValidationError("neighbourhood extent must exceed target extent")
 
     def _clip(self, extent: int, h: int, w: int):
-        r, c = self.target_center
-        r0 = max(int(r) - extent // 2, 0)
-        c0 = max(int(c) - extent // 2, 0)
-        r1 = min(r0 + extent, h)
-        c1 = min(c0 + extent, w)
-        return r0, r1, c0, c1
+        r0, c0 = (int(v) - extent // 2 for v in self.target_center)
+        return max(r0, 0), min(r0 + extent, h), max(c0, 0), min(c0 + extent, w)
 
     def target_slice(self, h: int, w: int):
         r0, r1, c0, c1 = self._clip(self.target_extent, h, w)
@@ -255,17 +223,12 @@ def scr(image, windows: ScrWindows) -> float:
 def scr_filter_sweep(image, windows: ScrWindows, cuts) -> list:
     """SCR after low-cut filtering for each (cut_rows, cut_cols) region.
 
-    Returns [(cut_rows, cut_cols, scr), ...] in the given order. A cut of
-    (0, 0) leaves the image untouched.
+    Returns [(cut_rows, cut_cols, scr), ...] in the given order. Each cut
+    runs through :func:`lowcut_filter`; a cut of (0, 0) leaves the image
+    untouched.
     """
     image = as_tensor(image, rank=2)
-    h, w = image.shape
-    coeffs = dct2(image)
-    out = []
-    for cut_rows, cut_cols in cuts:
-        filtered = idct2(coeffs * lowcut_mask(h, w, cut_rows, cut_cols))
-        out.append((int(cut_rows), int(cut_cols), scr(filtered, windows)))
-    return out
+    return [(int(r), int(c), scr(lowcut_filter(image, r, c), windows)) for r, c in cuts]
 
 
 def blob_scene(

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .frequency import FilterSpec, highfreq_response
+from .frequency import highfreq_response
 from .tensor import ConvLayer, adaptive_pool, as_tensor, relu, sigmoid
 
 
@@ -22,8 +22,10 @@ class HfpParams:
     gap_conv / gmp_conv are grouped 1x1 convolutions (C -> C) applied to the
     pooled-and-summed average/max branches; merge_conv maps their GAP-first
     concatenation (2C -> C). spatial_conv collapses C channels to one plane,
-    fuse_conv is the 3x3 output convolution (C -> C). `squash` optionally
-    passes both attention signals through a sigmoid before they are used.
+    fuse_conv is the 3x3 output convolution (C -> C). `alpha` is the low-cut
+    fraction of the filter (0 leaves the input unfiltered). `squash`
+    optionally passes both attention signals through a sigmoid before they
+    are used.
     """
 
     k: int
@@ -32,12 +34,14 @@ class HfpParams:
     merge_conv: ConvLayer
     spatial_conv: ConvLayer
     fuse_conv: ConvLayer
-    filter: FilterSpec
+    alpha: float
     squash: bool = False
 
     def __post_init__(self):
         if self.k < 1:
             raise ValidationError(f"pooling extent k must be >= 1, got {self.k}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
         c = self.gap_conv.spec.in_channels
         checks = (
             (self.gap_conv.spec, c, c, "gap_conv"),
@@ -83,7 +87,7 @@ def spatial_path(f, params: HfpParams) -> np.ndarray:
     return sigmoid(u_sp) if params.squash else u_sp
 
 
-def hfp_forward(c, params: HfpParams, level: int) -> np.ndarray:
+def hfp_forward(c, params: HfpParams) -> np.ndarray:
     """Full module: filter, reweight along channels and pixels, fuse.
 
     The filtered response feeds both paths; their outputs broadcast against
@@ -92,7 +96,7 @@ def hfp_forward(c, params: HfpParams, level: int) -> np.ndarray:
     Dims are preserved.
     """
     c = as_tensor(c, rank=4)
-    f = highfreq_response(c, params.filter, level)
+    f = highfreq_response(c, params.alpha)
     u_cp = channel_path(f, params)
     u_sp = spatial_path(f, params)
     return params.fuse_conv(u_cp * c + u_sp * c)

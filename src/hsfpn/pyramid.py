@@ -17,11 +17,14 @@ import numpy as np
 
 from . import io as hio
 from .errors import ShapeError, ValidationError
-from .frequency import DEFAULT_FILTER_LEVELS, LEVELS, FilterSpec
 from .hfp import HfpParams, hfp_forward
 from .sdp import SdpParams, sdp_forward
 from .tensor import ConvLayer, ConvSpec, as_tensor, check_finite, upsample2x
 
+# Pyramid levels, largest first; each halves the extents of the one before.
+LEVELS = (2, 3, 4, 5)
+# Filtering is applied only on the two highest-resolution levels by default.
+DEFAULT_FILTER_LEVELS = (2, 3)
 SDP_LEVELS = LEVELS[:-1]  # every level but the top fuses with the one above
 
 FUSION_MODES = ("sdp_only", "sdp_plus_add")
@@ -63,13 +66,6 @@ class PyramidConfig:
         for level in self.filter_levels:
             if level not in LEVELS:
                 raise ValidationError(f"unknown filter level {level}")
-
-    @property
-    def filter_spec(self) -> FilterSpec:
-        return FilterSpec(
-            alpha=self.alpha,
-            per_level_enabled={lv: lv in self.filter_levels for lv in LEVELS},
-        )
 
 
 class FeaturePyramid:
@@ -171,15 +167,19 @@ def _draw_layer(rng, spec: ConvSpec) -> ConvLayer:
 
 
 def _assemble(config: PyramidConfig, layers: dict) -> HsfpnWeights:
-    """Group `{name: ConvLayer}` (names as in :func:`layer_specs`) into HsfpnWeights."""
+    """Group `{name: ConvLayer}` (names as in :func:`layer_specs`) into HsfpnWeights.
+
+    Each level's HFP filter runs with `config.alpha` at `config.filter_levels`
+    and with alpha 0 (no filtering) elsewhere.
+    """
     parts = {}
     for name, layer in layers.items():
         module, level, role = split_layer_name(name)
         parts.setdefault(module, {}).setdefault(level, {})[role] = layer
-    fspec = config.filter_spec
     return HsfpnWeights(
         config=config,
-        hfp={lv: HfpParams(k=config.k, filter=fspec, squash=config.squash, **kw)
+        hfp={lv: HfpParams(k=config.k, alpha=config.alpha if lv in config.filter_levels else 0.0,
+                           squash=config.squash, **kw)
              for lv, kw in parts["hfp"].items()},
         sdp={lv: SdpParams(**kw) for lv, kw in parts["sdp"].items()},
         out_convs={lv: kw["conv"] for lv, kw in parts["out"].items()},
@@ -260,7 +260,7 @@ def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights, timings: dict | 
         for level in reversed(LEVELS):
             h, w = c_pyr.extents(level)
             t0 = clock()
-            enriched = hfp_forward(c_pyr[level], _clamped_hfp(weights.hfp[level], h, w), level)
+            enriched = hfp_forward(c_pyr[level], _clamped_hfp(weights.hfp[level], h, w))
             spent["hfp"] += clock() - t0
             if level == LEVELS[-1]:
                 fused = enriched

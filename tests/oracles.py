@@ -190,13 +190,10 @@ def naive_spatial_path(f, params):
     return out
 
 
-def naive_hfp_forward(c, params, level, alpha):
+def naive_hfp_forward(c, params, alpha):
     """Compose the frequency and path oracles with the fuse convolution."""
     c = np.asarray(c, dtype=np.float64)
-    if params.filter.enabled(level):
-        f = naive_highfreq_response(c, alpha)
-    else:
-        f = c
+    f = naive_highfreq_response(c, alpha)
     u_cp = naive_channel_path(f, params)
     u_sp = naive_spatial_path(f, params)
     pre = u_cp * c + u_sp * c
@@ -273,11 +270,16 @@ def naive_sdp_forward(c_low, p_up, params):
 
 
 def naive_hsfpn_forward(c_pyr, weights, alpha):
-    """End-to-end composition of the module oracles along the top-down path."""
+    """End-to-end composition of the module oracles along the top-down path.
+
+    Levels in `weights.config.filter_levels` are filtered with `alpha`, the
+    others not at all; the alphas stored in `weights.hfp` are not consulted.
+    """
     config = weights.config
     outputs = {}
     for level in (5, 4, 3, 2):
-        enriched = naive_hfp_forward(c_pyr[level], weights.hfp[level], level, alpha)
+        level_alpha = alpha if level in config.filter_levels else 0.0
+        enriched = naive_hfp_forward(c_pyr[level], weights.hfp[level], level_alpha)
         if level == 5:
             fused = enriched
         else:

@@ -1,17 +1,21 @@
-"""Smoke run of the benchmark harness, so it cannot rot between benchmark changes."""
+"""Smoke runs of the benchmark harness, so it cannot rot between benchmark changes."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_hsfpn_mid_run_is_correct():
-    # a traced run checks every op, the MAC cross-check and the bypass predictions
+@pytest.mark.parametrize("workload", ["hsfpn-mid", "fpn-mid", "scr-sweep"])
+def test_traced_run_is_correct(workload):
+    # a traced run checks every op, the stored reference values, the MAC
+    # cross-check and the workload's predicted bypasses
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "hsfpn-mid", "--seed", "0",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

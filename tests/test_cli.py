@@ -70,6 +70,13 @@ class TestFilter:
         assert stats["degenerate"] is True
         assert "degenerate" in capsys.readouterr().err
 
+    def test_target_off_image_config_error(self, scene_pgm, tmp_path, capsys):
+        code = main(["filter", str(scene_pgm), "-o", str(tmp_path / "o.pgm"), "--alpha", "0.25",
+                     "--target-center=-1000,-1000"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("hsfpn: config: ")
+
     def test_invalid_pgm_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P5\n4 4\n255\n\x00")

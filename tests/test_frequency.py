@@ -5,7 +5,6 @@ import pytest
 
 from hsfpn import (
     DegenerateBackgroundError,
-    FilterSpec,
     ScrWindows,
     ValidationError,
     blob_scene,
@@ -125,41 +124,31 @@ class TestHighpassMask:
 class TestHighfreqResponse:
     def test_alpha_zero_identity(self):
         x = RNG.standard_normal((1, 2, 8, 8)).astype(np.float32)
-        spec = FilterSpec(alpha=0.0)
-        np.testing.assert_allclose(highfreq_response(x, spec, 2), x, atol=1e-5)
+        np.testing.assert_allclose(highfreq_response(x, 0.0), x, atol=1e-5)
 
     def test_alpha_one_blocks_everything(self):
         x = RNG.standard_normal((1, 2, 8, 8)).astype(np.float32)
-        spec = FilterSpec(alpha=1.0)
-        assert np.abs(highfreq_response(x, spec, 2)).max() <= 1e-5
-
-    def test_disabled_level_bitwise_identical(self):
-        x = RNG.standard_normal((1, 3, 8, 8)).astype(np.float32)
-        spec = FilterSpec(alpha=0.5)  # levels 4, 5 disabled by default
-        out = highfreq_response(x, spec, 4)
-        assert out.tobytes() == x.tobytes()
+        assert np.abs(highfreq_response(x, 1.0)).max() <= 1e-5
 
     def test_enabled_level_changes_values(self):
         x = RNG.standard_normal((1, 1, 8, 8)).astype(np.float32)
-        spec = FilterSpec(alpha=0.5)
-        assert not np.allclose(highfreq_response(x, spec, 2), x, atol=1e-3)
+        assert not np.allclose(highfreq_response(x, 0.5), x, atol=1e-3)
 
     def test_idempotent_projection(self):
         x = RNG.standard_normal((1, 2, 12, 12)).astype(np.float32)
-        spec = FilterSpec(alpha=0.3)
-        once = highfreq_response(x, spec, 2)
-        twice = highfreq_response(once, spec, 2)
+        once = highfreq_response(x, 0.3)
+        twice = highfreq_response(once, 0.3)
         np.testing.assert_allclose(twice, once, atol=1e-5)
 
     def test_preserves_dims(self):
         x = RNG.standard_normal((2, 3, 10, 14)).astype(np.float32)
-        assert highfreq_response(x, FilterSpec(alpha=0.4), 3).shape == x.shape
+        assert highfreq_response(x, 0.4).shape == x.shape
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.25, 0.5, 1.0])
     @pytest.mark.parametrize("hw", [(9, 7), (10, 6)], ids=["9x7", "10x6"])
     def test_matches_direct_sum_oracle(self, hw, alpha):
         x = RNG.standard_normal((2, 2, *hw)).astype(np.float32)
-        np.testing.assert_allclose(highfreq_response(x, FilterSpec(alpha=alpha), 2),
+        np.testing.assert_allclose(highfreq_response(x, alpha),
                                    naive_highfreq_response(x, alpha), rtol=0, atol=1e-5)
 
     def test_cut_on_exact_row_boundary(self):
@@ -174,12 +163,12 @@ class TestHighfreqResponse:
 
     def test_alpha_zero_bitwise_identity(self):
         x = RNG.standard_normal((1, 3, 9, 7)).astype(np.float32)
-        assert highfreq_response(x, FilterSpec(alpha=0.0), 2).tobytes() == x.tobytes()
+        assert highfreq_response(x, 0.0).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 1.0])
     def test_matches_masked_filter_plane(self, alpha):
         x = RNG.standard_normal((2, 2, 12, 10)).astype(np.float32)
-        out = highfreq_response(x, FilterSpec(alpha=alpha), 2)
+        out = highfreq_response(x, alpha)
         mask = highpass_mask(12, 10, alpha)
         for s in range(2):
             for ch in range(2):
@@ -188,11 +177,10 @@ class TestHighfreqResponse:
 
     def test_peak_memory_bounded_by_input(self):
         x = RNG.standard_normal((1, 64, 128, 128)).astype(np.float32)
-        spec = FilterSpec(alpha=0.25)
-        highfreq_response(x, spec, 2)  # first call outside the measurement
+        highfreq_response(x, 0.25)  # first call outside the measurement
         tracemalloc.start()
         try:
-            highfreq_response(x, spec, 2)
+            highfreq_response(x, 0.25)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -248,6 +236,25 @@ class TestScr:
         win = ScrWindows(target_center=(2, 2), target_extent=10, neighborhood_extent=20)
         assert np.isfinite(scr(img, win))
 
+    def test_windows_clipped_not_shifted_at_top_and_left(self):
+        # extent 40 around row 5 covers rows -15..25; clipping keeps 0..25
+        win = ScrWindows(target_center=(5, 50), target_extent=40, neighborhood_extent=80)
+        assert win.target_slice(100, 100) == (slice(0, 25), slice(30, 70))
+        assert win.neighborhood_slice(100, 100) == (slice(0, 45), slice(10, 90))
+        win = ScrWindows(target_center=(50, 5), target_extent=40, neighborhood_extent=80)
+        assert win.target_slice(100, 100) == (slice(30, 70), slice(0, 25))
+        # the bottom and right edges clip the same way
+        win = ScrWindows(target_center=(95, 50), target_extent=40, neighborhood_extent=80)
+        assert win.target_slice(100, 100) == (slice(75, 100), slice(30, 70))
+
+    def test_target_off_image_rejected(self):
+        img = RNG.uniform(size=(100, 100)).astype(np.float32)
+        win = ScrWindows(target_center=(-1000, -1000))
+        with pytest.raises(ValidationError):
+            win.target_slice(100, 100)
+        with pytest.raises(ValidationError):
+            scr(img, win)
+
 
 class TestSweepTrend:
     def test_rise_then_fall_on_blob_scene(self):
@@ -267,6 +274,33 @@ class TestSweepTrend:
         win = ScrWindows(target_center=(50, 50))
         rows = scr_filter_sweep(scene, win, [(0, 0)])
         assert rows[0][2] == pytest.approx(scr(scene, win), rel=1e-5)
+
+    # the square scene is symmetric under transposition; the oblong one tells
+    # cut rows from cut columns
+    @pytest.mark.parametrize("h, w", [(100, 100), (100, 80)], ids=["100x100", "100x80"])
+    def test_matches_filter_plane_reference(self, h, w):
+        scene = blob_scene(h, w)
+        win = ScrWindows(target_center=(h // 2, w // 2))
+        cuts = [(0, 0), (0, 5), (5, 0), (7, 7), (200, 3)]
+        rows = scr_filter_sweep(scene, win, cuts)
+        assert [(r, c) for r, c, _ in rows] == cuts
+        for r, c, value in rows:
+            ref = scr(filter_plane(scene, lowcut_mask(h, w, r, c)), win)
+            assert value == pytest.approx(ref, rel=1e-6), (r, c)
+
+    def test_peak_memory_bounded_by_image(self):
+        # the 512x512 scene and the 33 square cuts of the scr-sweep benchmark
+        scene = blob_scene(512, 512)
+        win = ScrWindows(target_center=(256, 256))
+        cuts = [(c, c) for c in range(0, 257, 8)]
+        scr_filter_sweep(scene, win, cuts)  # first call outside the measurement
+        tracemalloc.start()
+        try:
+            scr_filter_sweep(scene, win, cuts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * scene.nbytes, f"peak {peak} B is {peak / scene.nbytes:.1f}x the image"
 
 
 class TestFilterPlane:

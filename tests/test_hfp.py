@@ -4,13 +4,16 @@ import pytest
 from hsfpn import (
     ConvLayer,
     ConvSpec,
-    FilterSpec,
     HfpParams,
+    PyramidConfig,
     ShapeError,
+    ValidationError,
     channel_path,
     hfp_forward,
+    init_weights,
     spatial_path,
 )
+from hsfpn.pyramid import DEFAULT_FILTER_LEVELS
 
 from oracles import naive_channel_path, naive_hfp_forward, naive_spatial_path
 
@@ -23,10 +26,8 @@ def rand_layer(rng, spec):
     return ConvLayer(spec, weight, bias)
 
 
-def make_params(channels=4, k=2, groups=1, bias=True, alpha=0.25, seed=0, squash=False,
-                enabled=(2, 3)):
+def make_params(channels=4, k=2, groups=1, bias=True, alpha=0.25, seed=0, squash=False):
     rng = np.random.default_rng(seed)
-    fspec = FilterSpec(alpha=alpha, per_level_enabled={lv: lv in enabled for lv in (2, 3, 4, 5)})
     return HfpParams(
         k=k,
         gap_conv=rand_layer(rng, ConvSpec(channels, channels, 1, groups, bias)),
@@ -34,7 +35,7 @@ def make_params(channels=4, k=2, groups=1, bias=True, alpha=0.25, seed=0, squash
         merge_conv=rand_layer(rng, ConvSpec(2 * channels, channels, 1, groups, bias)),
         spatial_conv=rand_layer(rng, ConvSpec(channels, 1, 1, 1, bias)),
         fuse_conv=rand_layer(rng, ConvSpec(channels, channels, 3, 1, bias)),
-        filter=fspec,
+        alpha=alpha,
         squash=squash,
     )
 
@@ -137,7 +138,7 @@ class TestSpatialPath:
 class TestHfpForward:
     def test_zero_input_fuse_bias_pattern(self):
         params = make_params(channels=4, k=2, bias=True, seed=7)
-        out = hfp_forward(np.zeros((1, 4, 6, 6), np.float32), params, level=2)
+        out = hfp_forward(np.zeros((1, 4, 6, 6), np.float32), params)
         expected = np.broadcast_to(
             params.fuse_conv.bias.reshape(1, 4, 1, 1), out.shape
         ).astype(np.float32)
@@ -145,46 +146,53 @@ class TestHfpForward:
 
     def test_forced_unit_weights_give_two_c(self):
         c = 3
-        params = make_params(channels=c, k=2, bias=True, enabled=())
+        params = make_params(channels=c, k=2, bias=True, alpha=0.0)
         params.gap_conv = zero_layer(params.gap_conv.spec)
         params.gmp_conv = zero_layer(params.gmp_conv.spec)
         params.merge_conv = zero_layer(params.merge_conv.spec, bias_value=1.0)
         params.spatial_conv = zero_layer(params.spatial_conv.spec, bias_value=1.0)
         params.fuse_conv = identity_fuse(c)
         x = RNG.standard_normal((1, c, 6, 6)).astype(np.float32)
-        np.testing.assert_array_equal(hfp_forward(x, params, level=2), 2 * x)
+        np.testing.assert_array_equal(hfp_forward(x, params), 2 * x)
 
     def test_matches_composed_oracle(self):
         params = make_params(channels=4, k=2, alpha=0.25, seed=13)
         x = RNG.standard_normal((1, 4, 8, 8)).astype(np.float32)
-        out = hfp_forward(x, params, level=2)
-        ref = naive_hfp_forward(x, params, level=2, alpha=0.25)
+        out = hfp_forward(x, params)
+        ref = naive_hfp_forward(x, params, alpha=0.25)
         np.testing.assert_allclose(out, ref, atol=1e-4)
 
     def test_disabled_level_uses_raw_input(self):
-        params = make_params(channels=4, k=2, alpha=0.25, seed=13)
+        # a level outside filter_levels runs with alpha 0: the paths see the raw input
+        params = make_params(channels=4, k=2, alpha=0.0, seed=13)
         x = RNG.standard_normal((1, 4, 8, 8)).astype(np.float32)
-        out = hfp_forward(x, params, level=4)
-        ref = naive_hfp_forward(x, params, level=4, alpha=0.25)
+        out = hfp_forward(x, params)
+        ref = naive_hfp_forward(x, params, alpha=0.0)
         np.testing.assert_allclose(out, ref, atol=1e-4)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.8, 1.0])
     @pytest.mark.parametrize("level", [2, 3, 4, 5])
     def test_dims_preserved(self, alpha, level):
-        params = make_params(channels=4, k=2, alpha=alpha)
+        # the alpha the pyramid gives `level` by default
+        params = make_params(channels=4, k=2, alpha=alpha if level in DEFAULT_FILTER_LEVELS else 0.0)
         x = RNG.standard_normal((2, 4, 8, 8)).astype(np.float32)
-        assert hfp_forward(x, params, level).shape == x.shape
+        assert hfp_forward(x, params).shape == x.shape
 
     def test_disabled_filter_independent_of_alpha(self):
         x = RNG.standard_normal((1, 4, 8, 8)).astype(np.float32)
         outs = []
         for alpha in (0.0, 0.3, 0.9):
-            params = make_params(channels=4, k=2, alpha=alpha, enabled=(), seed=21)
-            outs.append(hfp_forward(x, params, level=2).tobytes())
+            config = PyramidConfig(channels=4, alpha=alpha, k=2, groups=1, seed=21, filter_levels=())
+            outs.append(hfp_forward(x, init_weights(config).hfp[2]).tobytes())
         assert outs[0] == outs[1] == outs[2]
 
     def test_squash_flag_changes_output(self):
         x = RNG.standard_normal((1, 4, 8, 8)).astype(np.float32)
-        plain = hfp_forward(x, make_params(channels=4, k=2, seed=4), level=2)
-        squashed = hfp_forward(x, make_params(channels=4, k=2, seed=4, squash=True), level=2)
+        plain = hfp_forward(x, make_params(channels=4, k=2, seed=4))
+        squashed = hfp_forward(x, make_params(channels=4, k=2, seed=4, squash=True))
         assert not np.array_equal(plain, squashed)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5])
+    def test_alpha_out_of_range_rejected(self, alpha):
+        with pytest.raises(ValidationError, match="alpha"):
+            make_params(alpha=alpha)

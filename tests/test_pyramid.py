@@ -14,6 +14,7 @@ from hsfpn import (
     ValidationError,
     build_laterals,
     count_params,
+    highfreq_response,
     hsfpn_forward,
     init_weights,
     load_weights,
@@ -95,6 +96,22 @@ class TestInitWeights:
         for layer in weights.out_convs.values():
             fan_in = layer.spec.in_channels * 9
             assert np.abs(layer.weight).max() <= np.sqrt(3.0 / fan_in)
+
+    def test_disabled_level_bitwise_identical(self, tmp_path):
+        # filter_levels run with config.alpha, every other level with alpha 0,
+        # which returns the level's input unchanged; saving and loading keeps both
+        x = RNG.standard_normal((1, 4, 8, 8)).astype(np.float32)
+        for levels in [(), (2, 3), (2, 3, 4, 5)]:
+            config = dataclasses.replace(SMALL, alpha=0.3, filter_levels=levels)
+            weights = init_weights(config)
+            path = tmp_path / ("levels" + "".join(map(str, levels)))
+            save_weights(path, weights)
+            for built in (weights, load_weights(path)):
+                for lv in (2, 3, 4, 5):
+                    alpha = built.hfp[lv].alpha
+                    assert alpha == (config.alpha if lv in levels else 0.0), (levels, lv)
+                    if lv not in levels:
+                        assert highfreq_response(x, alpha).tobytes() == x.tobytes()
 
     def test_sdp_projections_bias_free_by_default(self):
         weights = init_weights(SMALL)
