@@ -48,10 +48,8 @@ from .tensor import (
     adaptive_pool,
     as_tensor,
     conv2d,
-    matmul,
     relu,
     sigmoid,
-    softmax_rows,
     upsample2x,
 )
 

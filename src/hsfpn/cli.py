@@ -132,9 +132,6 @@ def cmd_filter(args) -> int:
         cut_desc = {"cut_rows": args.cut[0], "cut_cols": args.cut[1]}
     filtered = lowcut_filter(image, *cut)
 
-    export = filtered + np.float32(0.5) if args.recenter else filtered
-    write_pgm(args.output, export)
-
     stats = {"input": str(args.image), "output": str(args.output), **cut_desc,
              "recenter": bool(args.recenter), "degenerate": False}
     exit_code = 0
@@ -149,6 +146,8 @@ def cmd_filter(args) -> int:
             stats["scr_after"] = None
             stats["reason"] = str(err)
             exit_code = 2
+    # written only now: a bad SCR window (ValidationError) must leave no file behind
+    write_pgm(args.output, filtered + np.float32(0.5) if args.recenter else filtered)
     stats_path = args.stats or str(Path(args.output).with_suffix(".stats.json"))
     Path(stats_path).write_text(json.dumps(stats, indent=2) + "\n")
     if exit_code:

@@ -61,16 +61,16 @@ def cost_rows(model: CostModel) -> list:
     ]
 
 
+def _aligned(rows) -> str:
+    """Text table of equal-length rows of strings, each column padded to its widest cell."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rows)
+
+
 def cost_table(model: CostModel) -> str:
     """Aligned-column text table of the three layouts."""
-    rows = cost_rows(model)
     headers = ("method", "complexity", "multiplier", "macs")
-    cells = [[str(r[h]) for h in headers] for r in rows]
-    widths = [max(len(h), *(len(row[i]) for row in cells)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    for row in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines)
+    return _aligned([headers] + [[str(r[h]) for h in headers] for r in cost_rows(model)])
 
 
 # ---------------------------------------------------------------------------
@@ -136,24 +136,19 @@ class OpCostReport:
     def to_json(self, indent=2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
-    def to_csv(self) -> str:
-        lines = ["level,module,params,macs"]
-        for level, mods in sorted(self.per_level.items()):
-            for module, e in sorted(mods.items()):
-                lines.append(f"{level},{module},{e.params},{e.macs}")
-        t = self.total
-        lines.append(f"total,all,{t.params},{t.macs}")
-        return "\n".join(lines) + "\n"
-
-    def to_table(self) -> str:
+    def _rows(self) -> list:
+        """Header, one row per (level, module) in sorted order, then the total; all strings."""
         rows = [("level", "module", "params", "macs")]
         for level, mods in sorted(self.per_level.items()):
-            for module, e in sorted(mods.items()):
-                rows.append((str(level), module, f"{e.params}", f"{e.macs}"))
+            rows += [(str(level), module, str(e.params), str(e.macs)) for module, e in sorted(mods.items())]
         t = self.total
-        rows.append(("total", "all", f"{t.params}", f"{t.macs}"))
-        widths = [max(len(r[i]) for r in rows) for i in range(4)]
-        return "\n".join("  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in rows)
+        return rows + [("total", "all", str(t.params), str(t.macs))]
+
+    def to_csv(self) -> str:
+        return "\n".join(",".join(row) for row in self._rows()) + "\n"
+
+    def to_table(self) -> str:
+        return _aligned(self._rows())
 
 
 # Report row of each pyramid layer role (see :func:`hsfpn.pyramid.layer_specs`).

@@ -38,12 +38,6 @@ def dct_matrix(n: int) -> np.ndarray:
     return mat
 
 
-def _plane_transform(planes: np.ndarray, row_mat: np.ndarray, col_mat: np.ndarray) -> np.ndarray:
-    # planes: (..., H, W); applies row_mat along H and col_mat along W in float64
-    z = planes.astype(np.float64)
-    return (row_mat @ z @ col_mat.T).astype(DTYPE)
-
-
 def _as_planes(x) -> np.ndarray:
     """A bare (H, W) plane or an (N, C, H, W) tensor, as float32."""
     return as_tensor(x, rank=2) if np.ndim(x) == 2 else as_tensor(x, rank=4)
@@ -51,11 +45,10 @@ def _as_planes(x) -> np.ndarray:
 
 def _per_plane(x, forward: bool) -> np.ndarray:
     x = _as_planes(x)
-    h, w = x.shape[-2], x.shape[-1]
-    dh, dw = dct_matrix(h), dct_matrix(w)
+    dh, dw = dct_matrix(x.shape[-2]), dct_matrix(x.shape[-1])
     if not forward:
         dh, dw = dh.T, dw.T
-    return _plane_transform(x, dh, dw)
+    return (dh @ x.astype(np.float64) @ dw.T).astype(DTYPE)
 
 
 def dct2(x) -> np.ndarray:

@@ -6,7 +6,7 @@ its input: a per-channel weight vector (channel path) and a per-pixel mask
 and a 3x3 convolution fuses the result.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,9 +59,6 @@ class HfpParams:
         if self.fuse_conv.spec.kernel != 3:
             raise ValidationError("fuse_conv must be a 3x3 convolution")
 
-    def with_pool_extent(self, k: int) -> "HfpParams":
-        return replace(self, k=k)
-
 
 def channel_path(f, params: HfpParams) -> np.ndarray:
     """Per-channel weights u_cp with dims (N, C, 1, 1).
@@ -69,11 +66,13 @@ def channel_path(f, params: HfpParams) -> np.ndarray:
     Pipeline: adaptive avg/max pooling of `f` to (k, k), ReLU on each branch,
     spatial summation to two length-C vectors, separate grouped 1x1
     convolutions, GAP-first concatenation, and a final grouped 1x1 convolution
-    back to C channels.
+    back to C channels. k is `params.k` capped at the extents of `f`, so a map
+    smaller than k (a small top level) pools to its own extents.
     """
     f = as_tensor(f, rank=4)
-    avg = relu(adaptive_pool(f, params.k, params.k, "avg"))
-    mx = relu(adaptive_pool(f, params.k, params.k, "max"))
+    k = min(params.k, *f.shape[2:])
+    avg = relu(adaptive_pool(f, k, k, "avg"))
+    mx = relu(adaptive_pool(f, k, k, "max"))
     avg_vec = avg.astype(np.float64).sum(axis=(2, 3), keepdims=True).astype(f.dtype)
     max_vec = mx.astype(np.float64).sum(axis=(2, 3), keepdims=True).astype(f.dtype)
     scores = np.concatenate([params.gap_conv(avg_vec), params.gmp_conv(max_vec)], axis=1)

@@ -222,13 +222,6 @@ def build_laterals(backbone_feats: FeaturePyramid, weights: HsfpnWeights) -> Fea
     return FeaturePyramid(out)
 
 
-def _clamped_hfp(params: HfpParams, h: int, w: int) -> HfpParams:
-    # Desk-scale top levels can be smaller than the configured pooling extent;
-    # pooling windows are capped by the level's own extents.
-    k = min(params.k, h, w)
-    return params.with_pool_extent(k) if k != params.k else params
-
-
 def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights, timings: dict | None = None) -> FeaturePyramid:
     """Top-down pyramid pass; output extents equal input extents at every level.
 
@@ -245,35 +238,26 @@ def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights, timings: dict | 
         )
     clock = time.perf_counter
     spent = {"hfp": 0.0, "sdp": 0.0, "output_conv": 0.0, "baseline_fuse": 0.0}
+    h5, w5 = c_pyr.extents(LEVELS[-1])
     outputs = {}
-
-    if config.mode == "fpn_baseline":
-        for level in reversed(LEVELS):
-            t0 = clock()
-            fused = c_pyr[level] if level == LEVELS[-1] else c_pyr[level] + upsample2x(outputs[level + 1])
+    for level in reversed(LEVELS):
+        upper = outputs.get(level + 1)
+        t0 = clock()
+        if config.mode == "fpn_baseline":
+            fused = c_pyr[level] if upper is None else c_pyr[level] + upsample2x(upper)
             spent["baseline_fuse"] += clock() - t0
-            t0 = clock()
-            outputs[level] = weights.out_convs[level](fused)
-            spent["output_conv"] += clock() - t0
-    else:
-        h5, w5 = c_pyr.extents(LEVELS[-1])
-        for level in reversed(LEVELS):
-            h, w = c_pyr.extents(level)
-            t0 = clock()
-            enriched = hfp_forward(c_pyr[level], _clamped_hfp(weights.hfp[level], h, w))
-            spent["hfp"] += clock() - t0
-            if level == LEVELS[-1]:
-                fused = enriched
-            else:
-                t0 = clock()
-                params = weights.sdp[level].with_blocks(h5, w5)
-                fused = sdp_forward(enriched, outputs[level + 1], params)
+        else:
+            fused = hfp_forward(c_pyr[level], weights.hfp[level])
+            t1 = clock()
+            spent["hfp"] += t1 - t0
+            if upper is not None:
+                fused = sdp_forward(fused, upper, weights.sdp[level].with_blocks(h5, w5))
                 if config.fusion_mode == "sdp_plus_add":
-                    fused = fused + upsample2x(outputs[level + 1])
-                spent["sdp"] += clock() - t0
-            t0 = clock()
-            outputs[level] = weights.out_convs[level](fused)
-            spent["output_conv"] += clock() - t0
+                    fused = fused + upsample2x(upper)
+                spent["sdp"] += clock() - t1
+        t0 = clock()
+        outputs[level] = weights.out_convs[level](fused)
+        spent["output_conv"] += clock() - t0
 
     if timings is not None:
         timings.update(spent)

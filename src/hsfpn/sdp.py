@@ -45,10 +45,6 @@ class SdpParams:
         if self.block_h is not None and (self.block_h < 1 or self.block_w < 1):
             raise ValidationError("block extents must be >= 1")
 
-    @property
-    def channels(self) -> int:
-        return self.q_conv.spec.in_channels
-
     def with_blocks(self, block_h: int, block_w: int) -> "SdpParams":
         return replace(self, block_h=block_h, block_w=block_w)
 
@@ -154,8 +150,6 @@ def sdp_forward(c_low, p_up, params: SdpParams) -> np.ndarray:
         )
     if params.block_h is None:
         raise ValidationError("SdpParams block extents are unset")
-    if params.channels != c:
-        raise ShapeError(f"projections expect {params.channels} channels, input has {c}")
 
     up = upsample2x(p_up)
     q = partition_blocks(params.q_conv(c_low), params.block_h, params.block_w)

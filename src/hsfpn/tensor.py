@@ -220,32 +220,10 @@ def relu(x) -> np.ndarray:
     return np.maximum(x, DTYPE(0))
 
 
-def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax of a 2-d matrix, stabilised by max subtraction."""
-    m = np.ascontiguousarray(m, dtype=DTYPE)
-    if m.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a 2-d matrix, got rank {m.ndim}")
-    z = m.astype(np.float64)
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return (e / e.sum(axis=1, keepdims=True)).astype(DTYPE)
-
-
 def upsample2x(x) -> np.ndarray:
     """Nearest-neighbour upsampling: each pixel becomes a 2x2 constant block."""
     x = as_tensor(x, rank=4)
     return x.repeat(2, axis=2).repeat(2, axis=3)
-
-
-def matmul(a, b) -> np.ndarray:
-    """(r, s) x (s, t) matrix product, accumulated in float64."""
-    a = np.ascontiguousarray(a, dtype=DTYPE)
-    b = np.ascontiguousarray(b, dtype=DTYPE)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul expects 2-d matrices")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(DTYPE)
 
 
 def sigmoid(x) -> np.ndarray:

@@ -48,22 +48,6 @@ def naive_adaptive_pool(x, out_h, out_w, mode):
     return out
 
 
-def naive_matmul(a, b):
-    """Triple-loop matrix product."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    r, s = a.shape
-    s2, t = b.shape
-    out = np.zeros((r, t), dtype=np.float64)
-    for i in range(r):
-        for j in range(t):
-            acc = 0.0
-            for k in range(s):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
 def naive_softmax_rows(m):
     """Explicit per-row exponentials and sums."""
     m = np.asarray(m, dtype=np.float64)
@@ -158,9 +142,12 @@ def naive_conv1x1_vec(vec, weight, bias, groups):
 
 
 def naive_channel_path(f, params):
-    """Stage-by-stage channel-path pipeline with naive building blocks."""
+    """Stage-by-stage channel-path pipeline with naive building blocks.
+
+    The pooling extent is params.k, but at most the map's height and width.
+    """
     f = np.asarray(f, dtype=np.float64)
-    k = params.k
+    k = min(params.k, f.shape[2], f.shape[3])
     avg = np.maximum(naive_adaptive_pool(f, k, k, "avg"), 0.0)
     mx = np.maximum(naive_adaptive_pool(f, k, k, "max"), 0.0)
     avg_vec = avg.sum(axis=(2, 3), keepdims=True)

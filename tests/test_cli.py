@@ -71,11 +71,23 @@ class TestFilter:
         assert "degenerate" in capsys.readouterr().err
 
     def test_target_off_image_config_error(self, scene_pgm, tmp_path, capsys):
-        code = main(["filter", str(scene_pgm), "-o", str(tmp_path / "o.pgm"), "--alpha", "0.25",
+        out = tmp_path / "o.pgm"
+        code = main(["filter", str(scene_pgm), "-o", str(out), "--alpha", "0.25",
                      "--target-center=-1000,-1000"])
         assert code == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("hsfpn: config: ")
+        assert not out.exists() and not (tmp_path / "o.stats.json").exists()
+
+    def test_window_without_annulus_writes_nothing(self, scene_pgm, tmp_path, capsys):
+        # both windows clip to the whole 100x100 image, so no background is left
+        out = tmp_path / "o.pgm"
+        code = main(["filter", str(scene_pgm), "-o", str(out), "--alpha", "0.25",
+                     "--target-center", "50,50", "--target-size", "200", "--neighborhood-size", "300"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("hsfpn: config: ")
+        assert not out.exists() and not (tmp_path / "o.stats.json").exists()
 
     def test_invalid_pgm_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.pgm"

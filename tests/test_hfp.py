@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from hsfpn import (
     ConvSpec,
     HfpParams,
     PyramidConfig,
-    ShapeError,
     ValidationError,
     channel_path,
     hfp_forward,
@@ -88,9 +89,14 @@ class TestChannelPath:
         assert out.shape == (2, 4, 1, 1)
 
     def test_extent_smaller_than_k(self):
-        params = make_params(channels=4, k=8)
-        with pytest.raises(ShapeError):
-            channel_path(RNG.standard_normal((1, 4, 4, 4)).astype(np.float32), params)
+        # k=8 on a 4x3 map pools to 3x3, exactly as k=3 does
+        params = make_params(channels=4, k=8, seed=9)
+        capped = dataclasses.replace(params, k=3)
+        f = RNG.standard_normal((2, 4, 4, 3)).astype(np.float32)
+        out = channel_path(f, params)
+        assert out.tobytes() == channel_path(f, capped).tobytes()
+        assert hfp_forward(f, params).tobytes() == hfp_forward(f, capped).tobytes()
+        np.testing.assert_allclose(out, naive_channel_path(f, params), atol=1e-5)
 
     def test_window_permutation_invariance_avg_branch(self):
         # zero the max branch; permuting pixels inside pooling windows must not change u_cp

@@ -221,10 +221,16 @@ class TestForward:
         assert any(not np.array_equal(out[lv], base[lv]) for lv in (2, 3, 4))
 
     def test_pool_extent_clamped_at_small_top_level(self):
-        config = dataclasses.replace(SMALL, k=16)  # top level is 2x2
-        weights = init_weights(config)
-        out = hsfpn_forward(small_pyramid(seed=13), weights)
-        assert out[5].shape == (1, 4, 2, 2)
+        # k=16 exceeds levels 3..5 (8x8 down to 2x2): each pools to its own extents
+        pyr = small_pyramid(seed=13)
+        for fusion_mode in ("sdp_only", "sdp_plus_add"):
+            config = dataclasses.replace(SMALL, k=16, fusion_mode=fusion_mode)
+            weights = init_weights(config)
+            out = hsfpn_forward(pyr, weights)
+            assert out[5].shape == (1, 4, 2, 2)
+            ref = naive_hsfpn_forward({lv: pyr[lv] for lv in (2, 3, 4, 5)}, weights, config.alpha)
+            for lv in (2, 3, 4, 5):
+                np.testing.assert_allclose(out[lv], ref[lv], atol=1e-4)
 
     def test_channel_mismatch_rejected(self):
         weights = init_weights(SMALL)
@@ -232,10 +238,18 @@ class TestForward:
             hsfpn_forward(small_pyramid(channels=8), weights)
 
     def test_timings_collected(self):
-        weights = init_weights(SMALL)
-        timings = {}
-        hsfpn_forward(small_pyramid(), weights, timings=timings)
-        assert timings["hfp"] > 0 and timings["sdp"] > 0 and timings["output_conv"] > 0
+        # one key set for every mode; a mode's unused stages read exactly 0
+        for mode, fusion_mode in (("hsfpn", "sdp_only"), ("hsfpn", "sdp_plus_add"),
+                                  ("fpn_baseline", "sdp_only")):
+            weights = init_weights(dataclasses.replace(SMALL, mode=mode, fusion_mode=fusion_mode))
+            timings = {}
+            hsfpn_forward(small_pyramid(), weights, timings=timings)
+            assert set(timings) == {"hfp", "sdp", "output_conv", "baseline_fuse"}
+            assert timings["output_conv"] > 0
+            if mode == "hsfpn":
+                assert timings["hfp"] > 0 and timings["sdp"] > 0 and timings["baseline_fuse"] == 0
+            else:
+                assert timings["baseline_fuse"] > 0 and timings["hfp"] == timings["sdp"] == 0
 
 
 class TestDegenerateCollapse:

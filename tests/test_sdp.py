@@ -208,6 +208,14 @@ class TestSdpForward:
         with pytest.raises(ShapeError):
             sdp_forward(c_low, RNG.standard_normal((1, 4, 8, 8)).astype(np.float32), params)
 
+    def test_projection_channel_mismatch_rejected(self):
+        # 4-channel projections on an 8-channel pair: the query projection rejects it
+        params = make_params(4, 4, 4)
+        c_low = RNG.standard_normal((1, 8, 8, 8)).astype(np.float32)
+        p_up = RNG.standard_normal((1, 8, 4, 4)).astype(np.float32)
+        with pytest.raises(ShapeError):
+            sdp_forward(c_low, p_up, params)
+
     def test_unset_blocks_rejected(self):
         rng = np.random.default_rng(0)
         params = SdpParams(proj_layer(rng, 4), proj_layer(rng, 4), proj_layer(rng, 4))

@@ -10,13 +10,11 @@ from hsfpn import (
     adaptive_pool,
     as_tensor,
     conv2d,
-    matmul,
     relu,
-    softmax_rows,
     upsample2x,
 )
 
-from oracles import naive_adaptive_pool, naive_conv2d, naive_matmul, naive_softmax_rows
+from oracles import naive_adaptive_pool, naive_conv2d
 
 RNG = np.random.default_rng(20240814)
 
@@ -262,35 +260,6 @@ class TestRelu:
         np.testing.assert_array_equal(relu(relu(x)), relu(x))
 
 
-class TestSoftmaxRows:
-    def test_uniform(self):
-        out = softmax_rows(np.zeros((1, 3), np.float32))
-        np.testing.assert_allclose(out, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-7)
-
-    def test_stability_no_overflow(self):
-        out = softmax_rows(np.array([[1000.0, 0.0]], np.float32))
-        assert np.isfinite(out).all()
-        np.testing.assert_allclose(out, [[1.0, 0.0]], atol=1e-6)
-
-    def test_rows_sum_to_one(self):
-        m = randf(7, 7) * 10
-        out = softmax_rows(m)
-        np.testing.assert_allclose(out.sum(axis=1), np.ones(7), atol=1e-6)
-
-    def test_matches_naive(self):
-        m = randf(5, 9)
-        np.testing.assert_allclose(softmax_rows(m), naive_softmax_rows(m), atol=1e-6)
-
-    def test_permutation_equivariant(self):
-        m = randf(4, 6)
-        perm = RNG.permutation(6)
-        np.testing.assert_allclose(softmax_rows(m[:, perm]), softmax_rows(m)[:, perm], atol=1e-7)
-
-    def test_rejects_non_matrix(self):
-        with pytest.raises(ShapeError):
-            softmax_rows(randf(2, 2, 2))
-
-
 class TestUpsample2x:
     def test_single_pixel(self):
         x = np.full((1, 1, 1, 1), 5.0, np.float32)
@@ -311,24 +280,6 @@ class TestUpsample2x:
         np.testing.assert_array_equal(up[:, :, 1::2, 1::2], x)
 
 
-class TestMatmul:
-    def test_identity(self):
-        b = randf(4, 6)
-        np.testing.assert_array_equal(matmul(np.eye(4, dtype=np.float32), b), b)
-
-    def test_scalar_product(self):
-        out = matmul(np.array([[3.0]], np.float32), np.array([[4.0]], np.float32))
-        assert out.shape == (1, 1) and out.item() == 12.0
-
-    def test_matches_triple_loop(self):
-        a, b = randf(5, 6), randf(6, 4)
-        np.testing.assert_allclose(matmul(a, b), naive_matmul(a, b), atol=1e-5)
-
-    def test_inner_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(randf(2, 3), randf(4, 2))
-
-
 class TestPurity:
     def test_bitwise_repeatable(self):
         x = randf(2, 4, 6, 6)
@@ -338,7 +289,6 @@ class TestPurity:
         b = conv2d(x, spec, weight, bias)
         assert a.tobytes() == b.tobytes()
         assert adaptive_pool(x, 3, 3, "avg").tobytes() == adaptive_pool(x, 3, 3, "avg").tobytes()
-        assert softmax_rows(x[0, 0]).tobytes() == softmax_rows(x[0, 0]).tobytes()
 
 
 class TestAsTensor:
