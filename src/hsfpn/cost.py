@@ -175,7 +175,9 @@ def count_params(
     """Exact added parameter/MAC counts of the pyramid modules over a plain FPN.
 
     `config` is a :class:`hsfpn.pyramid.PyramidConfig`; `base_hw` gives the
-    level-2 spatial extents (halved per level) used for the MAC counts. The
+    level-2 spatial extents (halved per level) used for the MAC counts. SDP's
+    key and value projections run on the level above, so they count at its
+    extents; attention counts on the n*(hw)^2*c calculus. The
     3x3 fuse convolution belongs to the reweighting module as a whole and is
     counted whenever the channel or spatial path is enabled. With every module
     disabled the report is empty (zero added parameters).
@@ -196,7 +198,8 @@ def count_params(
         row = _ROW.get(role)  # output convolutions exist in a plain FPN too
         if row is None or not enabled[row]:
             continue
-        shift = level - LEVELS[0]
+        # keys and values are projected from the upper level's map
+        shift = level - LEVELS[0] + (role in ("k_conv", "v_conv"))
         extents = (1, 1) if row == "cp" else (h2 >> shift, w2 >> shift)
         report.add(level, row, spec.param_count, spec.macs(*extents))
     if with_sdp:

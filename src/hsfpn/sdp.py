@@ -5,6 +5,12 @@ feature. All three are cut into blocks the size of the pyramid's top level;
 attention runs independently inside each block (n similarity matrices of size
 hw x hw, not one n x n matrix across blocks), so no information crosses block
 boundaries.
+
+Nearest upsampling only repeats upper pixels, so each block attends over the
+unique upper pixels it covers, each weighted by how often it repeats: a
+softmax over repeated keys equals sum_j m_j e^{s_ij} v_j / sum_j m_j e^{s_ij}
+over the unique keys j with multiplicities m_j. A 1x1 projection commutes with
+the upsampling, so keys and values are projected at the upper extents.
 """
 
 from dataclasses import dataclass, replace
@@ -13,7 +19,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor import DTYPE, ConvLayer, as_tensor, upsample2x
+from .tensor import DTYPE, ConvLayer, as_tensor
 
 
 @dataclass
@@ -92,52 +98,78 @@ def reassemble_blocks(blocks, dims, block_h: int, block_w: int) -> np.ndarray:
 
 
 def _softmax_numerators(q, k):
-    """exp(s - rowmax(s)) for s = q @ k.T / sqrt(C), in float64, plus its row sums.
+    """exp(s - rowmax(s)) for s = q @ k.T / sqrt(C), in float64.
 
     The shared front half of :func:`attention_weights` and :func:`block_attention`;
-    normalisation by the row sums is left to the caller.
+    q is (hw, C), k is (u, C), and normalisation is left to the caller.
     """
     q = np.asarray(q, dtype=np.float32)
     k = np.asarray(k, dtype=np.float32)
-    if q.ndim != 2 or k.ndim != 2 or q.shape != k.shape:
-        raise ShapeError(f"expected equal (hw, C) matrices, got {q.shape} and {k.shape}")
+    if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
+        raise ShapeError(f"expected (hw, C) and (u, C) matrices, got {q.shape} and {k.shape}")
     z = q.astype(np.float64) @ k.astype(np.float64).T
     z *= 1.0 / sqrt(q.shape[1])
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
-    return z, z.sum(axis=1, keepdims=True)
+    return z
 
 
 def attention_weights(q, k) -> np.ndarray:
     """Row-stochastic similarity matrix softmax(q @ k.T / sqrt(C)) for one block."""
-    z, rowsum = _softmax_numerators(q, k)
-    z /= rowsum
+    z = _softmax_numerators(q, k)
+    z /= z.sum(axis=1, keepdims=True)
     return z.astype(DTYPE)
 
 
-def block_attention(q, k, v) -> np.ndarray:
-    """Attention output a @ v for one block, where a = attention_weights(q, k).
+def block_attention(q, k, v, counts=None) -> np.ndarray:
+    """Attention output for one block: (hw, C) queries over (u, C) keys and values.
 
+    With `counts` None this is a @ v for a = attention_weights(q, k). Otherwise
+    key j stands for counts[j] identical copies of itself: its exponential
+    enters both the value product and the row sums counts[j] times.
     Normalisation is deferred: the unnormalised exponentials multiply v and the
-    (hw, C) product is divided by the row sums, so the (hw, hw) matrix is never
+    (hw, C) product is divided by the row sums, so the (hw, u) matrix is never
     divided. Everything runs in float64 and rounds to float32 once.
     """
     v = np.asarray(v, dtype=np.float32)
-    if v.shape != np.shape(q):
-        raise ShapeError(f"value block {v.shape} does not match query block {np.shape(q)}")
-    z, rowsum = _softmax_numerators(q, k)
-    out = z @ v.astype(np.float64)
+    if v.shape != np.shape(k):
+        raise ShapeError(f"value block {v.shape} does not match key block {np.shape(k)}")
+    z = _softmax_numerators(q, k)
+    v = v.astype(np.float64)
+    if counts is None:
+        rowsum = z.sum(axis=1, keepdims=True)
+    else:
+        counts = np.asarray(counts, dtype=np.float64)
+        if counts.shape != v.shape[:1]:
+            raise ShapeError(f"counts {counts.shape} do not match {v.shape[0]} keys")
+        v *= counts[:, None]
+        rowsum = z @ counts[:, None]
+    out = z @ v
     out /= rowsum
     return out.astype(DTYPE)
+
+
+def _upper_span(start: int, extent: int):
+    """Upper-map rows (or columns) under lower rows [start, start + extent), and their repeats.
+
+    Each upper row covers two lower rows, so it repeats twice, except a first
+    row that starts at an odd offset and a last row that ends at an odd stop.
+    """
+    stop = start + extent
+    repeats = np.full((stop + 1) // 2 - start // 2, 2.0)
+    repeats[0] -= start % 2
+    repeats[-1] -= stop % 2
+    return slice(start // 2, (stop + 1) // 2), repeats
 
 
 def sdp_forward(c_low, p_up, params: SdpParams) -> np.ndarray:
     """Cross-attention fusion of a feature with its upsampled upper neighbour.
 
     `p_up` must have half the spatial extents of `c_low` and the same channel
-    count. It is upsampled, the three 1x1 projections produce Q (from c_low)
-    and K, V (from the upsampled map), attention runs per block, and the
-    reassembled result is added to `c_low`.
+    count. Q is projected from c_low and cut into blocks, K and V from p_up
+    itself. Each block attends over the p_up pixels under its upsampled span,
+    each counted as often as the upsampling repeats it, and the reassembled
+    result is added to `c_low`.
     """
     c_low = as_tensor(c_low, rank=4)
     p_up = as_tensor(p_up, rank=4)
@@ -151,13 +183,17 @@ def sdp_forward(c_low, p_up, params: SdpParams) -> np.ndarray:
     if params.block_h is None:
         raise ValidationError("SdpParams block extents are unset")
 
-    up = upsample2x(p_up)
-    q = partition_blocks(params.q_conv(c_low), params.block_h, params.block_w)
-    k = partition_blocks(params.k_conv(up), params.block_h, params.block_w)
-    v = partition_blocks(params.v_conv(up), params.block_h, params.block_w)
-
-    out = np.empty_like(v)
-    for s in range(n_):
-        for j in range(q.shape[1]):
-            out[s, j] = block_attention(q[s, j], k[s, j], v[s, j])
-    return c_low + reassemble_blocks(out, c_low.shape, params.block_h, params.block_w)
+    bh, bw = params.block_h, params.block_w
+    q = partition_blocks(params.q_conv(c_low), bh, bw)
+    k = params.k_conv(p_up).transpose(0, 2, 3, 1)  # (N, H/2, W/2, C)
+    v = params.v_conv(p_up).transpose(0, 2, 3, 1)
+    grid_w = w // bw
+    for j in range(q.shape[1]):
+        rows, row_repeats = _upper_span(j // grid_w * bh, bh)
+        cols, col_repeats = _upper_span(j % grid_w * bw, bw)
+        counts = np.outer(row_repeats, col_repeats).ravel()
+        for s in range(n_):
+            # the block's output replaces its queries, which nothing reads again
+            q[s, j] = block_attention(q[s, j], k[s, rows, cols].reshape(-1, c),
+                                      v[s, rows, cols].reshape(-1, c), counts)
+    return c_low + reassemble_blocks(q, c_low.shape, bh, bw)

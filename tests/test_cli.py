@@ -240,6 +240,12 @@ class TestParams:
         report = json.loads(capsys.readouterr().out)
         assert report["per_level"]["2"]["hfp_fuse"]["params"] == 589824
 
+    def test_csv_sdp_rows(self, capsys):
+        assert main(["params", "--channels", "256", "--no-bias", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "2,sdp,196608,16732160000" in lines
+        assert lines[-1] == "total,all,3015680,53309025536"
+
     def test_table_format(self, capsys):
         assert main(["params", "--channels", "32", "--groups", "4", "--k", "4",
                      "--base-h", "64", "--base-w", "64"]) == 0

@@ -127,3 +127,62 @@ class TestPgm:
         back = read_pgm(path)
         assert back[0, 0] == 0.0
         assert back[1, 1] == 1.0
+
+
+# Header fields of the two valid files below, as (start, stop) byte spans, and
+# hostile replacements for them.
+PGM_HEADER = b"P5\n8 6\n255\n"
+PGM_FIELDS = [(0, 2), (3, 4), (5, 6), (7, 10), (2, 3), (10, 11)]
+PGM_TOKENS = [b"", b" ", b"\n", b"#", b"\xff", b"0", b"-1", b"+4", b"3.5", b"0x10", b"1e3",
+              b"256", b"65535", b"99999999999999999999", b"\xd9\xa3", b"P2", b"P6"]
+PFT_FIELDS = [(0, 4), (4, 8), (8, 12), (12, 16), (16, 20)]
+PFT_TOKENS = [b"", b"PFT", b"PFT0", b"pft1"] + [
+    struct.pack("<I", v) for v in (0, 1, 3, 4, 5, 24, 65536, 2 ** 31, 2 ** 32 - 1)]
+
+
+def mutants(raw, fields, tokens, count, seed):
+    """Seeded variants of `raw`, each with 1..3 byte flips, truncations, insertions or field edits."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        data = bytearray(raw)
+        for _ in range(rng.integers(1, 4)):
+            kind = rng.integers(4)
+            at = int(rng.integers(len(data) + 1))
+            if kind == 0 and at < len(data):
+                data[at] ^= int(rng.integers(1, 256))
+            elif kind == 1:
+                del data[at:]
+            elif kind == 2:
+                data[at:at] = rng.integers(0, 256, rng.integers(1, 5), dtype=np.uint8).tobytes()
+            else:
+                start, stop = fields[rng.integers(len(fields))]
+                data[start:stop] = tokens[rng.integers(len(tokens))]
+        yield bytes(data)
+
+
+class TestHostileInput:
+    """Only the documented error types escape the readers, whatever the bytes."""
+
+    def run(self, path, reader, raw, fields, tokens):
+        rejected = 0
+        for data in mutants(raw, fields, tokens, count=2000, seed=11):
+            path.write_bytes(data)
+            try:
+                reader(path)
+            except (PgmParseError, ShapeError, ValidationError):
+                rejected += 1
+        assert rejected > 1000  # most mutants break the file; the loop is not a no-op
+
+    def test_pgm_mutants(self, tmp_path):
+        path = tmp_path / "valid.pgm"
+        path.write_bytes(PGM_HEADER + RNG.integers(0, 256, 48, dtype=np.uint8).tobytes())
+        raw = path.read_bytes()
+        assert read_pgm(path).shape == (6, 8)
+        self.run(tmp_path / "m.pgm", read_pgm, raw, PGM_FIELDS, PGM_TOKENS)
+
+    def test_pft_mutants(self, tmp_path):
+        path = tmp_path / "valid.pft"
+        write_tensor(path, RNG.standard_normal((2, 3, 4)).astype(np.float32))
+        raw = path.read_bytes()
+        assert raw[:4] == b"PFT1" and len(raw) == 20 + 4 * 24
+        self.run(tmp_path / "m.pft", read_tensor, raw, PFT_FIELDS, PFT_TOKENS)

@@ -8,10 +8,12 @@ import pytest
 from hsfpn import (
     ConvLayer,
     ConvSpec,
+    CostModel,
     FeaturePyramid,
     PyramidConfig,
     ShapeError,
     ValidationError,
+    attention_cost,
     build_laterals,
     count_params,
     highfreq_response,
@@ -305,6 +307,15 @@ class TestCountParams:
         config = PyramidConfig(channels=256, conv_bias=False)
         report = count_params(config, base_hw=(200, 200))
         assert report.module_total("sdp").params == 3 * 3 * 256 * 256 == 589824
+
+    def test_sdp_keys_and_values_count_at_upper_extents(self):
+        # q at 200x200, k and v at the level above (100x100), attention on n*(hw)^2*c
+        config = PyramidConfig(channels=256, conv_bias=False)
+        report = count_params(config, base_hw=(200, 200))
+        attention = attention_cost(CostModel(64, 25, 25, 256), "sdp")
+        assert report.per_level[2]["sdp"].macs == 256 ** 2 * (200 ** 2 + 2 * 100 ** 2) + attention
+        assert report.per_level[2]["sdp"].macs == 16_732_160_000
+        assert report.total.macs == 53_309_025_536
 
     def test_disabled_modules_count_zero(self):
         config = PyramidConfig(channels=256)

@@ -1,3 +1,6 @@
+import tracemalloc
+from math import sqrt
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from hsfpn import (
     ConvLayer,
     ConvSpec,
     CostModel,
+    PyramidConfig,
     SdpParams,
     ShapeError,
     ValidationError,
@@ -13,12 +17,15 @@ from hsfpn import (
     block_attention,
     cost_rows,
     cost_table,
+    hsfpn_forward,
+    init_weights,
     partition_blocks,
+    random_pyramid,
     reassemble_blocks,
     sdp_forward,
 )
 
-from oracles import naive_block_attention, naive_sdp_forward
+from oracles import naive_block_attention, naive_hsfpn_forward, naive_sdp_forward
 
 RNG = np.random.default_rng(2718)
 
@@ -158,6 +165,52 @@ class TestBlockAttention:
             np.testing.assert_allclose(a, b, atol=1e-6)
 
 
+class TestRepeatedKeys:
+    """block_attention over unique keys, each standing for counts[j] copies."""
+
+    # 64 unique keys repeated 1, 2, 4 or 9 times: 256 keys once expanded
+    COUNTS = np.tile([1, 2, 4, 9], 16)
+
+    def blocks(self, scale=1.0):
+        q = (RNG.standard_normal((256, 64)) * scale).astype(np.float32)
+        k = (RNG.standard_normal((64, 64)) * scale).astype(np.float32)
+        v = RNG.standard_normal((64, 64)).astype(np.float32)
+        return q, k, v
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    def test_matches_oracle_on_expanded_keys(self, scale):
+        # x30 on q and k: logits reach the thousands, past the float64 exp
+        # overflow at ~709, so only the row-max subtraction keeps them finite
+        q, k, v = self.blocks(scale)
+        out = block_attention(q, k, v, self.COUNTS)
+        ref = naive_block_attention(q, np.repeat(k, self.COUNTS, axis=0),
+                                    np.repeat(v, self.COUNTS, axis=0))
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
+
+    def test_without_counts_unchanged(self):
+        # the dense computation with one deferred normalisation, written out
+        q = RNG.standard_normal((64, 16)).astype(np.float32)
+        k = RNG.standard_normal((64, 16)).astype(np.float32)
+        v = RNG.standard_normal((64, 16)).astype(np.float32)
+        z = q.astype(np.float64) @ k.astype(np.float64).T
+        z *= 1.0 / sqrt(16)
+        z = np.exp(z - z.max(axis=1, keepdims=True))
+        want = ((z @ v.astype(np.float64)) / z.sum(axis=1, keepdims=True)).astype(np.float32)
+        assert block_attention(q, k, v).tobytes() == want.tobytes()
+
+    def test_wrong_count_length_rejected(self):
+        q, k, v = self.blocks()
+        with pytest.raises(ShapeError):
+            block_attention(q, k, v, self.COUNTS[:-1])
+
+    def test_value_not_shaped_like_keys_rejected(self):
+        q, k, v = self.blocks()
+        with pytest.raises(ShapeError):
+            block_attention(q, k, v[:-1], self.COUNTS)
+        with pytest.raises(ShapeError):
+            block_attention(q, k, np.repeat(v, 4, axis=0))
+
+
 class TestSdpForward:
     def test_zero_value_path_is_identity(self):
         c_low = RNG.standard_normal((1, 4, 8, 8)).astype(np.float32)
@@ -186,6 +239,40 @@ class TestSdpForward:
         out = sdp_forward(c_low, p_up, params)
         ref = naive_sdp_forward(c_low, p_up, params)
         np.testing.assert_allclose(out, ref, atol=1e-4)
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_odd_blocks_at_odd_offsets_match_oracle(self, batch):
+        # a 40x24 level 2 under a 5x3 top level: blocks start at odd rows and
+        # columns, so their upper pixels repeat 1, 2 or 4 times
+        c_low = RNG.standard_normal((batch, 4, 40, 24)).astype(np.float32)
+        p_up = RNG.standard_normal((batch, 4, 20, 12)).astype(np.float32)
+        params = make_params(4, 5, 3, seed=19)
+        out = sdp_forward(c_low, p_up, params)
+        np.testing.assert_allclose(out, naive_sdp_forward(c_low, p_up, params), atol=1e-4)
+
+    def test_sdp_plus_add_with_odd_blocks_matches_oracle(self):
+        config = PyramidConfig(channels=4, alpha=0.25, k=2, groups=2, fusion_mode="sdp_plus_add",
+                               seed=29, filter_levels=(2, 3))
+        weights = init_weights(config)
+        pyr = random_pyramid(4, base_hw=(24, 8), batch=2, seed=30)  # 3x1 blocks
+        out = hsfpn_forward(pyr, weights)
+        ref = naive_hsfpn_forward({lv: pyr[lv] for lv in (2, 3, 4, 5)}, weights, config.alpha)
+        for lv in (2, 3, 4, 5):
+            np.testing.assert_allclose(out[lv], ref[lv], atol=1e-4)
+
+    def test_peak_memory_bounded_by_input(self):
+        # level 2 of a 64-channel, 128x128 pyramid with 16x16 blocks
+        c_low = RNG.standard_normal((1, 64, 128, 128)).astype(np.float32)
+        p_up = RNG.standard_normal((1, 64, 64, 64)).astype(np.float32)
+        params = make_params(64, 16, 16, seed=37)
+        sdp_forward(c_low, p_up, params)  # first call outside the measurement
+        tracemalloc.start()
+        try:
+            sdp_forward(c_low, p_up, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * c_low.nbytes, f"peak {peak} B is {peak / c_low.nbytes:.1f}x the input"
 
     def test_block_locality(self):
         # block-aligned perturbation of the upper feature touches only its own output block
