@@ -1,8 +1,8 @@
 """Block-partitioned pixel attention, step by step.
 
-Shows the partition layout, the row-stochastic similarity matrix inside one
-block, and the key property that makes the layout cheap: nothing flows across
-block boundaries.
+Shows the block grid as slices of the map and the upper-map span each block
+reads, the row-stochastic similarity matrix inside one block, and the key
+property that makes the layout cheap: nothing flows across block boundaries.
 
 Run from the repository root:  python demos/04_block_attention.py
 """
@@ -15,19 +15,21 @@ from hsfpn import (
     SdpParams,
     attention_weights,
     block_attention,
-    partition_blocks,
-    reassemble_blocks,
     sdp_forward,
 )
 
 rng = np.random.default_rng(1)
 
-print("An 8x8 map with 4x4 blocks becomes a 2x2 grid of 16-pixel matrices:")
-x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
-blocks = partition_blocks(x, 4, 4)
-print(f"  partition_blocks: {x.shape} -> {blocks.shape}  (N, blocks, pixels, channels)")
-back = reassemble_blocks(blocks, x.shape, 4, 4)
-print(f"  round trip bitwise exact: {back.tobytes() == x.tobytes()}")
+print("An 8x8 map with 4x4 blocks is a 2x2 grid of slices x[..., r0:r0+4, c0:c0+4].")
+print("Each block reads the half-size upper map under its span; a block of odd")
+print("extent (here 5x3 on a 10x6 map) sees some upper pixels once, others twice:")
+for bh, bw, h, w in ((4, 4, 8, 8), (5, 3, 10, 6)):
+    print(f"  {bh}x{bw} blocks on {h}x{w}:")
+    for r0 in range(0, h, bh):
+        for c0 in range(0, w, bw):
+            up_rows = f"{r0 // 2}:{(r0 + bh + 1) // 2}"
+            up_cols = f"{c0 // 2}:{(c0 + bw + 1) // 2}"
+            print(f"    x[..., {r0}:{r0 + bh}, {c0}:{c0 + bw}]  reads  up[..., {up_rows}, {up_cols}]")
 
 print("\nInside one block, every pixel attends to every pixel of its partner block:")
 q = rng.standard_normal((16, 8)).astype(np.float32)

@@ -34,14 +34,7 @@ from .pyramid import (
     save_weights,
     write_pyramid_dir,
 )
-from .sdp import (
-    SdpParams,
-    attention_weights,
-    block_attention,
-    partition_blocks,
-    reassemble_blocks,
-    sdp_forward,
-)
+from .sdp import SdpParams, attention_weights, block_attention, sdp_forward
 from .tensor import (
     ConvLayer,
     ConvSpec,

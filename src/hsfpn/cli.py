@@ -160,7 +160,7 @@ def cmd_scr_sweep(args) -> int:
         raise UsageError("--cut-max must be >= 0 and --cut-step >= 1")
     image = read_pgm(args.image)
     windows = _windows(args)
-    cuts = [(c, c) for c in range(0, args.cut_max + 1, args.cut_step)]
+    cuts = ((c, c) for c in range(0, args.cut_max + 1, args.cut_step))
     rows = scr_filter_sweep(image, windows, cuts)
     lines = ["cut_rows,cut_cols,scr"]
     for cut_rows, cut_cols, value in rows:

@@ -304,6 +304,24 @@ def _read_manifest(path: Path) -> dict:
     return manifest
 
 
+def _from_manifest(cls, entry: dict):
+    """Build dataclass `cls` from a manifest object, each value checked against its annotation.
+
+    An int must not be a bool, a float may be written as an int, and a tuple
+    is a list of ints. A wrong type raises TypeError, a missing field KeyError.
+    """
+    values = {f.name: entry[f.name] for f in fields(cls)}
+    for f in fields(cls):
+        value = values[f.name]
+        if f.type is tuple:
+            ok = type(value) is list and all(type(x) is int for x in value)
+        else:
+            ok = type(value) in ((int, float) if f.type is float else (f.type,))
+        if not ok:
+            raise TypeError(f"{f.name}: {value!r} is not a valid {f.type.__name__}")
+    return cls(**values)
+
+
 def _malformed(path: Path, what: str, err: Exception) -> ValidationError:
     detail = f"missing key {err}" if isinstance(err, KeyError) else str(err)
     return ValidationError(f"{path}: malformed {what}: {detail}")
@@ -372,8 +390,7 @@ def load_weights(path) -> HsfpnWeights:
     if manifest.get("format") != "hsfpn-weights-v1":
         raise ValidationError(f"unknown weight manifest format {manifest.get('format')!r}")
     try:
-        cfg = manifest["config"]
-        config = PyramidConfig(**{f.name: cfg[f.name] for f in fields(PyramidConfig)})
+        config = _from_manifest(PyramidConfig, manifest["config"])
         layers = manifest["layers"]
     except (KeyError, TypeError) as err:
         raise _malformed(manifest_path, "config", err) from None
@@ -393,7 +410,7 @@ def load_weights(path) -> HsfpnWeights:
     def layer(name: str, expected_spec: ConvSpec) -> ConvLayer:
         try:
             entry = layers[name]
-            spec = ConvSpec(**{f.name: entry[f.name] for f in fields(ConvSpec)})
+            spec = _from_manifest(ConvSpec, entry)
             weight_path = path / entry["weight"]
             bias_path = path / entry["bias"] if "bias" in entry else None
         except (KeyError, TypeError) as err:

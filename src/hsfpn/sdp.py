@@ -1,10 +1,11 @@
 """Spatial dependency perception: block-partitioned pixel-level cross-attention.
 
 Queries come from the lower feature, keys and values from the upsampled upper
-feature. All three are cut into blocks the size of the pyramid's top level;
-attention runs independently inside each block (n similarity matrices of size
-hw x hw, not one n x n matrix across blocks), so no information crosses block
-boundaries.
+feature. Blocks are the size of the pyramid's top level, and each block is
+read as a slice of the projected maps and written back as a slice of the
+output; attention runs independently inside each block (n similarity matrices
+of size hw x hw, not one n x n matrix across blocks), so no information
+crosses block boundaries.
 
 Nearest upsampling only repeats upper pixels, so each block attends over the
 unique upper pixels it covers, each weighted by how often it repeats: a
@@ -53,48 +54,6 @@ class SdpParams:
 
     def with_blocks(self, block_h: int, block_w: int) -> "SdpParams":
         return replace(self, block_h=block_h, block_w=block_w)
-
-
-def partition_blocks(x, block_h: int, block_w: int) -> np.ndarray:
-    """Cut an (N, C, H, W) tensor into per-block pixel matrices.
-
-    Returns an (N, n, block_h*block_w, C) array: blocks ordered row-major over
-    the block grid, pixels row-major inside each block, each pixel a C-vector.
-    Block extents must divide the spatial extents.
-    """
-    x = as_tensor(x, rank=4)
-    n_, c, h, w = x.shape
-    if block_h < 1 or block_w < 1:
-        raise ShapeError("block extents must be >= 1")
-    if h % block_h or w % block_w:
-        raise ShapeError(
-            f"block extents ({block_h}, {block_w}) do not divide spatial extents ({h}, {w})"
-        )
-    gh, gw = h // block_h, w // block_w
-    blocks = x.reshape(n_, c, gh, block_h, gw, block_w)
-    blocks = blocks.transpose(0, 2, 4, 3, 5, 1)  # N, gh, gw, bh, bw, C
-    return np.ascontiguousarray(blocks.reshape(n_, gh * gw, block_h * block_w, c))
-
-
-def reassemble_blocks(blocks, dims, block_h: int, block_w: int) -> np.ndarray:
-    """Exact inverse of :func:`partition_blocks` for the given (N, C, H, W) dims."""
-    blocks = np.ascontiguousarray(blocks)
-    if blocks.ndim != 4:
-        raise ShapeError(f"expected (N, n, hw, C) blocks, got rank {blocks.ndim}")
-    n_, c, h, w = dims
-    if block_h < 1 or block_w < 1 or h % block_h or w % block_w:
-        raise ShapeError(
-            f"block extents ({block_h}, {block_w}) do not divide spatial extents ({h}, {w})"
-        )
-    gh, gw = h // block_h, w // block_w
-    if blocks.shape != (n_, gh * gw, block_h * block_w, c):
-        raise ShapeError(
-            f"block array {blocks.shape} does not match {gh * gw} blocks of "
-            f"{block_h}x{block_w} pixels over dims {tuple(dims)}"
-        )
-    x = blocks.reshape(n_, gh, gw, block_h, block_w, c)
-    x = x.transpose(0, 5, 1, 3, 2, 4)
-    return np.ascontiguousarray(x.reshape(n_, c, h, w))
 
 
 def _softmax_numerators(q, k):
@@ -166,10 +125,11 @@ def sdp_forward(c_low, p_up, params: SdpParams) -> np.ndarray:
     """Cross-attention fusion of a feature with its upsampled upper neighbour.
 
     `p_up` must have half the spatial extents of `c_low` and the same channel
-    count. Q is projected from c_low and cut into blocks, K and V from p_up
-    itself. Each block attends over the p_up pixels under its upsampled span,
-    each counted as often as the upsampling repeats it, and the reassembled
-    result is added to `c_low`.
+    count, and the block extents must divide those of `c_low`. Q is projected
+    from c_low, K and V from p_up itself. Block (r0, c0) is the slice
+    [r0:r0+block_h, c0:c0+block_w] of the projected queries; it attends over
+    the p_up pixels under its upsampled span, each counted as often as the
+    upsampling repeats it, and its result is added to the same slice of c_low.
     """
     c_low = as_tensor(c_low, rank=4)
     p_up = as_tensor(p_up, rank=4)
@@ -182,18 +142,22 @@ def sdp_forward(c_low, p_up, params: SdpParams) -> np.ndarray:
         )
     if params.block_h is None:
         raise ValidationError("SdpParams block extents are unset")
-
     bh, bw = params.block_h, params.block_w
-    q = partition_blocks(params.q_conv(c_low), bh, bw)
+    if h % bh or w % bw:
+        raise ShapeError(f"block extents ({bh}, {bw}) do not divide spatial extents ({h}, {w})")
+
+    q = params.q_conv(c_low).transpose(0, 2, 3, 1)  # (N, H, W, C)
     k = params.k_conv(p_up).transpose(0, 2, 3, 1)  # (N, H/2, W/2, C)
     v = params.v_conv(p_up).transpose(0, 2, 3, 1)
-    grid_w = w // bw
-    for j in range(q.shape[1]):
-        rows, row_repeats = _upper_span(j // grid_w * bh, bh)
-        cols, col_repeats = _upper_span(j % grid_w * bw, bw)
-        counts = np.outer(row_repeats, col_repeats).ravel()
-        for s in range(n_):
-            # the block's output replaces its queries, which nothing reads again
-            q[s, j] = block_attention(q[s, j], k[s, rows, cols].reshape(-1, c),
+    out = c_low.copy()
+    for r0 in range(0, h, bh):
+        rows, row_repeats = _upper_span(r0, bh)
+        for c0 in range(0, w, bw):
+            cols, col_repeats = _upper_span(c0, bw)
+            counts = np.outer(row_repeats, col_repeats).ravel()
+            for s in range(n_):
+                att = block_attention(q[s, r0:r0 + bh, c0:c0 + bw].reshape(-1, c),
+                                      k[s, rows, cols].reshape(-1, c),
                                       v[s, rows, cols].reshape(-1, c), counts)
-    return c_low + reassemble_blocks(q, c_low.shape, bh, bw)
+                out[s, :, r0:r0 + bh, c0:c0 + bw] += att.T.reshape(c, bh, bw)
+    return out

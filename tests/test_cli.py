@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +142,24 @@ class TestScrSweep:
                      "--target-center", "50,50", "--cut-max", "9", "--cut-step", "3"]) == 0
         cuts = [int(line.split(",")[0]) for line in out.read_text().strip().splitlines()[1:]]
         assert cuts == [0, 3, 6, 9]
+
+    def test_huge_cut_max_ends_degenerate_in_bounded_memory(self, scene_pgm, tmp_path):
+        # A cut list built up front for --cut-max 1e9 exhausts the 1 GB address
+        # space; a lazy one reaches the first cut that removes the whole plane.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "sweep.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hsfpn.cli", "scr-sweep", str(scene_pgm), "-o", str(out),
+             "--target-center", "50,50", "--cut-max", "1000000000"],
+            env=env, preexec_fn=limit_memory, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("hsfpn: degenerate: ")
+        assert not out.exists()
 
 
 class TestForward:

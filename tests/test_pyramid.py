@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -404,9 +405,17 @@ class TestPyramidIo:
         json_edit(partial_laterals),
         json_edit(extra_layer),
         json_edit(short_bias),
+        json_edit(lambda m: m["config"].update(k=4.0)),
+        json_edit(lambda m: m["layers"]["out2.conv"].update(
+            in_channels=float(m["layers"]["out2.conv"]["in_channels"]))),
+        json_edit(lambda m: m["config"].update(squash="no")),
+        json_edit(lambda m: m["config"].update(alpha=True)),
+        json_edit(lambda m: m["config"].update(k=True)),
+        json_edit(lambda m: m["config"].update(filter_levels=[2.0, 3.0])),
     ], ids=["not-json", "no-config", "no-channels", "no-layer", "weight-not-string",
             "bad-lateral-name", "groups-zero", "config-contradicts-bias", "laterals-2-3-7",
-            "extra-layer", "bias-length"])
+            "extra-layer", "bias-length", "k-float", "in-channels-float", "squash-string",
+            "alpha-bool", "k-bool", "filter-levels-float"])
     def test_malformed_weight_manifest(self, tmp_path, edit):
         save_weights(tmp_path / "w", init_weights(SMALL, backbone_channels={2: 6, 3: 6, 4: 6, 5: 6}))
         manifest = tmp_path / "w" / "manifest.json"
@@ -463,6 +472,93 @@ class TestPyramidIo:
         loaded = load_weights(tmp_path / "w")
         assert sorted(loaded.laterals) == [2, 3, 4, 5]
         np.testing.assert_array_equal(loaded.laterals[2].weight, weights.laterals[2].weight)
+
+
+# Values a hostile manifest may put where another belongs: every JSON type,
+# ints that are negative or too large for any tensor, and a deleted key.
+DELETE = object()
+HOSTILE_VALUES = (DELETE, 0.5, 4.0, True, False, "x", "", None, [], [2, 3], {}, -1, 0, 1, 3,
+                  2**40, 10**30)
+FILE_KEYS = ("weight", "bias", "file")
+
+
+def key_paths(node, prefix=()):
+    """Every key path into a JSON value: dict keys and list indices, at every depth."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
+def manifest_mutants(manifest, count, seed, focus=None):
+    """Seeded copies of a manifest with 1-3 values replaced or keys deleted.
+
+    With `focus` set, three edits in four land under that top-level key. Yields
+    (mutant, renamed) where `renamed` says a file-name value changed.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        mutant, renamed = copy.deepcopy(manifest), False
+        for _ in range(rng.integers(1, 4)):
+            paths = list(key_paths(mutant))
+            if focus in mutant and rng.random() < 0.75:
+                paths = list(key_paths(mutant[focus], (focus,)))
+            if not paths:
+                break
+            *parents, key = paths[rng.integers(len(paths))]
+            node = mutant
+            for parent in parents:
+                node = node[parent]
+            value = HOSTILE_VALUES[rng.integers(len(HOSTILE_VALUES))]
+            renamed |= key in FILE_KEYS
+            if value is DELETE:
+                del node[key]
+            else:
+                node[key] = copy.deepcopy(value)
+        yield mutant, renamed
+
+
+class TestHostileManifests:
+    """Only ValidationError/ShapeError escape the manifest readers, whatever the values.
+
+    A changed file name may also name no readable file: that is the documented
+    missing-path error (exit 1), so OSError is allowed for those mutants only.
+    """
+
+    def run(self, manifest_path, reader, count, seed, focus=None):
+        manifest = json.loads(manifest_path.read_text())
+        loaded = rejected = 0
+        for mutant, renamed in manifest_mutants(manifest, count, seed, focus):
+            manifest_path.write_text(json.dumps(mutant))
+            try:
+                result = reader(manifest_path.parent)
+            except (ValidationError, ShapeError):
+                rejected += 1
+                continue
+            except OSError:
+                if not renamed:
+                    raise
+                rejected += 1
+                continue
+            loaded += 1
+            yield result
+        assert rejected > count // 4 and loaded >= 10  # both outcomes exercised
+
+    def test_weight_manifest_mutants(self, tmp_path):
+        save_weights(tmp_path / "w", init_weights(SMALL, backbone_channels={2: 6, 3: 6, 4: 6, 5: 6}))
+        pyr = small_pyramid(seed=5, base=(8, 8))
+        for weights in self.run(tmp_path / "w" / "manifest.json", load_weights, 500, seed=41,
+                                focus="config"):
+            try:
+                hsfpn_forward(pyr, weights)
+            except (ValidationError, ShapeError):
+                pass
+
+    def test_pyramid_manifest_mutants(self, tmp_path):
+        write_pyramid_dir(tmp_path / "pyr", small_pyramid(seed=6, base=(8, 8)), prefix="c")
+        for _ in self.run(tmp_path / "pyr" / "manifest.json",
+                          lambda path: read_pyramid_dir(path, prefix="c"), 500, seed=43):
+            pass
 
 
 class TestRandomPyramid:

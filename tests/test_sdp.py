@@ -19,9 +19,7 @@ from hsfpn import (
     cost_table,
     hsfpn_forward,
     init_weights,
-    partition_blocks,
     random_pyramid,
-    reassemble_blocks,
     sdp_forward,
 )
 
@@ -49,47 +47,6 @@ def make_params(channels, block_h, block_w, seed=0, zero_v=False):
         block_h=block_h,
         block_w=block_w,
     )
-
-
-class TestPartition:
-    def test_single_block(self):
-        x = RNG.standard_normal((1, 3, 4, 4)).astype(np.float32)
-        blocks = partition_blocks(x, 4, 4)
-        assert blocks.shape == (1, 1, 16, 3)
-        np.testing.assert_array_equal(blocks[0, 0, 0], x[0, :, 0, 0])
-        np.testing.assert_array_equal(blocks[0, 0, 5], x[0, :, 1, 1])
-
-    def test_block_count(self):
-        x = RNG.standard_normal((1, 2, 32, 32)).astype(np.float32)
-        blocks = partition_blocks(x, 4, 4)
-        assert blocks.shape[1] == 64
-
-    def test_roundtrip_bitwise(self):
-        x = RNG.standard_normal((2, 3, 8, 12)).astype(np.float32)
-        blocks = partition_blocks(x, 4, 4)
-        back = reassemble_blocks(blocks, x.shape, 4, 4)
-        assert back.tobytes() == x.tobytes()
-
-    def test_roundtrip_single_block(self):
-        x = RNG.standard_normal((1, 2, 4, 6)).astype(np.float32)
-        back = reassemble_blocks(partition_blocks(x, 4, 6), x.shape, 4, 6)
-        assert back.tobytes() == x.tobytes()
-
-    def test_non_divisible_rejected(self):
-        with pytest.raises(ShapeError):
-            partition_blocks(RNG.standard_normal((1, 1, 6, 6)).astype(np.float32), 4, 4)
-
-    def test_reassemble_extent_mismatch(self):
-        x = RNG.standard_normal((1, 2, 8, 8)).astype(np.float32)
-        blocks = partition_blocks(x, 4, 4)
-        with pytest.raises(ShapeError):
-            reassemble_blocks(blocks, x.shape, 2, 2)
-
-    def test_row_major_block_order(self):
-        x = np.zeros((1, 1, 4, 4), np.float32)
-        x[0, 0, 0, 2] = 7.0  # second block of the top row
-        blocks = partition_blocks(x, 2, 2)
-        assert blocks[0, 1].max() == 7.0
 
 
 class TestBlockAttention:
@@ -225,11 +182,10 @@ class TestSdpForward:
         out = sdp_forward(c_low, p_up, params)
 
         up = np.repeat(np.repeat(p_up, 2, axis=2), 2, axis=3)
-        q = partition_blocks(params.q_conv(c_low), 4, 4)[0, 0]
-        k = partition_blocks(params.k_conv(up), 4, 4)[0, 0]
-        v = partition_blocks(params.v_conv(up), 4, 4)[0, 0]
+        q, k, v = (conv(x)[0].reshape(4, 16).T
+                   for conv, x in ((params.q_conv, c_low), (params.k_conv, up), (params.v_conv, up)))
         att = block_attention(q, k, v)
-        ref = c_low + reassemble_blocks(att[None, None], c_low.shape, 4, 4)
+        ref = c_low + att.T.reshape(1, 4, 4, 4)
         np.testing.assert_allclose(out, ref, atol=1e-6)
 
     def test_matches_composed_oracle(self):
@@ -301,6 +257,13 @@ class TestSdpForward:
         c_low = RNG.standard_normal((1, 8, 8, 8)).astype(np.float32)
         p_up = RNG.standard_normal((1, 8, 4, 4)).astype(np.float32)
         with pytest.raises(ShapeError):
+            sdp_forward(c_low, p_up, params)
+
+    def test_non_divisible_blocks_rejected(self):
+        params = make_params(4, 4, 4)
+        c_low = RNG.standard_normal((1, 4, 6, 6)).astype(np.float32)
+        p_up = RNG.standard_normal((1, 4, 3, 3)).astype(np.float32)
+        with pytest.raises(ShapeError, match="do not divide"):
             sdp_forward(c_low, p_up, params)
 
     def test_unset_blocks_rejected(self):
