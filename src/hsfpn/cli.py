@@ -9,11 +9,12 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .cost import CostModel, cost_rows, cost_table, count_params
+from .cost import CostModel, OpCostReport, cost_rows, cost_table, count_params
 from .errors import DegenerateBackgroundError, PgmParseError, ShapeError, ValidationError
 from .frequency import ScrWindows, highpass_cut, lowcut_filter, scr, scr_filter_sweep
 from .io import read_pgm, write_pgm
@@ -24,6 +25,7 @@ from .pyramid import (
     read_pyramid_dir,
     write_pyramid_dir,
 )
+from .tensor import check_finite
 
 
 class UsageError(Exception):
@@ -171,8 +173,6 @@ def cmd_scr_sweep(args) -> int:
 
 def cmd_forward(args) -> int:
     pyramid = read_pyramid_dir(args.input_dir, prefix="c")
-    if not pyramid.uniform_channels:
-        raise ShapeError("input pyramid levels disagree on channel count")
     channels = pyramid.channels()
     groups = args.groups if args.groups is not None else math.gcd(channels, 16)
     mode = "fpn_baseline" if args.mode in ("fpn", "fpn_baseline") else "hsfpn"
@@ -188,16 +188,11 @@ def cmd_forward(args) -> int:
     weights = init_weights(config)
     timings = {}
     outputs = hsfpn_forward(pyramid, weights, timings=timings)
+    for level, tensor in outputs.items():  # an overflow must leave no output directory
+        check_finite(tensor, f"output level {level}")
     write_pyramid_dir(args.output_dir, outputs, prefix="p")
 
-    uses_modules = mode == "hsfpn"
-    added = count_params(
-        config,
-        base_hw=pyramid.extents(2),
-        with_cp=uses_modules,
-        with_sp=uses_modules,
-        with_sdp=uses_modules,
-    )
+    added = count_params(config, pyramid.extents(2)) if mode == "hsfpn" else OpCostReport()
     report = {
         "mode": mode,
         "seed": args.seed,
@@ -224,8 +219,7 @@ def cmd_cost(args) -> int:
     if args.format == "table":
         print(cost_table(model))
     elif args.format == "json":
-        desc = {"n": model.n, "h": model.h, "w": model.w, "c": model.c}
-        print(json.dumps({"model": desc, "rows": cost_rows(model)}, indent=2))
+        print(json.dumps({"model": asdict(model), "rows": cost_rows(model)}, indent=2))
     else:
         print("method,complexity,multiplier,macs")
         for row in cost_rows(model):
@@ -247,7 +241,7 @@ def cmd_params(args) -> int:
     if args.format == "table":
         print(report.to_table())
     elif args.format == "json":
-        print(report.to_json())
+        print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.to_csv(), end="")
     return 0
@@ -271,7 +265,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):  # overflow ends in a non-finite check, not a warning
+            return _COMMANDS[args.command](args)
     except UsageError as err:
         _fail("usage", err)
         return 1

@@ -11,7 +11,6 @@ Each count includes both the similarity and the value-weighting product as a
 uniform factor of two, so the pairwise ratios match the multipliers exactly.
 """
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -77,15 +76,13 @@ def cost_table(model: CostModel) -> str:
 # Parameter and MAC accounting for the pyramid modules
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class LayerCost:
     params: int = 0
     macs: int = 0
 
-    def __iadd__(self, other):
-        self.params += other.params
-        self.macs += other.macs
-        return self
+    def __add__(self, other):
+        return LayerCost(self.params + other.params, self.macs + other.macs)
 
 
 @dataclass
@@ -101,28 +98,14 @@ class OpCostReport:
 
     def add(self, level: int, module: str, params: int, macs: int):
         mods = self.per_level.setdefault(level, {})
-        entry = mods.setdefault(module, LayerCost())
-        entry += LayerCost(params, macs)
+        mods[module] = mods.get(module, LayerCost()) + LayerCost(params, macs)
 
     def module_total(self, module: str) -> LayerCost:
-        total = LayerCost()
-        for mods in self.per_level.values():
-            if module in mods:
-                total += mods[module]
-        return total
-
-    def level_total(self, level: int) -> LayerCost:
-        total = LayerCost()
-        for entry in self.per_level.get(level, {}).values():
-            total += entry
-        return total
+        return sum((mods.get(module, LayerCost()) for mods in self.per_level.values()), LayerCost())
 
     @property
     def total(self) -> LayerCost:
-        total = LayerCost()
-        for level in self.per_level:
-            total += self.level_total(level)
-        return total
+        return sum((e for mods in self.per_level.values() for e in mods.values()), LayerCost())
 
     def to_dict(self) -> dict:
         return {
@@ -132,9 +115,6 @@ class OpCostReport:
             },
             "total": {"params": self.total.params, "macs": self.total.macs},
         }
-
-    def to_json(self, indent=2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def _rows(self) -> list:
         """Header, one row per (level, module) in sorted order, then the total; all strings."""

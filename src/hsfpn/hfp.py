@@ -44,20 +44,20 @@ class HfpParams:
             raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
         c = self.gap_conv.spec.in_channels
         checks = (
-            (self.gap_conv.spec, c, c, "gap_conv"),
-            (self.gmp_conv.spec, c, c, "gmp_conv"),
-            (self.merge_conv.spec, 2 * c, c, "merge_conv"),
-            (self.spatial_conv.spec, c, 1, "spatial_conv"),
-            (self.fuse_conv.spec, c, c, "fuse_conv"),
+            (self.gap_conv.spec, c, c, 1, "gap_conv"),
+            (self.gmp_conv.spec, c, c, 1, "gmp_conv"),
+            (self.merge_conv.spec, 2 * c, c, 1, "merge_conv"),
+            (self.spatial_conv.spec, c, 1, 1, "spatial_conv"),
+            (self.fuse_conv.spec, c, c, 3, "fuse_conv"),
         )
-        for spec, cin, cout, name in checks:
+        for spec, cin, cout, kernel, name in checks:
             if spec.in_channels != cin or spec.out_channels != cout:
                 raise ValidationError(
                     f"{name} must map {cin} -> {cout} channels, "
                     f"got {spec.in_channels} -> {spec.out_channels}"
                 )
-        if self.fuse_conv.spec.kernel != 3:
-            raise ValidationError("fuse_conv must be a 3x3 convolution")
+            if spec.kernel != kernel:
+                raise ValidationError(f"{name} must be a {kernel}x{kernel} convolution")
 
 
 def channel_path(f, params: HfpParams) -> np.ndarray:

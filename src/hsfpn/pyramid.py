@@ -58,6 +58,8 @@ class PyramidConfig:
             )
         if not 0.0 <= self.alpha <= 1.0:
             raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.fusion_mode not in FUSION_MODES:
             raise ValidationError(f"fusion_mode must be one of {FUSION_MODES}")
         if self.mode not in PYRAMID_MODES:

@@ -56,44 +56,38 @@ class SdpParams:
         return replace(self, block_h=block_h, block_w=block_w)
 
 
-def _softmax_numerators(q, k):
-    """exp(s - rowmax(s)) for s = q @ k.T / sqrt(C), in float64.
+def attention_weights(q, k) -> np.ndarray:
+    """Row-stochastic similarity matrix softmax(q @ k.T / sqrt(C)) for one block.
 
-    The shared front half of :func:`attention_weights` and :func:`block_attention`;
-    q is (hw, C), k is (u, C), and normalisation is left to the caller.
+    This is :func:`block_attention` over identity values: multiplying by the
+    identity adds only exact zeros, so row i is exactly query i's weights.
+    """
+    k = np.asarray(k, dtype=np.float32)
+    # a 0-d k gets an empty eye and fails block_attention's shape check
+    return block_attention(q, k, np.eye(len(k) if k.ndim else 0, dtype=DTYPE))
+
+
+def block_attention(q, k, v, counts=None) -> np.ndarray:
+    """Attention output for one block: (hw, C) queries over (u, C) keys and (u, D) values.
+
+    The (hw, D) result is softmax(q @ k.T / sqrt(C)) @ v. With `counts`, key
+    j stands for counts[j] identical copies of itself: its exponential enters
+    both the value product and the row sums counts[j] times. Normalisation is
+    deferred: exp(s - rowmax(s)) multiplies v and the (hw, D) product is
+    divided by the row sums, so the (hw, u) matrix is never divided.
+    Everything runs in float64 and rounds to float32 once.
     """
     q = np.asarray(q, dtype=np.float32)
     k = np.asarray(k, dtype=np.float32)
+    v = np.asarray(v, dtype=np.float32)
     if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"expected (hw, C) and (u, C) matrices, got {q.shape} and {k.shape}")
+    if v.ndim != 2 or len(v) != len(k):
+        raise ShapeError(f"value block {v.shape} does not match {len(k)} keys")
     z = q.astype(np.float64) @ k.astype(np.float64).T
     z *= 1.0 / sqrt(q.shape[1])
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
-    return z
-
-
-def attention_weights(q, k) -> np.ndarray:
-    """Row-stochastic similarity matrix softmax(q @ k.T / sqrt(C)) for one block."""
-    z = _softmax_numerators(q, k)
-    z /= z.sum(axis=1, keepdims=True)
-    return z.astype(DTYPE)
-
-
-def block_attention(q, k, v, counts=None) -> np.ndarray:
-    """Attention output for one block: (hw, C) queries over (u, C) keys and values.
-
-    With `counts` None this is a @ v for a = attention_weights(q, k). Otherwise
-    key j stands for counts[j] identical copies of itself: its exponential
-    enters both the value product and the row sums counts[j] times.
-    Normalisation is deferred: the unnormalised exponentials multiply v and the
-    (hw, C) product is divided by the row sums, so the (hw, u) matrix is never
-    divided. Everything runs in float64 and rounds to float32 once.
-    """
-    v = np.asarray(v, dtype=np.float32)
-    if v.shape != np.shape(k):
-        raise ShapeError(f"value block {v.shape} does not match key block {np.shape(k)}")
-    z = _softmax_numerators(q, k)
     v = v.astype(np.float64)
     if counts is None:
         rowsum = z.sum(axis=1, keepdims=True)

@@ -103,20 +103,17 @@ def conv2d(x, spec: ConvSpec, weight, bias=None) -> np.ndarray:
     kernel with its (zero-padded) input window, accumulated in float64 and
     rounded once to float32.
 
-    kernel 1 (full maps and (N, C, 1, 1) vectors alike) is one batched float64
-    matrix product, (G, cout_g, cin_g) x (N, G, cin_g, H*W), over the groups.
-    Its working memory is float64 copies of the input and output, twice their
-    float32 size.
-
-    kernel 3 is the shifted-GEMM form (Chellapilla et al., 2006). The input is
-    zero-padded once into a float64 buffer of rows W+2 wide plus one spare
-    row, flattened per channel. Tap (di, dj) is then the strided view of
-    length H*(W+2) starting at di*(W+2)+dj, which BLAS reads without a copy;
-    the nine products accumulate into an (N, G, cout_g, H*(W+2)) float64
-    buffer, and the two wrap-around columns of each row are dropped at the
-    end. Working memory is the padded buffer (about twice the input) plus the
-    accumulator and one product (about twice the output each); the 9x window
-    copy of im2col is never made.
+    Both kernels run one shifted-GEMM tap loop (Chellapilla et al., 2006).
+    The input is copied once into a float64 buffer of rows W + 2*pad wide
+    (pad = kernel // 2; kernel 3 is zero-padded and gets one spare row),
+    flattened per channel. Tap (di, dj) is the strided view of length
+    H*(W + 2*pad) starting at di*(W + 2*pad) + dj, which BLAS reads without
+    a copy; each tap is one batched product over the groups, accumulated in
+    float64, and the wrap-around columns are dropped at the end. Kernel 1 is
+    the single unpadded tap. Working memory is the input buffer (about twice
+    the input) plus the accumulator and, for kernel 3, one tap product (about
+    twice the output each), both freed before the output is rounded; the 9x
+    window copy of im2col is never made.
     """
     x = as_tensor(x, rank=4)
     n, c, h, w = x.shape
@@ -129,7 +126,6 @@ def conv2d(x, spec: ConvSpec, weight, bias=None) -> np.ndarray:
         )
     if not np.isfinite(weight).all():
         raise ValidationError("convolution weight contains non-finite values")
-    weight = weight.reshape(spec.weight_shape)
     if bias is not None:
         if not spec.has_bias:
             raise ValidationError("bias supplied for a bias-free ConvSpec")
@@ -139,32 +135,25 @@ def conv2d(x, spec: ConvSpec, weight, bias=None) -> np.ndarray:
         if not np.isfinite(bias).all():
             raise ValidationError("convolution bias contains non-finite values")
 
-    g = spec.groups
+    g, kernel = spec.groups, spec.kernel
     cin_g = spec.in_channels // g
     cout_g = spec.out_channels // g
-    if spec.kernel == 1:
-        w64 = weight.reshape(g, cout_g, cin_g).astype(np.float64)
-        acc = w64 @ x.reshape(n, g, cin_g, h * w).astype(np.float64)
-        pitch = w
-    else:
-        pitch = w + 2
-        # the spare last row: tap (2, 2) reads two elements past row h + 1
-        padded = np.zeros((n, c, h + 3, pitch))
-        padded[:, :, 1:h + 1, 1:w + 1] = x
-        flat = padded.reshape(n, g, cin_g, (h + 3) * pitch)
-        taps = weight.reshape(g, cout_g, cin_g, 3, 3).astype(np.float64)
-        length = h * pitch
-        acc = np.empty((n, g, cout_g, length))
-        product = np.empty_like(acc)
-        for di in range(3):
-            for dj in range(3):
-                start = di * pitch + dj
-                view = flat[..., start:start + length]
-                if di == dj == 0:
-                    np.matmul(taps[..., 0, 0], view, out=acc)
-                else:
-                    np.matmul(taps[..., di, dj], view, out=product)
-                    acc += product
+    pad = kernel // 2
+    pitch = w + 2 * pad
+    rows = h + 3 * pad  # kernel 3's spare row: tap (2, 2) reads two elements past row h + 1
+    # kernel 1 writes every element, so only kernel 3 needs the zero fill
+    padded = (np.zeros if pad else np.empty)((n, c, rows, pitch))
+    padded[:, :, pad:pad + h, pad:pad + w] = x
+    flat = padded.reshape(n, g, cin_g, rows * pitch)
+    taps = weight.reshape(g, cout_g, cin_g, kernel * kernel).astype(np.float64)
+    length = h * pitch
+    acc = np.matmul(taps[..., 0], flat[..., :length])
+    product = np.empty_like(acc) if pad else None
+    for tap in range(1, kernel * kernel):
+        start = (tap // kernel) * pitch + tap % kernel
+        np.matmul(taps[..., tap], flat[..., start:start + length], out=product)
+        acc += product
+    del padded, flat, product
     acc = acc.reshape(n, spec.out_channels, h, pitch)
     if bias is not None:
         acc += bias.astype(np.float64)[:, None, None]

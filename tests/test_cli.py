@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsfpn import blob_scene, random_pyramid, read_pgm, read_tensor, scr, ScrWindows, write_pgm, write_pyramid_dir
+from hsfpn import (FeaturePyramid, ScrWindows, blob_scene, random_pyramid, read_pgm, read_tensor, scr,
+                   write_pgm, write_pyramid_dir, write_tensor)
 from hsfpn.cli import main
 
 
@@ -25,6 +27,15 @@ def pyramid_dir(tmp_path):
     path = tmp_path / "in"
     write_pyramid_dir(path, pyr, prefix="c")
     return path
+
+
+def run_cli(*argv, **kwargs):
+    """`python -m hsfpn.cli *argv` on this checkout's package, one BLAS thread, 30 s timeout."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "hsfpn.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30, **kwargs)
 
 
 class TestFilter:
@@ -149,14 +160,9 @@ class TestScrSweep:
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / "sweep.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "hsfpn.cli", "scr-sweep", str(scene_pgm), "-o", str(out),
-             "--target-center", "50,50", "--cut-max", "1000000000"],
-            env=env, preexec_fn=limit_memory, capture_output=True, text=True, timeout=30)
+        proc = run_cli("scr-sweep", str(scene_pgm), "-o", str(out),
+                       "--target-center", "50,50", "--cut-max", "1000000000", preexec_fn=limit_memory)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("hsfpn: degenerate: ")
         assert not out.exists()
@@ -217,6 +223,36 @@ class TestForward:
         err = capsys.readouterr().err
         assert err.startswith("hsfpn: config: ") and "manifest.json" in err
         assert len(err.splitlines()) == 1
+
+    def test_negative_seed_config_error(self, pyramid_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["forward", str(pyramid_dir), "-o", str(out), "--seed", "-1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("hsfpn: config: seed must be >= 0")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_levels_disagreeing_on_channels_config_error(self, tmp_path, capsys):
+        levels = dict(random_pyramid(8, base_hw=(32, 32), seed=4).items())
+        levels[4] = np.zeros((1, 6, 8, 8), np.float32)
+        write_pyramid_dir(tmp_path / "in", FeaturePyramid(levels), prefix="c")
+        assert main(["forward", str(tmp_path / "in"), "-o", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("hsfpn: config: pyramid must have 8 channels at every level")
+        assert len(err.splitlines()) == 1
+
+    def test_overflow_ends_in_one_line_and_no_output(self, pyramid_dir, tmp_path):
+        # finite inputs near the float32 limit overflow inside the network; run
+        # as a subprocess so numpy's warnings reach stderr as they would in a shell
+        c5 = read_tensor(pyramid_dir / "c5.pft")
+        write_tensor(pyramid_dir / "c5.pft", c5 * np.float32(3e37))
+        out = tmp_path / "out"
+        proc = run_cli("forward", str(pyramid_dir), "-o", str(out), "--k", "2")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.startswith("hsfpn: config: output level ")
+        assert "non-finite" in proc.stderr
+        assert not out.exists()
 
     def test_missing_level_config_error(self, pyramid_dir, tmp_path, capsys):
         (pyramid_dir / "c4.pft").unlink()
@@ -300,3 +336,81 @@ class TestUsage:
     def test_alpha_out_of_range_config_error(self, scene_pgm, tmp_path):
         assert main(["filter", str(scene_pgm), "-o", str(tmp_path / "o.pgm"),
                      "--alpha", "1.5"]) == 3
+
+
+# Exit code of each stderr category, as the README's exit-code table gives it.
+EXIT_OF = {"usage": 1, "io": 1, "degenerate": 2, "parse": 3, "config": 3}
+# Negative, zero, huge, float, non-numeric and empty stand-ins for a flag's value.
+HOSTILE_VALUES = ("-3", "-1", "0", "1" + "0" * 30, "2.5", "-0.5", "nan", "abc", "")
+PATH_FLAGS = {"--output", "--output-dir", "--stats", "--report"}
+
+
+def mutate(rng, options):
+    """Apply 1-3 edits (most often one) to a list of (flag, value) options.
+
+    An edit replaces a value with a hostile one (most often), or drops,
+    duplicates or misspells a flag. Paths are never replaced, and a
+    misspelling inserts a "z" after the dashes, so it never spells --help.
+    """
+    options = list(options)
+    for _ in range(rng.choice([1, 2, 3], p=[0.7, 0.2, 0.1])):
+        values = [i for i, (flag, value) in enumerate(options)
+                  if value is not None and flag not in PATH_FLAGS]
+        edit = rng.choice(["value", "drop", "duplicate", "misspell"], p=[0.7, 0.1, 0.1, 0.1])
+        if edit == "value" and values:
+            i = values[rng.integers(len(values))]
+            options[i] = (options[i][0], HOSTILE_VALUES[rng.integers(len(HOSTILE_VALUES))])
+            continue
+        i = rng.integers(len(options))
+        if edit == "drop":
+            del options[i]
+        elif edit == "duplicate":
+            options.insert(i, options[i])
+        elif edit == "misspell":
+            flag, value = options[i]
+            at = rng.integers(2, len(flag) + 1)
+            options[i] = (flag[:at] + "z" + flag[at:], value)
+    return options
+
+
+class TestHostileFlags:
+    """Seeded mutants of valid argvs for every subcommand end in an exit code
+    and one documented stderr line, never in a traceback."""
+
+    @pytest.fixture()
+    def valid_argvs(self, tmp_path):
+        pgm = tmp_path / "scene.pgm"
+        write_pgm(pgm, blob_scene(32, 32))
+        write_pyramid_dir(tmp_path / "in", random_pyramid(8, base_hw=(16, 16), seed=1), prefix="c")
+        window = [("--target-center", "16,16"), ("--target-size", "8"), ("--neighborhood-size", "16")]
+        return [
+            (["filter", str(pgm)], [("--output", str(tmp_path / "f.pgm")), ("--alpha", "0.25"),
+                                    *window, ("--recenter", None)]),
+            (["filter", str(pgm)], [("--output", str(tmp_path / "g.pgm")), ("--cut", "2x3"),
+                                    ("--stats", str(tmp_path / "g.json")), *window]),
+            (["scr-sweep", str(pgm)], [("--output", str(tmp_path / "s.csv")), *window,
+                                       ("--cut-max", "8"), ("--cut-step", "2")]),
+            (["forward", str(tmp_path / "in")], [
+                ("--output-dir", str(tmp_path / "out")), ("--seed", "3"),
+                ("--alpha", "0.25"), ("--k", "4"), ("--groups", "8"), ("--fusion", "sdp_plus_add"),
+                ("--report", str(tmp_path / "r.json"))]),
+            (["cost"], [("--n", "4"), ("--h", "8"), ("--w", "8"), ("--c", "16"), ("--format", "json")]),
+            (["params"], [("--channels", "32"), ("--k", "4"), ("--groups", "4"), ("--base-h", "64"),
+                          ("--base-w", "64"), ("--no-bias", None), ("--no-cp", None), ("--format", "csv")]),
+        ]
+
+    def test_mutated_flags_end_in_one_documented_line(self, valid_argvs, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # a relative path a mutant makes up lands here
+        rng = np.random.default_rng(7)
+        for i in range(300):
+            positional, options = valid_argvs[i % len(valid_argvs)]
+            argv = positional + [t for option in mutate(rng, options) for t in option if t is not None]
+            code = main(argv)
+            err = capsys.readouterr().err
+            if code == 0:
+                assert err == "", argv
+                continue
+            lines = err.splitlines()
+            assert len(lines) == 1, (argv, err)
+            category = re.match(r"hsfpn: (\w+): ", lines[0])
+            assert category and EXIT_OF.get(category[1]) == code, (argv, code, err)

@@ -198,6 +198,13 @@ class TestHfpForward:
         squashed = hfp_forward(x, make_params(channels=4, k=2, seed=4, squash=True))
         assert not np.array_equal(plain, squashed)
 
+    @pytest.mark.parametrize("role", ["gap_conv", "gmp_conv", "merge_conv", "spatial_conv"])
+    def test_3x3_in_a_1x1_role_rejected(self, role):
+        params = make_params(channels=4)
+        spec = dataclasses.replace(getattr(params, role).spec, kernel=3)
+        with pytest.raises(ValidationError, match=f"{role} must be a 1x1"):
+            dataclasses.replace(params, **{role: rand_layer(RNG, spec)})
+
     @pytest.mark.parametrize("alpha", [-0.1, 1.5])
     def test_alpha_out_of_range_rejected(self, alpha):
         with pytest.raises(ValidationError, match="alpha"):

@@ -27,6 +27,7 @@ from hsfpn import (
     write_pyramid_dir,
     write_tensor,
 )
+from hsfpn.cost import LayerCost, OpCostReport
 
 from oracles import naive_conv2d, naive_fpn_forward, naive_hsfpn_forward
 
@@ -339,6 +340,26 @@ class TestCountParams:
         assert "level,module,params,macs" in report.to_csv()
         assert "hfp_fuse" in report.to_table()
 
+    def test_repeated_add_accumulates(self):
+        report = OpCostReport()
+        report.add(2, "sdp", 3, 10)
+        report.add(2, "sdp", 4, 20)
+        report.add(3, "sdp", 5, 0)
+        assert report.per_level[2]["sdp"] == LayerCost(7, 30)
+        assert report.module_total("sdp") == LayerCost(12, 30)
+
+    def test_absent_module_totals_zero(self):
+        report = count_params(PyramidConfig(channels=256), base_hw=(200, 200))
+        assert report.module_total("no_such_module") == LayerCost(0, 0)
+        assert OpCostReport().total == LayerCost(0, 0)
+
+    def test_total_is_sum_of_module_totals(self):
+        report = count_params(PyramidConfig(channels=256), base_hw=(200, 200))
+        modules = {m for mods in report.per_level.values() for m in mods}
+        assert modules == {"cp", "sp", "hfp_fuse", "sdp"}
+        summed = sum((report.module_total(m) for m in modules), LayerCost())
+        assert report.total == summed and summed.macs > 0
+
     def test_indivisible_base_rejected(self):
         with pytest.raises(ValidationError):
             count_params(PyramidConfig(channels=32, groups=4), base_hw=(100, 100))
@@ -412,10 +433,11 @@ class TestPyramidIo:
         json_edit(lambda m: m["config"].update(alpha=True)),
         json_edit(lambda m: m["config"].update(k=True)),
         json_edit(lambda m: m["config"].update(filter_levels=[2.0, 3.0])),
+        json_edit(lambda m: m["config"].update(seed=-1)),
     ], ids=["not-json", "no-config", "no-channels", "no-layer", "weight-not-string",
             "bad-lateral-name", "groups-zero", "config-contradicts-bias", "laterals-2-3-7",
             "extra-layer", "bias-length", "k-float", "in-channels-float", "squash-string",
-            "alpha-bool", "k-bool", "filter-levels-float"])
+            "alpha-bool", "k-bool", "filter-levels-float", "seed-negative"])
     def test_malformed_weight_manifest(self, tmp_path, edit):
         save_weights(tmp_path / "w", init_weights(SMALL, backbone_channels={2: 6, 3: 6, 4: 6, 5: 6}))
         manifest = tmp_path / "w" / "manifest.json"

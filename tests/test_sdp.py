@@ -155,6 +155,20 @@ class TestRepeatedKeys:
         want = ((z @ v.astype(np.float64)) / z.sum(axis=1, keepdims=True)).astype(np.float32)
         assert block_attention(q, k, v).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("with_counts", [False, True])
+    def test_values_narrower_than_keys(self, with_counts):
+        # values need only match the keys' row count: D = 5 values over C = 8 keys
+        q = RNG.standard_normal((64, 8)).astype(np.float32)
+        k = RNG.standard_normal((16, 8)).astype(np.float32)
+        v = RNG.standard_normal((16, 5)).astype(np.float32)
+        counts = np.tile([1, 2, 4, 9], 4) if with_counts else None
+        out = block_attention(q, k, v, counts)
+        k_all = k if counts is None else np.repeat(k, counts, axis=0)
+        v_all = v if counts is None else np.repeat(v, counts, axis=0)
+        ref = attention_weights(q, k_all).astype(np.float64) @ v_all.astype(np.float64)
+        assert out.shape == (64, 5)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
+
     def test_wrong_count_length_rejected(self):
         q, k, v = self.blocks()
         with pytest.raises(ShapeError):
