@@ -6,8 +6,10 @@ machine-parseable line ``hsfpn: <category>: <message>`` on standard error.
 """
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -19,6 +21,8 @@ from .errors import DegenerateBackgroundError, PgmParseError, ShapeError, Valida
 from .frequency import ScrWindows, highpass_cut, lowcut_filter, scr, scr_filter_sweep
 from .io import read_pgm, write_pgm
 from .pyramid import (
+    FUSION_MODES,
+    LEVELS,
     PyramidConfig,
     hsfpn_forward,
     init_weights,
@@ -56,6 +60,12 @@ def _parse_cut(text):
     return r, c
 
 
+def _add_window_flags(p, center_required: bool = False) -> None:
+    p.add_argument("--target-center", type=_parse_center, metavar="R,C", required=center_required)
+    p.add_argument("--target-size", type=int, default=ScrWindows.target_extent)
+    p.add_argument("--neighborhood-size", type=int, default=ScrWindows.neighborhood_extent)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="hsfpn", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -65,9 +75,7 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True, help="filtered PGM path")
     p.add_argument("--alpha", type=float, help="fractional cut-off in [0, 1]")
     p.add_argument("--cut", type=_parse_cut, metavar="RxC", help="absolute coefficient region")
-    p.add_argument("--target-center", type=_parse_center, metavar="R,C")
-    p.add_argument("--target-size", type=int, default=40)
-    p.add_argument("--neighborhood-size", type=int, default=80)
+    _add_window_flags(p)
     p.add_argument("--recenter", action="store_true",
                    help="add 0.5 before clamping (high-pass output is near zero-mean)")
     p.add_argument("--stats", help="stats JSON path (default: output with .stats.json)")
@@ -75,21 +83,20 @@ def build_parser() -> _Parser:
     p = sub.add_parser("scr-sweep", help="SCR versus expanding low-cut region")
     p.add_argument("image")
     p.add_argument("-o", "--output", required=True, help="CSV path")
-    p.add_argument("--target-center", type=_parse_center, metavar="R,C", required=True)
-    p.add_argument("--target-size", type=int, default=40)
-    p.add_argument("--neighborhood-size", type=int, default=80)
+    _add_window_flags(p, center_required=True)
     p.add_argument("--cut-max", type=int, required=True)
     p.add_argument("--cut-step", type=int, default=1)
 
     p = sub.add_parser("forward", help="run a pyramid directory through the network")
     p.add_argument("input_dir", help="directory with c2.pft..c5.pft and manifest.json")
     p.add_argument("-o", "--output-dir", required=True)
-    p.add_argument("--mode", choices=["hsfpn", "fpn", "fpn_baseline"], default="hsfpn")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.25)
-    p.add_argument("--k", type=int, default=16)
-    p.add_argument("--groups", type=int, help="group count (default: gcd(channels, 16))")
-    p.add_argument("--fusion", choices=["sdp_only", "sdp_plus_add"], default="sdp_only")
+    p.add_argument("--mode", choices=["hsfpn", "fpn", "fpn_baseline"], default=PyramidConfig.mode)
+    p.add_argument("--seed", type=int, default=PyramidConfig.seed)
+    p.add_argument("--alpha", type=float, default=PyramidConfig.alpha)
+    p.add_argument("--k", type=int, default=PyramidConfig.k)
+    p.add_argument("--groups", type=int,
+                   help=f"group count (default: gcd(channels, {PyramidConfig.groups}))")
+    p.add_argument("--fusion", choices=FUSION_MODES, default=PyramidConfig.fusion_mode)
     p.add_argument("--report", help="report JSON path (default: <output-dir>/report.json)")
 
     p = sub.add_parser("cost", help="attention-layout complexity table")
@@ -100,12 +107,12 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
 
     p = sub.add_parser("params", help="added parameter/MAC accounting per module")
-    p.add_argument("--channels", type=int, default=256)
-    p.add_argument("--k", type=int, default=16)
-    p.add_argument("--groups", type=int, default=16)
+    p.add_argument("--channels", type=int, default=PyramidConfig.channels)
+    p.add_argument("--k", type=int, default=PyramidConfig.k)
+    p.add_argument("--groups", type=int, default=PyramidConfig.groups)
     p.add_argument("--base-h", type=int, default=200, help="level-2 height")
     p.add_argument("--base-w", type=int, default=200, help="level-2 width")
-    p.add_argument("--bias", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--bias", action=argparse.BooleanOptionalAction, default=PyramidConfig.conv_bias)
     p.add_argument("--no-cp", action="store_true")
     p.add_argument("--no-sp", action="store_true")
     p.add_argument("--no-sdp", action="store_true")
@@ -114,16 +121,21 @@ def build_parser() -> _Parser:
 
 
 def _windows(args) -> ScrWindows:
-    return ScrWindows(
-        target_center=args.target_center,
-        target_extent=args.target_size,
-        neighborhood_extent=args.neighborhood_size,
-    )
+    return ScrWindows(args.target_center, args.target_size, args.neighborhood_size)
+
+
+def _require_dirs(*paths) -> None:
+    """Raise FileNotFoundError unless the directory of every output path exists; run before any work."""
+    for path in paths:
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
 
 
 def cmd_filter(args) -> int:
     if (args.alpha is None) == (args.cut is None):
         raise UsageError("exactly one of --alpha or --cut is required")
+    stats_path = args.stats or str(Path(args.output).with_suffix(".stats.json"))
+    _require_dirs(args.output, stats_path)
     image = read_pgm(args.image)
     h, w = image.shape
     if args.alpha is not None:
@@ -150,7 +162,6 @@ def cmd_filter(args) -> int:
             exit_code = 2
     # written only now: a bad SCR window (ValidationError) must leave no file behind
     write_pgm(args.output, filtered + np.float32(0.5) if args.recenter else filtered)
-    stats_path = args.stats or str(Path(args.output).with_suffix(".stats.json"))
     Path(stats_path).write_text(json.dumps(stats, indent=2) + "\n")
     if exit_code:
         print(f"hsfpn: degenerate: {stats['reason']}", file=sys.stderr)
@@ -160,6 +171,7 @@ def cmd_filter(args) -> int:
 def cmd_scr_sweep(args) -> int:
     if args.cut_max < 0 or args.cut_step < 1:
         raise UsageError("--cut-max must be >= 0 and --cut-step >= 1")
+    _require_dirs(args.output)
     image = read_pgm(args.image)
     windows = _windows(args)
     cuts = ((c, c) for c in range(0, args.cut_max + 1, args.cut_step))
@@ -172,19 +184,15 @@ def cmd_scr_sweep(args) -> int:
 
 
 def cmd_forward(args) -> int:
+    report_path = args.report or str(Path(args.output_dir) / "report.json")
+    if Path(report_path).resolve().parent != Path(args.output_dir).resolve():  # -o is made on write
+        _require_dirs(report_path)
     pyramid = read_pyramid_dir(args.input_dir, prefix="c")
     channels = pyramid.channels()
-    groups = args.groups if args.groups is not None else math.gcd(channels, 16)
-    mode = "fpn_baseline" if args.mode in ("fpn", "fpn_baseline") else "hsfpn"
-    config = PyramidConfig(
-        channels=channels,
-        alpha=args.alpha,
-        k=args.k,
-        groups=groups,
-        fusion_mode=args.fusion,
-        mode=mode,
-        seed=args.seed,
-    )
+    groups = args.groups if args.groups is not None else math.gcd(channels, PyramidConfig.groups)
+    mode = "fpn_baseline" if args.mode == "fpn" else args.mode
+    config = PyramidConfig(channels=channels, alpha=args.alpha, k=args.k, groups=groups,
+                           fusion_mode=args.fusion, mode=mode, seed=args.seed)
     weights = init_weights(config)
     timings = {}
     outputs = hsfpn_forward(pyramid, weights, timings=timings)
@@ -192,7 +200,7 @@ def cmd_forward(args) -> int:
         check_finite(tensor, f"output level {level}")
     write_pyramid_dir(args.output_dir, outputs, prefix="p")
 
-    added = count_params(config, pyramid.extents(2)) if mode == "hsfpn" else OpCostReport()
+    added = count_params(config, pyramid.extents(LEVELS[0])) if mode == "hsfpn" else OpCostReport()
     report = {
         "mode": mode,
         "seed": args.seed,
@@ -209,7 +217,6 @@ def cmd_forward(args) -> int:
         "timing_s": timings,
         "added_params": added.to_dict(),
     }
-    report_path = args.report or str(Path(args.output_dir) / "report.json")
     Path(report_path).write_text(json.dumps(report, indent=2) + "\n")
     return 0
 
@@ -228,16 +235,9 @@ def cmd_cost(args) -> int:
 
 
 def cmd_params(args) -> int:
-    config = PyramidConfig(
-        channels=args.channels, k=args.k, groups=args.groups, conv_bias=args.bias
-    )
-    report = count_params(
-        config,
-        base_hw=(args.base_h, args.base_w),
-        with_cp=not args.no_cp,
-        with_sp=not args.no_sp,
-        with_sdp=not args.no_sdp,
-    )
+    config = PyramidConfig(channels=args.channels, k=args.k, groups=args.groups, conv_bias=args.bias)
+    report = count_params(config, (args.base_h, args.base_w), with_cp=not args.no_cp,
+                          with_sp=not args.no_sp, with_sdp=not args.no_sdp)
     if args.format == "table":
         print(report.to_table())
     elif args.format == "json":
@@ -256,9 +256,14 @@ _COMMANDS = {
 }
 
 
-def _fail(category: str, message: str) -> None:
-    line = " ".join(str(message).split())
-    print(f"hsfpn: {category}: {line}", file=sys.stderr)
+# (exception, category, exit code) of each documented failure; the first match wins.
+_FAILURES = (
+    ((UsageError, FileNotFoundError), "usage", 1),
+    (DegenerateBackgroundError, "degenerate", 2),
+    (PgmParseError, "parse", 3),
+    ((ShapeError, ValidationError), "config", 3),
+    (OSError, "io", 1),
+)
 
 
 def main(argv=None) -> int:
@@ -267,24 +272,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         with np.errstate(all="ignore"):  # overflow ends in a non-finite check, not a warning
             return _COMMANDS[args.command](args)
-    except UsageError as err:
-        _fail("usage", err)
-        return 1
-    except FileNotFoundError as err:
-        _fail("usage", err)
-        return 1
-    except DegenerateBackgroundError as err:
-        _fail("degenerate", err)
-        return 2
-    except PgmParseError as err:
-        _fail("parse", err)
-        return 3
-    except (ShapeError, ValidationError) as err:
-        _fail("config", err)
-        return 3
-    except OSError as err:
-        _fail("io", err)
-        return 1
+    except Exception as err:
+        for kind, category, code in _FAILURES:
+            if isinstance(err, kind):
+                message = " ".join(str(err).split())
+                print(f"hsfpn: {category}: {message}", file=sys.stderr)
+                return code
+        raise
 
 
 def run() -> None:

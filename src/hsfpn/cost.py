@@ -14,6 +14,7 @@ uniform factor of two, so the pairwise ratios match the multipliers exactly.
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
+from .pyramid import LEVELS, SDP_LEVELS, layer_specs, level_extents, split_layer_name
 
 ATTENTION_LAYOUTS = ("vit", "sdp", "global")
 
@@ -145,33 +146,21 @@ _ROW = {
 }
 
 
-def count_params(
-    config,
-    base_hw=(200, 200),
-    with_cp: bool = True,
-    with_sp: bool = True,
-    with_sdp: bool = True,
-) -> OpCostReport:
+def count_params(config, base_hw, with_cp: bool = True, with_sp: bool = True,
+                 with_sdp: bool = True) -> OpCostReport:
     """Exact added parameter/MAC counts of the pyramid modules over a plain FPN.
 
     `config` is a :class:`hsfpn.pyramid.PyramidConfig`; `base_hw` gives the
-    level-2 spatial extents (halved per level) used for the MAC counts. SDP's
-    key and value projections run on the level above, so they count at its
-    extents; attention counts on the n*(hw)^2*c calculus. The
-    3x3 fuse convolution belongs to the reweighting module as a whole and is
-    counted whenever the channel or spatial path is enabled. With every module
-    disabled the report is empty (zero added parameters).
+    level-2 spatial extents (see :func:`hsfpn.pyramid.level_extents`) used
+    for the MAC counts. SDP's key and value projections run on the level
+    above, so they count at its extents; attention counts on the
+    n*(hw)^2*c calculus. The 3x3 fuse convolution belongs to the reweighting
+    module as a whole and is counted whenever the channel or spatial path is
+    enabled. With every module disabled the report is empty (zero added
+    parameters).
     """
-    from .pyramid import LEVELS, SDP_LEVELS, layer_specs, split_layer_name  # local import, no cycle
-
     report = OpCostReport()
-    h2, w2 = base_hw
-    if h2 < 1 or w2 < 1:
-        raise ValidationError("base extents must be positive")
-    h5, w5 = h2 >> 3, w2 >> 3
-    if h5 < 1 or w5 < 1 or h5 << 3 != h2 or w5 << 3 != w2:
-        raise ValidationError(f"base extents {base_hw} are not divisible across 4 levels")
-
+    extents = level_extents(base_hw)
     enabled = {"cp": with_cp, "sp": with_sp, "hfp_fuse": with_cp or with_sp, "sdp": with_sdp}
     for name, spec in layer_specs(config).items():
         _, level, role = split_layer_name(name)
@@ -179,11 +168,13 @@ def count_params(
         if row is None or not enabled[row]:
             continue
         # keys and values are projected from the upper level's map
-        shift = level - LEVELS[0] + (role in ("k_conv", "v_conv"))
-        extents = (1, 1) if row == "cp" else (h2 >> shift, w2 >> shift)
-        report.add(level, row, spec.param_count, spec.macs(*extents))
+        at = level + 1 if role in ("k_conv", "v_conv") else level
+        hw = (1, 1) if row == "cp" else extents[at]
+        report.add(level, row, spec.param_count, spec.macs(*hw))
     if with_sdp:
-        for level in SDP_LEVELS:  # blocks have the top level's extents: 4 per level step
-            model = CostModel(n=4 ** (LEVELS[-1] - level), h=h5, w=w5, c=config.channels)
+        h5, w5 = extents[LEVELS[-1]]
+        for level in SDP_LEVELS:  # blocks have the top level's extents
+            h, w = extents[level]
+            model = CostModel(n=(h // h5) * (w // w5), h=h5, w=w5, c=config.channels)
             report.add(level, "sdp", 0, attention_cost(model, "sdp"))
     return report

@@ -19,6 +19,7 @@ before and after such filtering.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import ceil
 
 import numpy as np
 
@@ -76,9 +77,8 @@ def highpass_cut(h: int, w: int, alpha: float) -> tuple:
         raise ShapeError("mask extents must be >= 1")
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
-    r = np.count_nonzero(np.arange(h, dtype=np.float64) < alpha * h)
-    s = np.count_nonzero(np.arange(w, dtype=np.float64) < alpha * w)
-    return int(r), int(s)
+    # the integers u >= 0 with u < alpha*n number ceil(alpha*n)
+    return min(h, ceil(alpha * h)), min(w, ceil(alpha * w))
 
 
 def highpass_mask(h: int, w: int, alpha: float) -> np.ndarray:

@@ -12,7 +12,19 @@ import numpy as np
 
 from .errors import ValidationError
 from .frequency import highfreq_response
-from .tensor import ConvLayer, adaptive_pool, as_tensor, relu, sigmoid
+from .tensor import ConvLayer, ConvSpec, adaptive_pool, as_tensor, check_layers, relu, sigmoid
+
+
+def hfp_specs(channels: int, groups: int = 1, bias: bool = True) -> dict:
+    """The ConvSpec of each HfpParams layer role, in draw order."""
+    c = channels
+    return {
+        "gap_conv": ConvSpec(c, c, kernel=1, groups=groups, has_bias=bias),
+        "gmp_conv": ConvSpec(c, c, kernel=1, groups=groups, has_bias=bias),
+        "merge_conv": ConvSpec(2 * c, c, kernel=1, groups=groups, has_bias=bias),
+        "spatial_conv": ConvSpec(c, 1, kernel=1, has_bias=bias),
+        "fuse_conv": ConvSpec(c, c, kernel=3, has_bias=bias),
+    }
 
 
 @dataclass
@@ -42,22 +54,7 @@ class HfpParams:
             raise ValidationError(f"pooling extent k must be >= 1, got {self.k}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
-        c = self.gap_conv.spec.in_channels
-        checks = (
-            (self.gap_conv.spec, c, c, 1, "gap_conv"),
-            (self.gmp_conv.spec, c, c, 1, "gmp_conv"),
-            (self.merge_conv.spec, 2 * c, c, 1, "merge_conv"),
-            (self.spatial_conv.spec, c, 1, 1, "spatial_conv"),
-            (self.fuse_conv.spec, c, c, 3, "fuse_conv"),
-        )
-        for spec, cin, cout, kernel, name in checks:
-            if spec.in_channels != cin or spec.out_channels != cout:
-                raise ValidationError(
-                    f"{name} must map {cin} -> {cout} channels, "
-                    f"got {spec.in_channels} -> {spec.out_channels}"
-                )
-            if spec.kernel != kernel:
-                raise ValidationError(f"{name} must be a {kernel}x{kernel} convolution")
+        check_layers(self, hfp_specs(self.gap_conv.spec.in_channels))
 
 
 def channel_path(f, params: HfpParams) -> np.ndarray:
@@ -71,12 +68,11 @@ def channel_path(f, params: HfpParams) -> np.ndarray:
     """
     f = as_tensor(f, rank=4)
     k = min(params.k, *f.shape[2:])
-    avg = relu(adaptive_pool(f, k, k, "avg"))
-    mx = relu(adaptive_pool(f, k, k, "max"))
-    avg_vec = avg.astype(np.float64).sum(axis=(2, 3), keepdims=True).astype(f.dtype)
-    max_vec = mx.astype(np.float64).sum(axis=(2, 3), keepdims=True).astype(f.dtype)
-    scores = np.concatenate([params.gap_conv(avg_vec), params.gmp_conv(max_vec)], axis=1)
-    u_cp = params.merge_conv(scores)
+    scores = []
+    for mode, conv in (("avg", params.gap_conv), ("max", params.gmp_conv)):
+        pooled = relu(adaptive_pool(f, k, k, mode))
+        scores.append(conv(pooled.astype(np.float64).sum(axis=(2, 3), keepdims=True).astype(f.dtype)))
+    u_cp = params.merge_conv(np.concatenate(scores, axis=1))
     return sigmoid(u_cp) if params.squash else u_cp
 
 

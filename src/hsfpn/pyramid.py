@@ -17,9 +17,9 @@ import numpy as np
 
 from . import io as hio
 from .errors import ShapeError, ValidationError
-from .hfp import HfpParams, hfp_forward
-from .sdp import SdpParams, sdp_forward
-from .tensor import ConvLayer, ConvSpec, as_tensor, check_finite, upsample2x
+from .hfp import HfpParams, hfp_forward, hfp_specs
+from .sdp import SdpParams, sdp_forward, sdp_specs
+from .tensor import ConvLayer, ConvSpec, as_tensor, check_field_types, check_finite, upsample2x
 
 # Pyramid levels, largest first; each halves the extents of the one before.
 LEVELS = (2, 3, 4, 5)
@@ -46,16 +46,9 @@ class PyramidConfig:
     squash: bool = False
 
     def __post_init__(self):
-        if self.channels < 1:
-            raise ValidationError("channel count must be positive")
+        check_field_types(self)
         if self.k < 1:
             raise ValidationError("pooling extent k must be positive")
-        if self.groups < 1:
-            raise ValidationError(f"group count must be positive, got {self.groups}")
-        if self.channels % self.groups or (2 * self.channels) % self.groups:
-            raise ValidationError(
-                f"groups={self.groups} must divide channels={self.channels} and 2x channels"
-            )
         if not 0.0 <= self.alpha <= 1.0:
             raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.seed < 0:
@@ -68,6 +61,7 @@ class PyramidConfig:
         for level in self.filter_levels:
             if level not in LEVELS:
                 raise ValidationError(f"unknown filter level {level}")
+        layer_specs(self)  # channels and groups are valid iff every layer they imply is
 
 
 class FeaturePyramid:
@@ -119,23 +113,18 @@ def layer_specs(config: PyramidConfig, backbone_channels: dict | None = None) ->
     """Every convolution of the network as `{name: ConvSpec}`, in draw order.
 
     Names are `<module><level>.<field>`: per level 2..5 the reweighting
-    convolutions `hfp<L>.{gap,gmp,merge,spatial,fuse}_conv`, then the
-    attention projections `sdp<L>.{q,k,v}_conv` for levels 2..4, then the
-    output convolutions `out<L>.conv`, then `lateral<L>.conv` if backbone
-    channel counts are given. `<field>` names the HfpParams/SdpParams field
-    the layer fills. Init, save, load and cost accounting all walk this table.
+    convolutions `hfp<L>.*` of :func:`hsfpn.hfp.hfp_specs`, then the
+    attention projections `sdp<L>.*` of :func:`hsfpn.sdp.sdp_specs` for
+    levels 2..4, then the output convolutions `out<L>.conv`, then
+    `lateral<L>.conv` if backbone channel counts are given. `<field>` names
+    the HfpParams/SdpParams field the layer fills. Init, save, load and cost
+    accounting all walk this table.
     """
-    c, g, bias = config.channels, config.groups, config.conv_bias
-    hfp = {
-        "gap_conv": ConvSpec(c, c, kernel=1, groups=g, has_bias=bias),
-        "gmp_conv": ConvSpec(c, c, kernel=1, groups=g, has_bias=bias),
-        "merge_conv": ConvSpec(2 * c, c, kernel=1, groups=g, has_bias=bias),
-        "spatial_conv": ConvSpec(c, 1, kernel=1, has_bias=bias),
-        "fuse_conv": ConvSpec(c, c, kernel=3, has_bias=bias),
-    }
-    proj = ConvSpec(c, c, kernel=1, has_bias=config.sdp_bias)
+    c, bias = config.channels, config.conv_bias
+    hfp = hfp_specs(c, config.groups, bias)
+    sdp = sdp_specs(c, config.sdp_bias)
     specs = {f"hfp{lv}.{role}": spec for lv in LEVELS for role, spec in hfp.items()}
-    specs.update({f"sdp{lv}.{role}": proj for lv in SDP_LEVELS for role in ("q_conv", "k_conv", "v_conv")})
+    specs.update({f"sdp{lv}.{role}": spec for lv in SDP_LEVELS for role, spec in sdp.items()})
     specs.update({f"out{lv}.conv": ConvSpec(c, c, kernel=3, has_bias=bias) for lv in LEVELS})
     if backbone_channels is not None:
         specs.update({
@@ -266,15 +255,25 @@ def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights, timings: dict | 
     return FeaturePyramid(outputs)
 
 
+def level_extents(base_hw) -> dict:
+    """`{level: (h, w)}` of a pyramid whose largest level has extents `base_hw`.
+
+    Both extents must be positive multiples of 2 ** (LEVELS[-1] - LEVELS[0]),
+    so that every level halves the one before exactly.
+    """
+    h, w = base_hw
+    step = 2 ** (LEVELS[-1] - LEVELS[0])
+    if h < 1 or w < 1 or h % step or w % step:
+        raise ValidationError(f"base extents {tuple(base_hw)} must be positive multiples of {step}")
+    return {lv: (h // 2 ** (lv - LEVELS[0]), w // 2 ** (lv - LEVELS[0])) for lv in LEVELS}
+
+
 def random_pyramid(channels: int, base_hw=(64, 64), batch: int = 1, seed: int = 0) -> FeaturePyramid:
     """Seeded synthetic input pyramid with strict 2x nesting."""
-    h, w = base_hw
-    if h % 8 or w % 8 or h < 8 or w < 8:
-        raise ValidationError(f"base extents {base_hw} must be multiples of 8")
     rng = np.random.default_rng(seed)
     levels = {}
-    for i, level in enumerate(LEVELS):
-        arr = rng.standard_normal((batch, channels, h >> i, w >> i)).astype(np.float32)
+    for level, extents in level_extents(base_hw).items():
+        arr = rng.standard_normal((batch, channels, *extents)).astype(np.float32)
         levels[level] = check_finite(arr, f"level {level}")
     return FeaturePyramid(levels)
 
@@ -307,21 +306,8 @@ def _read_manifest(path: Path) -> dict:
 
 
 def _from_manifest(cls, entry: dict):
-    """Build dataclass `cls` from a manifest object, each value checked against its annotation.
-
-    An int must not be a bool, a float may be written as an int, and a tuple
-    is a list of ints. A wrong type raises TypeError, a missing field KeyError.
-    """
-    values = {f.name: entry[f.name] for f in fields(cls)}
-    for f in fields(cls):
-        value = values[f.name]
-        if f.type is tuple:
-            ok = type(value) is list and all(type(x) is int for x in value)
-        else:
-            ok = type(value) in ((int, float) if f.type is float else (f.type,))
-        if not ok:
-            raise TypeError(f"{f.name}: {value!r} is not a valid {f.type.__name__}")
-    return cls(**values)
+    """Build dataclass `cls` from the fields of a manifest object; a missing field raises KeyError."""
+    return cls(**{f.name: entry[f.name] for f in fields(cls)})
 
 
 def _malformed(path: Path, what: str, err: Exception) -> ValidationError:
@@ -394,7 +380,7 @@ def load_weights(path) -> HsfpnWeights:
     try:
         config = _from_manifest(PyramidConfig, manifest["config"])
         layers = manifest["layers"]
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValidationError) as err:
         raise _malformed(manifest_path, "config", err) from None
     if not isinstance(layers, dict):
         raise ValidationError(f"{manifest_path}: 'layers' must be an object")
@@ -415,7 +401,7 @@ def load_weights(path) -> HsfpnWeights:
             spec = _from_manifest(ConvSpec, entry)
             weight_path = path / entry["weight"]
             bias_path = path / entry["bias"] if "bias" in entry else None
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError, ValidationError) as err:
             raise _malformed(manifest_path, f"layer {name!r}", err) from None
         if spec != expected_spec:
             raise ValidationError(f"{name}: manifest spec {spec} disagrees with config {expected_spec}")

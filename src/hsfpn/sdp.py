@@ -20,7 +20,13 @@ from math import sqrt
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor import DTYPE, ConvLayer, as_tensor
+from .tensor import DTYPE, ConvLayer, ConvSpec, as_tensor, check_layers
+
+
+def sdp_specs(channels: int, bias: bool = False) -> dict:
+    """The ConvSpec of each SdpParams layer role, in draw order."""
+    spec = ConvSpec(channels, channels, kernel=1, has_bias=bias)
+    return {"q_conv": spec, "k_conv": spec, "v_conv": spec}
 
 
 @dataclass
@@ -40,13 +46,7 @@ class SdpParams:
     block_w: int | None = None
 
     def __post_init__(self):
-        c = self.q_conv.spec.in_channels
-        for name, layer in (("q_conv", self.q_conv), ("k_conv", self.k_conv), ("v_conv", self.v_conv)):
-            spec = layer.spec
-            if spec.in_channels != c or spec.out_channels != c:
-                raise ValidationError(f"{name} must preserve the channel count {c}")
-            if spec.kernel != 1:
-                raise ValidationError(f"{name} must be a 1x1 convolution")
+        check_layers(self, sdp_specs(self.q_conv.spec.in_channels))
         if (self.block_h is None) != (self.block_w is None):
             raise ValidationError("block extents must be set together")
         if self.block_h is not None and (self.block_h < 1 or self.block_w < 1):
@@ -84,6 +84,8 @@ def block_attention(q, k, v, counts=None) -> np.ndarray:
         raise ShapeError(f"expected (hw, C) and (u, C) matrices, got {q.shape} and {k.shape}")
     if v.ndim != 2 or len(v) != len(k):
         raise ShapeError(f"value block {v.shape} does not match {len(k)} keys")
+    if len(k) == 0:
+        raise ShapeError("a block needs at least one key")
     z = q.astype(np.float64) @ k.astype(np.float64).T
     z *= 1.0 / sqrt(q.shape[1])
     z -= z.max(axis=1, keepdims=True)
@@ -95,6 +97,8 @@ def block_attention(q, k, v, counts=None) -> np.ndarray:
         counts = np.asarray(counts, dtype=np.float64)
         if counts.shape != v.shape[:1]:
             raise ShapeError(f"counts {counts.shape} do not match {v.shape[0]} keys")
+        if not (counts > 0).all():
+            raise ValidationError("key counts must be positive")
         v *= counts[:, None]
         rowsum = z @ counts[:, None]
     out = z @ v

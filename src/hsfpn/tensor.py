@@ -6,7 +6,8 @@ stay within ~1e-5 of a naive double-precision evaluation. All operations are
 pure functions: the same inputs produce bitwise-identical outputs.
 """
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,6 +41,28 @@ def check_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
     return x
 
 
+_NUMBERS = {int: numbers.Integral, float: numbers.Real}
+
+
+def check_field_types(obj) -> None:
+    """Raise ValidationError unless every field of dataclass `obj` fits its annotation.
+
+    An int is integral and a float real, neither of them a bool; a bool or
+    str is exactly that type; a tuple is a list or tuple of ints.
+    """
+    def fits(value, kind) -> bool:
+        if kind is tuple:
+            return isinstance(value, (list, tuple)) and all(fits(v, int) for v in value)
+        if kind in _NUMBERS:
+            return isinstance(value, _NUMBERS[kind]) and not isinstance(value, bool)
+        return type(value) is kind
+
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not fits(value, f.type):
+            raise ValidationError(f"{f.name}: {value!r} is not a valid {f.type.__name__}")
+
+
 @dataclass(frozen=True)
 class ConvSpec:
     """Static description of a stride-1 square convolution.
@@ -55,6 +78,7 @@ class ConvSpec:
     has_bias: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         if self.in_channels < 1 or self.out_channels < 1:
             raise ValidationError("channel counts must be positive")
         if self.kernel not in (1, 3):
@@ -93,6 +117,15 @@ class ConvLayer:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return conv2d(x, self.spec, self.weight, self.bias)
+
+
+def check_layers(params, specs: dict) -> None:
+    """Raise ValidationError unless each layer `params.<role>` has the channels and kernel of `specs[role]`."""
+    for role, want in specs.items():
+        got = getattr(params, role).spec
+        if (got.in_channels, got.out_channels, got.kernel) != (want.in_channels, want.out_channels, want.kernel):
+            raise ValidationError(f"{role} must be a {want.kernel}x{want.kernel} convolution from "
+                                  f"{want.in_channels} to {want.out_channels} channels, got {got}")
 
 
 def conv2d(x, spec: ConvSpec, weight, bias=None) -> np.ndarray:
@@ -217,11 +250,6 @@ def upsample2x(x) -> np.ndarray:
 
 def sigmoid(x) -> np.ndarray:
     """Elementwise logistic function (optional squashing of attention weights)."""
-    x = as_tensor(x)
-    z = x.astype(np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out.astype(DTYPE)
+    z = as_tensor(x).astype(np.float64)
+    # exp(-log(1 + e^-z)): saturates to exactly 0 or 1 without overflowing
+    return np.exp(-np.logaddexp(0.0, -z)).astype(DTYPE)

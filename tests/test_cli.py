@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -9,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsfpn import (FeaturePyramid, ScrWindows, blob_scene, random_pyramid, read_pgm, read_tensor, scr,
-                   write_pgm, write_pyramid_dir, write_tensor)
-from hsfpn.cli import main
+from hsfpn import (FeaturePyramid, PyramidConfig, ScrWindows, blob_scene, count_params, random_pyramid,
+                   read_pgm, read_tensor, scr, write_pgm, write_pyramid_dir, write_tensor)
+from hsfpn.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture()
@@ -112,6 +115,16 @@ class TestFilter:
         assert code == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "parse" in err
+
+    def test_missing_stats_directory_writes_nothing(self, tmp_path, capsys):
+        scene = tmp_path / "s.pgm"
+        write_pgm(scene, blob_scene(32, 32))
+        code = main(["filter", str(scene), "-o", str(tmp_path / "f.pgm"), "--alpha", "0.25",
+                     "--stats", str(tmp_path / "nodir" / "x.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("hsfpn: usage: ") and "nodir" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["s.pgm"]
 
     def test_missing_input_exit_1(self, tmp_path):
         assert main(["filter", str(tmp_path / "nope.pgm"),
@@ -254,6 +267,21 @@ class TestForward:
         assert "non-finite" in proc.stderr
         assert not out.exists()
 
+    def test_missing_report_directory_writes_nothing(self, tmp_path, capsys):
+        write_pyramid_dir(tmp_path / "in", random_pyramid(8, base_hw=(16, 16), seed=1), prefix="c")
+        code = main(["forward", str(tmp_path / "in"), "-o", str(tmp_path / "out"), "--k", "2",
+                     "--groups", "4", "--report", str(tmp_path / "nodir" / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("hsfpn: usage: ") and "nodir" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+    def test_report_inside_new_output_dir(self, pyramid_dir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["forward", str(pyramid_dir), "-o", str(out), "--k", "2",
+                     "--report", str(out / "r.json")]) == 0
+        assert json.loads((out / "r.json").read_text())["mode"] == "hsfpn"
+
     def test_missing_level_config_error(self, pyramid_dir, tmp_path, capsys):
         (pyramid_dir / "c4.pft").unlink()
         code = main(["forward", str(pyramid_dir), "-o", str(tmp_path / "out"), "--k", "2"])
@@ -311,6 +339,10 @@ class TestParams:
         out = capsys.readouterr().out
         assert "hfp_fuse" in out and "total" in out
 
+    def test_defaults_are_the_library_defaults(self, capsys):
+        assert main(["params"]) == 0
+        assert capsys.readouterr().out == count_params(PyramidConfig(), (200, 200)).to_table() + "\n"
+
     def test_invalid_groups_config_error(self, pyramid_dir, tmp_path, capsys):
         for argv in (["params", "--channels", "30", "--groups", "16"],
                      ["params", "--groups", "0"],
@@ -320,6 +352,24 @@ class TestParams:
             err = capsys.readouterr().err
             assert err.startswith("hsfpn: config:"), argv
             assert len(err.splitlines()) == 1, argv
+
+
+class TestReadme:
+    def test_shared_flag_defaults_match_parser(self):
+        # every "default N" the README's "Shared flags" line documents is the
+        # default of that flag in each subcommand that defines it
+        text = README.read_text()
+        shared = text[text.index("Shared flags:"):]
+        shared = shared[:shared.index("\n\n")]
+        documented = re.findall(r"`(--[\w-]+)[^`]*`\s*\([^)]*\bdefault ([^)\s]+)\)", shared)
+        assert len(documented) >= 3, shared
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for flag, default in documented:
+            defaults = {name: action.default for name, sub in subparsers.choices.items()
+                        for action in sub._actions if flag in action.option_strings}
+            assert defaults, flag
+            assert all(str(value) == default for value in defaults.values()), (flag, default, defaults)
 
 
 class TestUsage:

@@ -14,7 +14,9 @@ from hsfpn import (
     init_weights,
     spatial_path,
 )
-from hsfpn.pyramid import DEFAULT_FILTER_LEVELS
+from hsfpn.hfp import hfp_specs
+from hsfpn.pyramid import DEFAULT_FILTER_LEVELS, layer_specs
+from hsfpn.sdp import sdp_specs
 
 from oracles import naive_channel_path, naive_hfp_forward, naive_spatial_path
 
@@ -204,6 +206,21 @@ class TestHfpForward:
         spec = dataclasses.replace(getattr(params, role).spec, kernel=3)
         with pytest.raises(ValidationError, match=f"{role} must be a 1x1"):
             dataclasses.replace(params, **{role: rand_layer(RNG, spec)})
+
+    @pytest.mark.parametrize("fault", ["kernel", "in_channels", "out_channels"])
+    @pytest.mark.parametrize("module,role", [("hfp", role) for role in hfp_specs(1)]
+                             + [("sdp", role) for role in sdp_specs(1)])
+    def test_layer_shape_checked_per_role(self, module, role, fault):
+        # the spec layer_specs gives a role is accepted; one wrong kernel or
+        # channel count is not
+        config = PyramidConfig(channels=4, k=2, groups=2)
+        params = getattr(init_weights(config), module)[2]
+        spec = layer_specs(config)[f"{module}2.{role}"]
+        dataclasses.replace(params, **{role: rand_layer(RNG, spec)})
+        wrong = 4 - spec.kernel if fault == "kernel" else 2 * getattr(spec, fault)
+        bad = dataclasses.replace(spec, **{fault: wrong})
+        with pytest.raises(ValidationError, match=f"{role} must be a {spec.kernel}x{spec.kernel} convolution"):
+            dataclasses.replace(params, **{role: rand_layer(RNG, bad)})
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.5])
     def test_alpha_out_of_range_rejected(self, alpha):

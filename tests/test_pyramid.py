@@ -28,6 +28,7 @@ from hsfpn import (
     write_tensor,
 )
 from hsfpn.cost import LayerCost, OpCostReport
+from hsfpn.pyramid import layer_specs, level_extents
 
 from oracles import naive_conv2d, naive_fpn_forward, naive_hsfpn_forward
 
@@ -593,3 +594,40 @@ class TestRandomPyramid:
     def test_base_must_be_multiple_of_eight(self):
         with pytest.raises(ValidationError):
             random_pyramid(4, base_hw=(20, 20))
+
+    @pytest.mark.parametrize("base", [(0, 8), (4, 4), (8, 12), (-8, 8)])
+    def test_same_bases_rejected_as_count_params(self, base):
+        with pytest.raises(ValidationError, match="multiples of 8"):
+            random_pyramid(4, base_hw=base)
+        with pytest.raises(ValidationError, match="multiples of 8"):
+            count_params(SMALL, base)
+
+    def test_smallest_base_accepted(self):
+        assert level_extents((8, 16)) == {2: (8, 16), 3: (4, 8), 4: (2, 4), 5: (1, 2)}
+        assert random_pyramid(4, base_hw=(8, 16)).extents(5) == (1, 2)
+        assert count_params(SMALL, (8, 16)).total.macs > 0
+
+
+class TestConfigFieldTypes:
+    @pytest.mark.parametrize("field,value", [
+        ("k", 2.5), ("alpha", "0.2"), ("channels", True), ("groups", 2.0), ("seed", None),
+        ("fusion_mode", b"sdp_only"), ("squash", 1), ("conv_bias", np.True_),
+        ("filter_levels", (2, 3.0)), ("filter_levels", [True]), ("filter_levels", {2, 3}),
+    ], ids=["k-float", "alpha-str", "channels-bool", "groups-float", "seed-none", "fusion-bytes",
+            "squash-int", "bias-numpy-bool", "levels-float", "levels-bool", "levels-set"])
+    def test_wrong_typed_field_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field}: .* is not a valid"):
+            dataclasses.replace(SMALL, **{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        config = dataclasses.replace(SMALL, channels=np.int64(4), groups=np.int32(2), k=np.int16(2),
+                                     alpha=np.float32(0.5), seed=np.uint8(1), filter_levels=[np.int64(2)])
+        assert config.filter_levels == (2,)
+        plain = dataclasses.replace(SMALL, alpha=0.5, filter_levels=(2,))
+        assert layer_specs(config) == layer_specs(plain)
+        assert init_weights(config).hfp[2].alpha == np.float32(0.5)
+
+    @pytest.mark.parametrize("field,value", [("channels", 0), ("groups", 0), ("groups", 3)])
+    def test_channels_and_groups_checked_by_the_layers(self, field, value):
+        with pytest.raises(ValidationError, match="channel counts must be positive|must divide"):
+            dataclasses.replace(SMALL, **{field: value})

@@ -174,6 +174,23 @@ class TestRepeatedKeys:
         with pytest.raises(ShapeError):
             block_attention(q, k, v, self.COUNTS[:-1])
 
+    def test_zero_keys_rejected(self):
+        q, k, v = self.blocks()
+        with pytest.raises(ShapeError, match="key"):
+            block_attention(q, k[:0], v[:0])
+        with pytest.raises(ShapeError, match="key"):
+            block_attention(q, k[:0], v[:0], self.COUNTS[:0])
+        with pytest.raises(ShapeError, match="key"):
+            attention_weights(q, k[:0])
+
+    @pytest.mark.parametrize("counts", [np.zeros(64), np.tile([1, -1, 2, 1], 16),
+                                        np.tile([1, 0, 2, 1], 16), np.tile([1.0, np.nan], 32)],
+                             ids=["all-zero", "negative", "one-zero", "nan"])
+    def test_nonpositive_counts_rejected(self, counts):
+        q, k, v = self.blocks()
+        with pytest.raises(ValidationError, match="counts must be positive"):
+            block_attention(q, k, v, counts)
+
     def test_value_not_shaped_like_keys_rejected(self):
         q, k, v = self.blocks()
         with pytest.raises(ShapeError):

@@ -11,6 +11,7 @@ from hsfpn import (
     as_tensor,
     conv2d,
     relu,
+    sigmoid,
     upsample2x,
 )
 
@@ -198,6 +199,15 @@ class TestConvSpec:
         with pytest.raises(ValidationError):
             ConvSpec(4, 4, kernel=5)
 
+    @pytest.mark.parametrize("args", [(2.0, 2), (2, "2"), (2, 2, True), (2, 2, 1, 1.0), (2, 2, 1, 1, 1)],
+                             ids=["in-float", "out-str", "kernel-bool", "groups-float", "bias-int"])
+    def test_wrong_typed_field_rejected(self, args):
+        with pytest.raises(ValidationError, match="is not a valid"):
+            ConvSpec(*args)
+
+    def test_numpy_integers_accepted(self):
+        assert ConvSpec(np.int64(4), np.int32(4), np.int8(3), np.uint16(2)) == ConvSpec(4, 4, 3, 2)
+
     def test_param_count(self):
         assert ConvSpec(256, 256, kernel=3, has_bias=False).param_count == 589824
         assert ConvSpec(256, 256, kernel=3, has_bias=True).param_count == 589824 + 256
@@ -270,6 +280,25 @@ class TestRelu:
     def test_idempotent(self):
         x = randf(3, 4)
         np.testing.assert_array_equal(relu(relu(x)), relu(x))
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_two_branch_evaluation(self):
+        # the masked sign branches sigmoid once used, written out
+        x = np.concatenate([np.linspace(-120, 120, 400_001, dtype=np.float32),
+                            np.float32([1e30, -1e30, 0.0, -0.0])])
+        z = x.astype(np.float64)
+        want = np.empty_like(z)
+        pos = z >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        want[~pos] = ez / (1.0 + ez)
+        got = sigmoid(x)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.astype(np.float32).tobytes()
+
+    def test_saturates_exactly(self):
+        assert sigmoid(np.float32([1e30, -1e30, 0.0])).tolist() == [1.0, 0.0, 0.5]
 
 
 class TestUpsample2x:
