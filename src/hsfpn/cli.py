@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cost import CostModel, OpCostReport, cost_rows, cost_table, count_params
+from .cost import REPORT_FORMATS, CostModel, OpCostReport, cost_rows, cost_table_rows, count_params, render
 from .errors import DegenerateBackgroundError, PgmParseError, ShapeError, ValidationError
 from .frequency import ScrWindows, highpass_cut, lowcut_filter, scr, scr_filter_sweep
 from .io import read_pgm, write_pgm
@@ -29,7 +29,6 @@ from .pyramid import (
     read_pyramid_dir,
     write_pyramid_dir,
 )
-from .tensor import check_finite
 
 
 class UsageError(Exception):
@@ -104,7 +103,7 @@ def build_parser() -> _Parser:
     p.add_argument("--h", type=int, required=True, help="block rows")
     p.add_argument("--w", type=int, required=True, help="block cols")
     p.add_argument("--c", type=int, required=True, help="channels")
-    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="table")
 
     p = sub.add_parser("params", help="added parameter/MAC accounting per module")
     p.add_argument("--channels", type=int, default=PyramidConfig.channels)
@@ -116,7 +115,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-cp", action="store_true")
     p.add_argument("--no-sp", action="store_true")
     p.add_argument("--no-sdp", action="store_true")
-    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="table")
     return parser
 
 
@@ -124,10 +123,12 @@ def _windows(args) -> ScrWindows:
     return ScrWindows(args.target_center, args.target_size, args.neighborhood_size)
 
 
-def _require_dirs(*paths) -> None:
-    """Raise FileNotFoundError unless the directory of every output path exists; run before any work."""
+def _require_dirs(*paths, made=None) -> None:
+    """Raise unless each output path is no directory and its directory exists or is `made`; run first."""
     for path in paths:
-        if not Path(path).parent.is_dir():
+        if Path(path).is_dir() or Path(path).resolve() == made:
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if not Path(path).parent.is_dir() and Path(path).resolve().parent != made:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
 
 
@@ -173,20 +174,15 @@ def cmd_scr_sweep(args) -> int:
         raise UsageError("--cut-max must be >= 0 and --cut-step >= 1")
     _require_dirs(args.output)
     image = read_pgm(args.image)
-    windows = _windows(args)
     cuts = ((c, c) for c in range(0, args.cut_max + 1, args.cut_step))
-    rows = scr_filter_sweep(image, windows, cuts)
-    lines = ["cut_rows,cut_cols,scr"]
-    for cut_rows, cut_cols, value in rows:
-        lines.append(f"{cut_rows},{cut_cols},{value:.9g}")
-    Path(args.output).write_text("\n".join(lines) + "\n")
+    rows = [(str(r), str(c), f"{value:.9g}") for r, c, value in scr_filter_sweep(image, _windows(args), cuts)]
+    Path(args.output).write_text(render([("cut_rows", "cut_cols", "scr")] + rows, "csv"))
     return 0
 
 
 def cmd_forward(args) -> int:
     report_path = args.report or str(Path(args.output_dir) / "report.json")
-    if Path(report_path).resolve().parent != Path(args.output_dir).resolve():  # -o is made on write
-        _require_dirs(report_path)
+    _require_dirs(report_path, made=Path(args.output_dir).resolve())
     pyramid = read_pyramid_dir(args.input_dir, prefix="c")
     channels = pyramid.channels()
     groups = args.groups if args.groups is not None else math.gcd(channels, PyramidConfig.groups)
@@ -196,8 +192,6 @@ def cmd_forward(args) -> int:
     weights = init_weights(config)
     timings = {}
     outputs = hsfpn_forward(pyramid, weights, timings=timings)
-    for level, tensor in outputs.items():  # an overflow must leave no output directory
-        check_finite(tensor, f"output level {level}")
     write_pyramid_dir(args.output_dir, outputs, prefix="p")
 
     added = count_params(config, pyramid.extents(LEVELS[0])) if mode == "hsfpn" else OpCostReport()
@@ -221,16 +215,13 @@ def cmd_forward(args) -> int:
     return 0
 
 
+def _print_report(fmt: str, data: dict, rows) -> None:  # JSON of `data`, or `rows` rendered
+    print(json.dumps(data, indent=2) if fmt == "json" else render(rows, fmt).rstrip("\n"))
+
+
 def cmd_cost(args) -> int:
     model = CostModel(n=args.n, h=args.h, w=args.w, c=args.c)
-    if args.format == "table":
-        print(cost_table(model))
-    elif args.format == "json":
-        print(json.dumps({"model": asdict(model), "rows": cost_rows(model)}, indent=2))
-    else:
-        print("method,complexity,multiplier,macs")
-        for row in cost_rows(model):
-            print(f"{row['method']},{row['complexity']},{row['multiplier']},{row['macs']}")
+    _print_report(args.format, {"model": asdict(model), "rows": cost_rows(model)}, cost_table_rows(model))
     return 0
 
 
@@ -238,12 +229,7 @@ def cmd_params(args) -> int:
     config = PyramidConfig(channels=args.channels, k=args.k, groups=args.groups, conv_bias=args.bias)
     report = count_params(config, (args.base_h, args.base_w), with_cp=not args.no_cp,
                           with_sp=not args.no_sp, with_sdp=not args.no_sdp)
-    if args.format == "table":
-        print(report.to_table())
-    elif args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.to_csv(), end="")
+    _print_report(args.format, report.to_dict(), report.rows())
     return 0
 
 

@@ -16,10 +16,15 @@ from dataclasses import dataclass, field
 from .errors import ValidationError
 from .pyramid import LEVELS, SDP_LEVELS, layer_specs, level_extents, split_layer_name
 
-ATTENTION_LAYOUTS = ("vit", "sdp", "global")
-
-_COMPLEXITY = {"vit": "n^2*h*w*c", "sdp": "n*(h*w)^2*c", "global": "(n*h*w)^2*c"}
-_MULTIPLIER = {"vit": "1", "sdp": "hw/n", "global": "hw"}
+# layout: (complexity, multiplier, MACs of both products from n, hw = h*w and c)
+_LAYOUTS = {
+    "vit": ("n^2*h*w*c", "1", lambda n, hw, c: 2 * n * n * hw * c),
+    "sdp": ("n*(h*w)^2*c", "hw/n", lambda n, hw, c: 2 * n * hw * hw * c),
+    "global": ("(n*h*w)^2*c", "hw", lambda n, hw, c: 2 * (n * hw) ** 2 * c),
+}
+ATTENTION_LAYOUTS = tuple(_LAYOUTS)
+_COST_FIELDS = ("method", "complexity", "multiplier", "macs")
+REPORT_FORMATS = ("table", "json", "csv")
 
 
 @dataclass(frozen=True)
@@ -38,39 +43,37 @@ class CostModel:
 
 def attention_cost(model: CostModel, layout: str) -> int:
     """Multiply-accumulate count of the dominant attention terms (exact integer)."""
-    if layout not in ATTENTION_LAYOUTS:
+    if layout not in _LAYOUTS:
         raise ValidationError(f"layout must be one of {ATTENTION_LAYOUTS}, got {layout!r}")
-    hw = model.h * model.w
-    if layout == "vit":
-        return 2 * model.n * model.n * hw * model.c
-    if layout == "sdp":
-        return 2 * model.n * hw * hw * model.c
-    return 2 * (model.n * hw) ** 2 * model.c
+    return _LAYOUTS[layout][2](model.n, model.h * model.w, model.c)
 
 
 def cost_rows(model: CostModel) -> list:
     """One dict per layout: method, complexity, multiplier, and MAC count."""
-    return [
-        {
-            "method": layout,
-            "complexity": _COMPLEXITY[layout],
-            "multiplier": _MULTIPLIER[layout],
-            "macs": attention_cost(model, layout),
-        }
-        for layout in ATTENTION_LAYOUTS
-    ]
+    return [dict(zip(_COST_FIELDS, (layout, complexity, multiplier, attention_cost(model, layout))))
+            for layout, (complexity, multiplier, _) in _LAYOUTS.items()]
 
 
-def _aligned(rows) -> str:
-    """Text table of equal-length rows of strings, each column padded to its widest cell."""
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+def cost_table_rows(model: CostModel) -> list:
+    """Header, then the fields of each :func:`cost_rows` row as strings."""
+    return [_COST_FIELDS] + [tuple(str(row[f]) for f in _COST_FIELDS) for row in cost_rows(model)]
+
+
+def render(rows, fmt: str) -> str:
+    """Header-first rows of strings as CSV text for ``csv``, else as an aligned text table.
+
+    A table pads every column to its widest cell, separates columns by two
+    spaces and ends without a newline; CSV ends every line with one.
+    """
+    if fmt == "csv":
+        return "".join(",".join(row) + "\n" for row in rows)
+    widths = [max(map(len, column)) for column in zip(*rows)]
     return "\n".join("  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rows)
 
 
 def cost_table(model: CostModel) -> str:
     """Aligned-column text table of the three layouts."""
-    headers = ("method", "complexity", "multiplier", "macs")
-    return _aligned([headers] + [[str(r[h]) for h in headers] for r in cost_rows(model)])
+    return render(cost_table_rows(model), "table")
 
 
 # ---------------------------------------------------------------------------
@@ -117,19 +120,18 @@ class OpCostReport:
             "total": {"params": self.total.params, "macs": self.total.macs},
         }
 
-    def _rows(self) -> list:
+    def rows(self) -> list:
         """Header, one row per (level, module) in sorted order, then the total; all strings."""
         rows = [("level", "module", "params", "macs")]
         for level, mods in sorted(self.per_level.items()):
             rows += [(str(level), module, str(e.params), str(e.macs)) for module, e in sorted(mods.items())]
-        t = self.total
-        return rows + [("total", "all", str(t.params), str(t.macs))]
+        return rows + [("total", "all", str(self.total.params), str(self.total.macs))]
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(row) for row in self._rows()) + "\n"
+        return render(self.rows(), "csv")
 
     def to_table(self) -> str:
-        return _aligned(self._rows())
+        return render(self.rows(), "table")
 
 
 # Report row of each pyramid layer role (see :func:`hsfpn.pyramid.layer_specs`).

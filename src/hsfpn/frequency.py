@@ -27,9 +27,9 @@ from .errors import DegenerateBackgroundError, ShapeError, ValidationError
 from .tensor import DTYPE, as_tensor, check_finite
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal type-II DCT matrix of order n (float64, cached)."""
+    """Orthonormal type-II DCT matrix of order n (float64; the 16 most recently used orders are cached)."""
     j = np.arange(n, dtype=np.float64)
     k = j[:, None]
     mat = np.cos(np.pi * (2.0 * j[None, :] + 1.0) * k / (2.0 * n))

@@ -57,7 +57,6 @@ class PyramidConfig:
             raise ValidationError(f"fusion_mode must be one of {FUSION_MODES}")
         if self.mode not in PYRAMID_MODES:
             raise ValidationError(f"mode must be one of {PYRAMID_MODES}")
-        object.__setattr__(self, "filter_levels", tuple(self.filter_levels))
         for level in self.filter_levels:
             if level not in LEVELS:
                 raise ValidationError(f"unknown filter level {level}")
@@ -282,16 +281,26 @@ def random_pyramid(channels: int, base_hw=(64, 64), batch: int = 1, seed: int = 
 # Pyramid directory I/O and weight manifests
 # ---------------------------------------------------------------------------
 
-def write_pyramid_dir(path, pyr: FeaturePyramid, prefix: str = "p") -> None:
-    """Write level tensors as `<prefix><level>.pft` plus a manifest.json."""
+def _write_dir(path, tensors: dict, manifest: dict) -> None:
+    """Write `{file name: (label, tensor)}` and manifest.json, checking all before the directory is made."""
+    for label, tensor in tensors.values():
+        check_finite(tensor, label)
+    text = json.dumps(manifest, indent=2) + "\n"
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    manifest = {"format": "PFT1", "prefix": prefix, "levels": {}}
+    for name, (_, tensor) in tensors.items():
+        hio.write_tensor(path / name, tensor)
+    (path / "manifest.json").write_text(text)
+
+
+def write_pyramid_dir(path, pyr: FeaturePyramid, prefix: str = "p") -> None:
+    """Write level tensors as `<prefix><level>.pft` plus a manifest.json."""
+    tensors, levels = {}, {}
     for level, tensor in pyr.items():
         name = f"{prefix}{level}.pft"
-        hio.write_tensor(path / name, tensor)
-        manifest["levels"][str(level)] = {"file": name, "dims": list(tensor.shape)}
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        tensors[name] = (f"output level {level}", tensor)
+        levels[str(level)] = {"file": name, "dims": list(tensor.shape)}
+    _write_dir(path, tensors, {"format": "PFT1", "prefix": prefix, "levels": levels})
 
 
 def _read_manifest(path: Path) -> dict:
@@ -349,19 +358,18 @@ def save_weights(path, weights: HsfpnWeights) -> None:
     The manifest schema is documented in the README: a config block plus one
     entry per layer with the ConvSpec fields and the weight/bias file names.
     """
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     backbone = {lv: layer.spec.in_channels for lv, layer in weights.laterals.items()} or None
     manifest = {"format": "hsfpn-weights-v1", "config": asdict(weights.config), "layers": {}}
+    tensors = {}
     for name in layer_specs(weights.config, backbone):
         layer = _layer(weights, name)
         entry = {**asdict(layer.spec), "weight": f"{name}.weight.pft"}
-        hio.write_tensor(path / entry["weight"], layer.weight.reshape(layer.spec.weight_shape))
+        tensors[entry["weight"]] = (f"{name} weight", layer.weight.reshape(layer.spec.weight_shape))
         if layer.bias is not None:
             entry["bias"] = f"{name}.bias.pft"
-            hio.write_tensor(path / entry["bias"], layer.bias)
+            tensors[entry["bias"]] = (f"{name} bias", layer.bias)
         manifest["layers"][name] = entry
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_dir(path, tensors, manifest)
 
 
 def load_weights(path) -> HsfpnWeights:

@@ -45,22 +45,26 @@ _NUMBERS = {int: numbers.Integral, float: numbers.Real}
 
 
 def check_field_types(obj) -> None:
-    """Raise ValidationError unless every field of dataclass `obj` fits its annotation.
+    """Store every field of dataclass `obj` as exactly its annotated type, or raise ValidationError.
 
-    An int is integral and a float real, neither of them a bool; a bool or
-    str is exactly that type; a tuple is a list or tuple of ints.
+    An int is integral and a float real, neither a bool; a bool or str is exactly
+    that type; a tuple is a list or tuple of ints. Numbers become Python scalars.
     """
-    def fits(value, kind) -> bool:
-        if kind is tuple:
-            return isinstance(value, (list, tuple)) and all(fits(v, int) for v in value)
-        if kind in _NUMBERS:
-            return isinstance(value, _NUMBERS[kind]) and not isinstance(value, bool)
-        return type(value) is kind
+    def convert(value, kind):
+        if kind is tuple and isinstance(value, (list, tuple)):
+            return tuple(convert(v, int) for v in value)
+        if kind in _NUMBERS and isinstance(value, _NUMBERS[kind]) and not isinstance(value, bool):
+            return kind(value)
+        if type(value) is kind:
+            return value
+        raise ValueError
 
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if not fits(value, f.type):
-            raise ValidationError(f"{f.name}: {value!r} is not a valid {f.type.__name__}")
+        try:
+            object.__setattr__(obj, f.name, convert(value, f.type))
+        except (ValueError, OverflowError):  # OverflowError: an int too large for a float
+            raise ValidationError(f"{f.name}: {value!r} is not a valid {f.type.__name__}") from None
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -352,6 +353,72 @@ class TestParams:
             err = capsys.readouterr().err
             assert err.startswith("hsfpn: config:"), argv
             assert len(err.splitlines()) == 1, argv
+
+
+class TestOutputPathIsDirectory:
+    """An output file path that names a directory fails before any work and writes nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ("forward", "in", "-o", "out", "--k", "2", "--groups", "4", "--report", "adir"),
+        ("forward", "in", "-o", "adir", "--k", "2", "--groups", "4", "--report", "adir"),
+        ("filter", "s.pgm", "-o", "f.pgm", "--alpha", "0.25", "--stats", "adir"),
+        ("filter", "s.pgm", "-o", "adir", "--alpha", "0.25"),
+        ("scr-sweep", "s.pgm", "-o", "adir", "--target-center", "50,50", "--cut-max", "4"),
+    ], ids=["forward-report", "forward-report-is-output-dir", "filter-stats", "filter-output", "scr-sweep"])
+    def test_writes_nothing(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_pyramid_dir("in", random_pyramid(8, base_hw=(16, 16), seed=1), prefix="c")
+        write_pgm("s.pgm", blob_scene())
+        Path("adir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert main(list(argv)) == 1
+        assert capsys.readouterr().err == "hsfpn: io: [Errno 21] Is a directory: 'adir'\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_report_naming_the_new_output_dir_writes_nothing(self, pyramid_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["forward", str(pyramid_dir), "-o", str(out), "--k", "2", "--report", str(out)]) == 1
+        assert capsys.readouterr().err == f"hsfpn: io: [Errno 21] Is a directory: '{out}'\n"
+        assert not out.exists()
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+PARAMS_FLAGS = ("--channels", "64", "--groups", "8", "--no-bias", "--no-cp", "--base-h", "64", "--base-w", "128")
+
+
+class TestReportBytes:
+    """Every report's bytes are pinned, so a change in how reports are rendered cannot move them."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("cost", "--n", "625", "--h", "8", "--w", "8", "--c", "256"),
+         "b27c6cd2f643b3dd226482f66d7a8bf0cb5c08cf8e706b836c7d021a35ebaac7"),
+        (("cost", "--n", "625", "--h", "8", "--w", "8", "--c", "256", "--format", "json"),
+         "835d04fa588bf3d2a1bb776659fb276761ad569cbe27655549cf9043c98e592f"),
+        (("cost", "--n", "625", "--h", "8", "--w", "8", "--c", "256", "--format", "csv"),
+         "1eace4326aabe880e8a37db421eac4951b6e4289763787c758b0003ddbd75769"),
+        (("params",), "21866fb1f2fe6178c490add0ab7d37acb9d67a9b72b1e307dcdc973e43b6d0c9"),
+        (("params", "--format", "json"), "a2a9887c63db5b67df5a22f445a5b52b90cd761fbd6d18f22134c385e7b2c110"),
+        (("params", "--format", "csv"), "0169b7dde4770d97388ea3c7f33ca81e9e42e9dd1543764c1f5467531ee5feb3"),
+        (("params", *PARAMS_FLAGS), "09156138a0f04cedaf18679c2aed85444b794444cc07e290176e6f3474314896"),
+        (("params", *PARAMS_FLAGS, "--format", "json"),
+         "32218afd9fd721151809386a5d8d631b01a04b4e200e751d0e0106dd72ac54e0"),
+        (("params", *PARAMS_FLAGS, "--format", "csv"),
+         "6c0a49a65d507fbe621afee1933f094cc922ab1b1a6b981a5eda164a633b8746"),
+    ])
+    def test_stdout_pinned(self, argv, digest, capsys):
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        assert sha256(out.encode()) == digest, out
+
+    def test_scr_sweep_csv_pinned(self, tmp_path):
+        write_pgm(tmp_path / "s.pgm", blob_scene(64, 64))
+        assert main(["scr-sweep", str(tmp_path / "s.pgm"), "-o", str(tmp_path / "s.csv"),
+                     "--target-center", "32,32", "--cut-max", "32", "--cut-step", "4"]) == 0
+        csv = (tmp_path / "s.csv").read_bytes()
+        assert sha256(csv) == "7102248f66fe4a4270dc4a910831ac111a215f62e91f800dd4a78452922aecdf", csv
 
 
 class TestReadme:

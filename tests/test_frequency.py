@@ -9,6 +9,7 @@ from hsfpn import (
     ValidationError,
     blob_scene,
     dct2,
+    dct_matrix,
     filter_plane,
     highfreq_response,
     highpass_cut,
@@ -301,6 +302,14 @@ class TestSweepTrend:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * scene.nbytes, f"peak {peak} B is {peak / scene.nbytes:.1f}x the image"
+
+
+class TestDctMatrixCache:
+    def test_cache_holds_at_most_sixteen_orders(self):
+        for n in range(1, 101):
+            dct_matrix(n)
+        info = dct_matrix.cache_info()
+        assert info.maxsize == 16 and info.currsize <= info.maxsize
 
 
 class TestFilterPlane:

@@ -489,6 +489,20 @@ class TestPyramidIo:
         assert hashlib.sha256((tmp_path / "w" / "manifest.json").read_bytes()).hexdigest() == manifest_sha
         assert hashlib.sha256(listing.encode()).hexdigest() == listing_sha, listing
 
+    def test_nonfinite_level_writes_no_directory(self, tmp_path):
+        levels = {lv: t.copy() for lv, t in small_pyramid(seed=3).items()}
+        levels[4][0, 1, 0, 0] = np.inf
+        with pytest.raises(ValidationError, match="output level 4 contains non-finite values"):
+            write_pyramid_dir(tmp_path / "pyr", FeaturePyramid(levels))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nonfinite_weight_writes_no_directory(self, tmp_path):
+        weights = init_weights(SMALL)
+        weights.out_convs[3].weight[0, 0, 1, 1] = np.nan
+        with pytest.raises(ValidationError, match="out3.conv weight contains non-finite values"):
+            save_weights(tmp_path / "w", weights)
+        assert list(tmp_path.iterdir()) == []
+
     def test_weights_roundtrip_with_laterals(self, tmp_path):
         weights = init_weights(SMALL, backbone_channels={2: 6, 3: 6, 4: 6, 5: 6})
         save_weights(tmp_path / "w", weights)
@@ -626,6 +640,30 @@ class TestConfigFieldTypes:
         plain = dataclasses.replace(SMALL, alpha=0.5, filter_levels=(2,))
         assert layer_specs(config) == layer_specs(plain)
         assert init_weights(config).hfp[2].alpha == np.float32(0.5)
+
+    def test_numpy_scalar_config_saves_and_reloads(self, tmp_path):
+        config = PyramidConfig(channels=np.int64(4), k=np.int16(2), groups=np.int32(2), alpha=np.float32(0.25),
+                               seed=np.int64(1), filter_levels=[np.int32(2), np.int16(3)])
+        plain = PyramidConfig(channels=4, k=2, groups=2, alpha=0.25, seed=1)
+        assert config == plain
+        types = [type(getattr(config, f)) for f in ("channels", "k", "groups", "alpha", "seed")]
+        assert types == [int, int, int, float, int]
+        assert [type(level) for level in config.filter_levels] == [int, int]
+        save_weights(tmp_path / "w", init_weights(config))
+        assert load_weights(tmp_path / "w").config == plain
+
+    def test_numpy_float32_becomes_the_same_python_float(self):
+        alpha = dataclasses.replace(SMALL, alpha=np.float32(0.1)).alpha
+        assert type(alpha) is float and alpha == float(np.float32(0.1))
+
+    def test_numpy_conv_spec_fields_become_ints(self):
+        spec = ConvSpec(np.int64(4), np.int32(8), kernel=np.int16(3), groups=np.uint8(2))
+        assert spec == ConvSpec(4, 8, kernel=3, groups=2)
+        assert {type(v) for v in dataclasses.astuple(spec)} == {int, bool}
+
+    def test_int_too_large_for_a_float_rejected(self):
+        with pytest.raises(ValidationError, match="alpha: .* is not a valid float"):
+            dataclasses.replace(SMALL, alpha=10**400)
 
     @pytest.mark.parametrize("field,value", [("channels", 0), ("groups", 0), ("groups", 3)])
     def test_channels_and_groups_checked_by_the_layers(self, field, value):
