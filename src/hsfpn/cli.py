@@ -23,9 +23,11 @@ from .io import read_pgm, write_pgm
 from .pyramid import (
     FUSION_MODES,
     LEVELS,
+    MANIFEST,
     PyramidConfig,
     hsfpn_forward,
     init_weights,
+    level_file,
     read_pyramid_dir,
     write_pyramid_dir,
 )
@@ -124,11 +126,17 @@ def _windows(args) -> ScrWindows:
 
 
 def _require_dirs(*paths, made=None) -> None:
-    """Raise unless each output path is no directory and its directory exists or is `made`; run first."""
+    """Raise unless the output paths name distinct files, none a directory, each in an
+    existing directory or in `made`; run first."""
+    seen = set()
     for path in paths:
-        if Path(path).is_dir() or Path(path).resolve() == made:
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise UsageError(f"two outputs of one run name the same file {str(path)!r}")
+        seen.add(resolved)
+        if Path(path).is_dir() or resolved == made:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        if not Path(path).parent.is_dir() and Path(path).resolve().parent != made:
+        if not Path(path).parent.is_dir() and resolved.parent != made:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
 
 
@@ -181,8 +189,10 @@ def cmd_scr_sweep(args) -> int:
 
 
 def cmd_forward(args) -> int:
-    report_path = args.report or str(Path(args.output_dir) / "report.json")
-    _require_dirs(report_path, made=Path(args.output_dir).resolve())
+    out = Path(args.output_dir)
+    report_path = args.report or str(out / "report.json")
+    written = [out / level_file("p", lv) for lv in LEVELS] + [out / MANIFEST]
+    _require_dirs(report_path, *written, made=out.resolve())
     pyramid = read_pyramid_dir(args.input_dir, prefix="c")
     channels = pyramid.channels()
     groups = args.groups if args.groups is not None else math.gcd(channels, PyramidConfig.groups)

@@ -26,6 +26,7 @@ LEVELS = (2, 3, 4, 5)
 # Filtering is applied only on the two highest-resolution levels by default.
 DEFAULT_FILTER_LEVELS = (2, 3)
 SDP_LEVELS = LEVELS[:-1]  # every level but the top fuses with the one above
+MANIFEST = "manifest.json"  # the manifest of every pyramid and weight directory
 
 FUSION_MODES = ("sdp_only", "sdp_plus_add")
 PYRAMID_MODES = ("hsfpn", "fpn_baseline")
@@ -153,7 +154,7 @@ def _draw_layer(rng, spec: ConvSpec) -> ConvLayer:
     bound = np.sqrt(3.0 / fan_in)
     weight = rng.uniform(-bound, bound, size=spec.weight_shape).astype(np.float32)
     bias = np.zeros(spec.out_channels, dtype=np.float32) if spec.has_bias else None
-    return ConvLayer(spec, check_finite(weight, "initialised weight"), bias)
+    return ConvLayer(spec, weight, bias)
 
 
 def _assemble(config: PyramidConfig, layers: dict) -> HsfpnWeights:
@@ -290,14 +291,19 @@ def _write_dir(path, tensors: dict, manifest: dict) -> None:
     path.mkdir(parents=True, exist_ok=True)
     for name, (_, tensor) in tensors.items():
         hio.write_tensor(path / name, tensor)
-    (path / "manifest.json").write_text(text)
+    (path / MANIFEST).write_text(text)
+
+
+def level_file(prefix: str, level: int) -> str:
+    """The file name of `level` in a pyramid directory: `<prefix><level>.pft`."""
+    return f"{prefix}{level}.pft"
 
 
 def write_pyramid_dir(path, pyr: FeaturePyramid, prefix: str = "p") -> None:
     """Write level tensors as `<prefix><level>.pft` plus a manifest.json."""
     tensors, levels = {}, {}
     for level, tensor in pyr.items():
-        name = f"{prefix}{level}.pft"
+        name = level_file(prefix, level)
         tensors[name] = (f"output level {level}", tensor)
         levels[str(level)] = {"file": name, "dims": list(tensor.shape)}
     _write_dir(path, tensors, {"format": "PFT1", "prefix": prefix, "levels": levels})
@@ -331,7 +337,7 @@ def read_pyramid_dir(path, prefix: str = "c") -> FeaturePyramid:
     objects naming their file as a string, raises ValidationError.
     """
     path = Path(path)
-    manifest_path = path / "manifest.json"
+    manifest_path = path / MANIFEST
     entries = {}
     if manifest_path.exists():
         entries = _read_manifest(manifest_path).get("levels", {})
@@ -340,7 +346,7 @@ def read_pyramid_dir(path, prefix: str = "c") -> FeaturePyramid:
     levels = {}
     for level in LEVELS:
         entry = entries.get(str(level), {})
-        name = entry.get("file", f"{prefix}{level}.pft")
+        name = entry.get("file", level_file(prefix, level))
         if not isinstance(name, str):
             raise ValidationError(f"{manifest_path}: level {level} file must be a string")
         tensor = hio.read_tensor(path / name)
@@ -364,7 +370,7 @@ def save_weights(path, weights: HsfpnWeights) -> None:
     for name in layer_specs(weights.config, backbone):
         layer = _layer(weights, name)
         entry = {**asdict(layer.spec), "weight": f"{name}.weight.pft"}
-        tensors[entry["weight"]] = (f"{name} weight", layer.weight.reshape(layer.spec.weight_shape))
+        tensors[entry["weight"]] = (f"{name} weight", layer.weight)
         if layer.bias is not None:
             entry["bias"] = f"{name}.bias.pft"
             tensors[entry["bias"]] = (f"{name} bias", layer.bias)
@@ -378,10 +384,12 @@ def load_weights(path) -> HsfpnWeights:
     A manifest that is not a JSON object, lacks a config field or layer
     entry, or holds a value of the wrong type raises ValidationError. So does
     a layer whose spec differs from the one its config implies, a layer name
-    the config does not imply, and laterals for some levels but not all.
+    the config does not imply, and laterals for some levels but not all. Weight
+    and bias files that break the :class:`ConvLayer` contract raise its error,
+    prefixed with the layer name.
     """
     path = Path(path)
-    manifest_path = path / "manifest.json"
+    manifest_path = path / MANIFEST
     manifest = _read_manifest(manifest_path)
     if manifest.get("format") != "hsfpn-weights-v1":
         raise ValidationError(f"unknown weight manifest format {manifest.get('format')!r}")
@@ -413,14 +421,11 @@ def load_weights(path) -> HsfpnWeights:
             raise _malformed(manifest_path, f"layer {name!r}", err) from None
         if spec != expected_spec:
             raise ValidationError(f"{name}: manifest spec {spec} disagrees with config {expected_spec}")
-        if spec.has_bias != (bias_path is not None):
-            raise ValidationError(f"{name}: a bias file must be named iff has_bias is true")
         weight = hio.read_tensor(weight_path)
-        if weight.shape != spec.weight_shape:
-            raise ShapeError(f"{name}: weight dims {weight.shape} do not match {spec.weight_shape}")
         bias = hio.read_tensor(bias_path) if bias_path is not None else None
-        if bias is not None and bias.shape != (spec.out_channels,):
-            raise ValidationError(f"{name}: bias dims {bias.shape} do not match ({spec.out_channels},)")
-        return ConvLayer(spec, weight, bias)
+        try:
+            return ConvLayer(spec, weight, bias)
+        except (ShapeError, ValidationError) as err:
+            raise type(err)(f"{name}: {err}") from None
 
     return _assemble(config, {name: layer(name, spec) for name, spec in expected.items()})

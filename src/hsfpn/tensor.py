@@ -111,13 +111,29 @@ class ConvSpec:
         return self.weight_count * height * width
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvLayer:
-    """A ConvSpec bundled with its weight (and optional bias) arrays."""
+    """A ConvSpec with its weight and bias, checked once, where the layer is built.
+
+    The weight has exactly `spec.weight_shape` (else ShapeError); a bias of
+    shape (out_channels,) is given iff `spec.has_bias`, and both are finite
+    (else ValidationError). Both are stored C-contiguous float32, copied only if not.
+    """
 
     spec: ConvSpec
     weight: np.ndarray
     bias: np.ndarray | None = None
+
+    def __post_init__(self):
+        weight = np.ascontiguousarray(self.weight, dtype=DTYPE)
+        if weight.shape != self.spec.weight_shape:
+            raise ShapeError(f"weight dims {weight.shape} do not match {self.spec.weight_shape}")
+        object.__setattr__(self, "weight", check_finite(weight, "convolution weight"))
+        bias = None if self.bias is None else np.ascontiguousarray(self.bias, dtype=DTYPE)
+        want = (self.spec.out_channels,) if self.spec.has_bias else None  # None: no bias
+        if (got := getattr(bias, "shape", None)) != want:
+            raise ValidationError(f"bias dims {got} do not match {want} (a bias iff has_bias)")
+        object.__setattr__(self, "bias", bias if bias is None else check_finite(bias, "convolution bias"))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return conv2d(x, self.spec, self.weight, self.bias)
@@ -135,42 +151,29 @@ def check_layers(params, specs: dict) -> None:
 def conv2d(x, spec: ConvSpec, weight, bias=None) -> np.ndarray:
     """Direct stride-1 convolution of an (N, C, H, W) tensor.
 
-    kernel 3 uses zero padding 1, kernel 1 no padding, so the output is
-    (N, out_channels, H, W). Each output value is the plain dot product of the
-    kernel with its (zero-padded) input window, accumulated in float64 and
-    rounded once to float32.
+    kernel 3 pads by 1 with zeros and kernel 1 not at all, so the output is
+    (N, out_channels, H, W); each value is the kernel's dot product with its
+    input window, accumulated in float64 and rounded once to float32. The
+    arrays are checked on every call as a :class:`ConvLayer`: `weight` of
+    exactly `spec.weight_shape` (no flat weight), a bias iff `spec.has_bias`.
 
     Both kernels run one shifted-GEMM tap loop (Chellapilla et al., 2006).
     The input is copied once into a float64 buffer of rows W + 2*pad wide
     (pad = kernel // 2; kernel 3 is zero-padded and gets one spare row),
     flattened per channel. Tap (di, dj) is the strided view of length
     H*(W + 2*pad) starting at di*(W + 2*pad) + dj, which BLAS reads without
-    a copy; each tap is one batched product over the groups, accumulated in
-    float64, and the wrap-around columns are dropped at the end. Kernel 1 is
-    the single unpadded tap. Working memory is the input buffer (about twice
-    the input) plus the accumulator and, for kernel 3, one tap product (about
-    twice the output each), both freed before the output is rounded; the 9x
-    window copy of im2col is never made.
+    a copy; each tap is one batched float64 product over the groups, and the
+    wrap-around columns are dropped at the end. Kernel 1 is the single
+    unpadded tap. Working memory is the input buffer (~2x the input) plus the
+    accumulator and, for kernel 3, one tap product (~2x the output each),
+    freed before rounding; im2col's 9x window copy is never made.
     """
     x = as_tensor(x, rank=4)
     n, c, h, w = x.shape
     if c != spec.in_channels:
         raise ShapeError(f"input has {c} channels, spec expects {spec.in_channels}")
-    weight = np.ascontiguousarray(weight, dtype=DTYPE)
-    if weight.size != spec.weight_count:
-        raise ShapeError(
-            f"weight has {weight.size} elements, spec requires {spec.weight_count}"
-        )
-    if not np.isfinite(weight).all():
-        raise ValidationError("convolution weight contains non-finite values")
-    if bias is not None:
-        if not spec.has_bias:
-            raise ValidationError("bias supplied for a bias-free ConvSpec")
-        bias = np.ascontiguousarray(bias, dtype=DTYPE)
-        if bias.shape != (spec.out_channels,):
-            raise ShapeError(f"bias must have shape ({spec.out_channels},), got {bias.shape}")
-        if not np.isfinite(bias).all():
-            raise ValidationError("convolution bias contains non-finite values")
+    layer = ConvLayer(spec, weight, bias)
+    weight, bias = layer.weight, layer.bias
 
     g, kernel = spec.groups, spec.kernel
     cin_g = spec.in_channels // g

@@ -382,6 +382,28 @@ class TestOutputPathIsDirectory:
         assert not out.exists()
 
 
+class TestOutputsNameOneFile:
+    """Two outputs of one run that name the same file fail before any work and write nothing."""
+
+    def test_filter_output_and_stats(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_pgm("s.pgm", blob_scene())
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["filter", "s.pgm", "-o", "x.pgm", "--alpha", "0.25", "--stats", "./x.pgm"]) == 1
+        assert capsys.readouterr().err == "hsfpn: usage: two outputs of one run name the same file './x.pgm'\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("name", ["p2.pft", "manifest.json"])
+    def test_forward_report_names_an_output_file(self, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_pyramid_dir("in", random_pyramid(8, base_hw=(16, 16), seed=1), prefix="c")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["forward", "in", "-o", "out", "--k", "2", "--report", f"out/{name}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hsfpn: usage: two outputs of one run name the same file") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

@@ -503,6 +503,20 @@ class TestPyramidIo:
             save_weights(tmp_path / "w", weights)
         assert list(tmp_path.iterdir()) == []
 
+    def test_layer_missing_its_bias_rejected_where_built(self):
+        # refused where it is built, before a forward pass or save_weights can use it
+        weights = init_weights(SMALL)
+        spec = weights.out_convs[2].spec
+        assert spec.has_bias
+        with pytest.raises(ValidationError, match="bias"):
+            weights.out_convs[2] = ConvLayer(spec, weights.out_convs[2].weight)
+
+    def test_wrong_size_weight_rejected_where_built(self):
+        # a ShapeError naming the dims, not a numpy reshape error inside save_weights
+        layer = init_weights(SMALL).out_convs[3]
+        with pytest.raises(ShapeError, match="weight dims"):
+            ConvLayer(layer.spec, layer.weight[..., :1, :1], layer.bias)
+
     def test_weights_roundtrip_with_laterals(self, tmp_path):
         weights = init_weights(SMALL, backbone_channels={2: 6, 3: 6, 4: 6, 5: 6})
         save_weights(tmp_path / "w", weights)

@@ -1,9 +1,11 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hsfpn import (
+    ConvLayer,
     ConvSpec,
     ShapeError,
     ValidationError,
@@ -212,6 +214,65 @@ class TestConvSpec:
         assert ConvSpec(256, 256, kernel=3, has_bias=False).param_count == 589824
         assert ConvSpec(256, 256, kernel=3, has_bias=True).param_count == 589824 + 256
         assert ConvSpec(256, 256, kernel=1, groups=16, has_bias=False).param_count == 4096
+
+
+def with_nonfinite(arr, value):
+    arr = arr.copy()
+    arr.flat[arr.size // 2] = value
+    return arr
+
+
+LAYER_RNG = np.random.default_rng(7)  # its own stream, so the other tests draw what they did before
+BIASED = ConvSpec(4, 2, kernel=3, groups=2)
+GOOD_WEIGHT = LAYER_RNG.standard_normal(BIASED.weight_shape).astype(np.float32)
+GOOD_BIAS = LAYER_RNG.standard_normal(2).astype(np.float32)
+
+
+class TestConvLayerContract:
+    """The one weight/bias contract, checked where a ConvLayer is built."""
+
+    @pytest.mark.parametrize("spec, weight, bias, error", [
+        (BIASED, GOOD_WEIGHT[..., :1], GOOD_BIAS, ShapeError),
+        (BIASED, GOOD_WEIGHT.ravel(), GOOD_BIAS, ShapeError),
+        (BIASED, GOOD_WEIGHT, None, ValidationError),
+        (dataclasses.replace(BIASED, has_bias=False), GOOD_WEIGHT, GOOD_BIAS, ValidationError),
+        (BIASED, GOOD_WEIGHT, np.zeros(3, np.float32), ValidationError),
+        (BIASED, GOOD_WEIGHT, GOOD_BIAS[:, None], ValidationError),
+        (BIASED, with_nonfinite(GOOD_WEIGHT, np.nan), GOOD_BIAS, ValidationError),
+        (BIASED, with_nonfinite(GOOD_WEIGHT, -np.inf), GOOD_BIAS, ValidationError),
+        (BIASED, GOOD_WEIGHT, with_nonfinite(GOOD_BIAS, np.nan), ValidationError),
+        (BIASED, GOOD_WEIGHT, with_nonfinite(GOOD_BIAS, np.inf), ValidationError),
+    ], ids=["weight-dims", "flat-weight", "bias-missing", "bias-on-bias-free-spec", "bias-length",
+            "bias-rank-2", "weight-nan", "weight-inf", "bias-nan", "bias-inf"])
+    def test_bad_arrays_rejected_at_construction(self, spec, weight, bias, error):
+        with pytest.raises(error):
+            ConvLayer(spec, weight, bias)
+
+    def test_arrays_stored_as_contiguous_float32(self):
+        weight = np.asfortranarray(GOOD_WEIGHT.astype(np.float64))
+        layer = ConvLayer(BIASED, weight, GOOD_BIAS.astype(np.float64))
+        for arr in (layer.weight, layer.bias):
+            assert arr.dtype == np.float32 and arr.flags.c_contiguous
+        np.testing.assert_array_equal(layer.weight, GOOD_WEIGHT)
+
+    def test_float32_contiguous_arrays_are_not_copied(self):
+        layer = ConvLayer(BIASED, GOOD_WEIGHT, GOOD_BIAS)
+        assert layer.weight is GOOD_WEIGHT and layer.bias is GOOD_BIAS
+
+    @pytest.mark.parametrize("field", ["spec", "weight", "bias"])
+    def test_frozen(self, field):
+        layer = ConvLayer(BIASED, GOOD_WEIGHT, GOOD_BIAS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(layer, field, getattr(layer, field))
+
+    def test_conv2d_holds_the_same_contract(self):
+        x = LAYER_RNG.standard_normal((1, 4, 5, 5)).astype(np.float32)
+        with pytest.raises(ShapeError):
+            conv2d(x, BIASED, GOOD_WEIGHT.ravel(), GOOD_BIAS)
+        with pytest.raises(ValidationError):
+            conv2d(x, BIASED, GOOD_WEIGHT)
+        np.testing.assert_array_equal(conv2d(x, BIASED, GOOD_WEIGHT, GOOD_BIAS),
+                                      ConvLayer(BIASED, GOOD_WEIGHT, GOOD_BIAS)(x))
 
 
 class TestAdaptivePool:
