@@ -13,7 +13,7 @@ from hsfpn import PyramidConfig, channel_path, hfp_forward, init_weights, spatia
 from hsfpn.frequency import highfreq_response
 
 config = PyramidConfig(channels=4, k=4, groups=2, alpha=0.25, seed=7)
-params = init_weights(config).hfp[2]
+params = init_weights(config).hfp_params(2)  # level 2's layers, k and filter alpha
 
 h = w = 16
 rows = np.linspace(0, 1, h, dtype=np.float32)[:, None]

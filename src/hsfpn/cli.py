@@ -67,6 +67,15 @@ def _add_window_flags(p, center_required: bool = False) -> None:
     p.add_argument("--neighborhood-size", type=int, default=ScrWindows.neighborhood_extent)
 
 
+def _add_groups_flag(p) -> None:
+    p.add_argument("--groups", type=int, help=f"group count (default: gcd(channels, {PyramidConfig.groups}))")
+
+
+def _groups(args, channels: int) -> int:
+    """`--groups`, or by default gcd(channels, PyramidConfig.groups), which divides any channel count."""
+    return args.groups if args.groups is not None else math.gcd(channels, PyramidConfig.groups)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="hsfpn", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -95,8 +104,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=PyramidConfig.seed)
     p.add_argument("--alpha", type=float, default=PyramidConfig.alpha)
     p.add_argument("--k", type=int, default=PyramidConfig.k)
-    p.add_argument("--groups", type=int,
-                   help=f"group count (default: gcd(channels, {PyramidConfig.groups}))")
+    _add_groups_flag(p)
     p.add_argument("--fusion", choices=FUSION_MODES, default=PyramidConfig.fusion_mode)
     p.add_argument("--report", help="report JSON path (default: <output-dir>/report.json)")
 
@@ -110,7 +118,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("params", help="added parameter/MAC accounting per module")
     p.add_argument("--channels", type=int, default=PyramidConfig.channels)
     p.add_argument("--k", type=int, default=PyramidConfig.k)
-    p.add_argument("--groups", type=int, default=PyramidConfig.groups)
+    _add_groups_flag(p)
     p.add_argument("--base-h", type=int, default=200, help="level-2 height")
     p.add_argument("--base-w", type=int, default=200, help="level-2 width")
     p.add_argument("--bias", action=argparse.BooleanOptionalAction, default=PyramidConfig.conv_bias)
@@ -125,12 +133,14 @@ def _windows(args) -> ScrWindows:
     return ScrWindows(args.target_center, args.target_size, args.neighborhood_size)
 
 
-def _require_dirs(*paths, made=None) -> None:
-    """Raise unless the output paths name distinct files, none a directory, each in an
-    existing directory or in `made`; run first."""
-    seen = set()
+def _require_dirs(*paths, made=None, reads=()) -> None:
+    """Raise unless the output paths name distinct files, none a directory nor a file the
+    run `reads`, each in an existing directory or in `made`; run first."""
+    seen, inputs = set(), {Path(path).resolve() for path in reads}
     for path in paths:
         resolved = Path(path).resolve()
+        if resolved in inputs:
+            raise UsageError(f"output {str(path)!r} names a file the run reads")
         if resolved in seen:
             raise UsageError(f"two outputs of one run name the same file {str(path)!r}")
         seen.add(resolved)
@@ -192,12 +202,12 @@ def cmd_forward(args) -> int:
     out = Path(args.output_dir)
     report_path = args.report or str(out / "report.json")
     written = [out / level_file("p", lv) for lv in LEVELS] + [out / MANIFEST]
-    _require_dirs(report_path, *written, made=out.resolve())
+    read = [Path(args.input_dir) / name for name in (MANIFEST, *(level_file("c", lv) for lv in LEVELS))]
+    _require_dirs(report_path, *written, made=out.resolve(), reads=read)
     pyramid = read_pyramid_dir(args.input_dir, prefix="c")
     channels = pyramid.channels()
-    groups = args.groups if args.groups is not None else math.gcd(channels, PyramidConfig.groups)
     mode = "fpn_baseline" if args.mode == "fpn" else args.mode
-    config = PyramidConfig(channels=channels, alpha=args.alpha, k=args.k, groups=groups,
+    config = PyramidConfig(channels=channels, alpha=args.alpha, k=args.k, groups=_groups(args, channels),
                            fusion_mode=args.fusion, mode=mode, seed=args.seed)
     weights = init_weights(config)
     timings = {}
@@ -236,7 +246,8 @@ def cmd_cost(args) -> int:
 
 
 def cmd_params(args) -> int:
-    config = PyramidConfig(channels=args.channels, k=args.k, groups=args.groups, conv_bias=args.bias)
+    config = PyramidConfig(channels=args.channels, k=args.k, groups=_groups(args, args.channels),
+                           conv_bias=args.bias)
     report = count_params(config, (args.base_h, args.base_w), with_cp=not args.no_cp,
                           with_sp=not args.no_sp, with_sdp=not args.no_sdp)
     _print_report(args.format, report.to_dict(), report.rows())

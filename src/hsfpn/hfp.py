@@ -27,7 +27,7 @@ def hfp_specs(channels: int, groups: int = 1, bias: bool = True) -> dict:
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class HfpParams:
     """Weights for one pyramid level.
 
@@ -37,7 +37,8 @@ class HfpParams:
     fuse_conv is the 3x3 output convolution (C -> C). `alpha` is the low-cut
     fraction of the filter (0 leaves the input unfiltered). `squash`
     optionally passes both attention signals through a sigmoid before they
-    are used.
+    are used. :meth:`hsfpn.pyramid.HsfpnWeights.hfp_params` builds it from
+    the weight table and the config.
     """
 
     k: int

@@ -10,8 +10,9 @@ comparisons with identical output convolutions.
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -116,9 +117,10 @@ def layer_specs(config: PyramidConfig, backbone_channels: dict | None = None) ->
     convolutions `hfp<L>.*` of :func:`hsfpn.hfp.hfp_specs`, then the
     attention projections `sdp<L>.*` of :func:`hsfpn.sdp.sdp_specs` for
     levels 2..4, then the output convolutions `out<L>.conv`, then
-    `lateral<L>.conv` if backbone channel counts are given. `<field>` names
-    the HfpParams/SdpParams field the layer fills. Init, save, load and cost
-    accounting all walk this table.
+    `lateral<L>.conv` if backbone channel counts are given. The names key
+    `HsfpnWeights.layers`, and `<field>` names the HfpParams/SdpParams field
+    the layer fills. Init, the HsfpnWeights check, save and cost accounting
+    all walk this table.
     """
     c, bias = config.channels, config.conv_bias
     hfp = hfp_specs(c, config.groups, bias)
@@ -140,13 +142,57 @@ def split_layer_name(name: str) -> tuple:
     return group[:-1], int(group[-1]), role
 
 
-@dataclass
+@dataclass(frozen=True)
 class HsfpnWeights:
+    """A config plus its `{name: ConvLayer}` layers, named as in :func:`layer_specs`.
+
+    Checked once, where built: each layer's spec must equal the one
+    `layer_specs(config, backbone)` gives its name, the backbone widths being
+    the `in_channels` of `lateral<L>.conv` (all of levels 2..5 or none). A
+    missing, extra or mismatched layer raises ValidationError naming it.
+    `layers` is read-only, in `layer_specs` order; each level's HFP and SDP
+    parameters are built from it by :meth:`hfp_params` and :meth:`sdp_params`.
+    """
+
     config: PyramidConfig
-    hfp: dict = field(default_factory=dict)      # level -> HfpParams
-    sdp: dict = field(default_factory=dict)      # level -> SdpParams (2..4)
-    out_convs: dict = field(default_factory=dict)  # level -> ConvLayer
-    laterals: dict = field(default_factory=dict)   # level -> ConvLayer, optional
+    layers: MappingProxyType
+
+    def __post_init__(self):
+        layers = dict(self.layers)
+        for name, layer in layers.items():
+            if not isinstance(layer, ConvLayer):
+                raise ValidationError(f"{name}: expected a ConvLayer, got {type(layer).__name__}")
+        backbone = {lv: layers[n].spec.in_channels for lv in LEVELS if (n := f"lateral{lv}.conv") in layers}
+        if 0 < len(backbone) < len(LEVELS):
+            raise ValidationError(f"laterals must cover all of levels {LEVELS} or none, got {sorted(backbone)}")
+        specs = layer_specs(self.config, backbone or None)
+        missing, extra = sorted(specs.keys() - layers.keys()), sorted(layers.keys() - specs.keys(), key=str)
+        if missing or extra:
+            raise ValidationError(f"missing layers {missing}, layers not of the config {extra}")
+        for name, spec in specs.items():
+            if layers[name].spec != spec:
+                raise ValidationError(f"{name}: spec {layers[name].spec} disagrees with config {spec}")
+        object.__setattr__(self, "layers", MappingProxyType({name: layers[name] for name in specs}))
+
+    def _roles(self, module: str, level: int) -> dict:
+        """`{role: layer}` of the layers named `<module><level>.<role>`."""
+        prefix = f"{module}{level}."
+        return {name.removeprefix(prefix): layer for name, layer in self.layers.items() if name.startswith(prefix)}
+
+    def hfp_params(self, level: int) -> HfpParams:
+        """The reweighting module of `level`: `config.alpha` at `config.filter_levels`, 0 elsewhere."""
+        config = self.config
+        alpha = config.alpha if level in config.filter_levels else 0.0
+        return HfpParams(k=config.k, alpha=alpha, squash=config.squash, **self._roles("hfp", level))
+
+    def sdp_params(self, level: int, block_h: int, block_w: int) -> SdpParams:
+        """The cross-attention of `level` over blocks of `block_h` x `block_w` pixels."""
+        return SdpParams(block_h=block_h, block_w=block_w, **self._roles("sdp", level))
+
+    @property
+    def out_convs(self) -> MappingProxyType:
+        """`{level: ConvLayer}` of the output convolutions, read-only."""
+        return MappingProxyType({lv: self.layers[f"out{lv}.conv"] for lv in LEVELS})
 
 
 def _draw_layer(rng, spec: ConvSpec) -> ConvLayer:
@@ -157,35 +203,6 @@ def _draw_layer(rng, spec: ConvSpec) -> ConvLayer:
     return ConvLayer(spec, weight, bias)
 
 
-def _assemble(config: PyramidConfig, layers: dict) -> HsfpnWeights:
-    """Group `{name: ConvLayer}` (names as in :func:`layer_specs`) into HsfpnWeights.
-
-    Each level's HFP filter runs with `config.alpha` at `config.filter_levels`
-    and with alpha 0 (no filtering) elsewhere.
-    """
-    parts = {}
-    for name, layer in layers.items():
-        module, level, role = split_layer_name(name)
-        parts.setdefault(module, {}).setdefault(level, {})[role] = layer
-    return HsfpnWeights(
-        config=config,
-        hfp={lv: HfpParams(k=config.k, alpha=config.alpha if lv in config.filter_levels else 0.0,
-                           squash=config.squash, **kw)
-             for lv, kw in parts["hfp"].items()},
-        sdp={lv: SdpParams(**kw) for lv, kw in parts["sdp"].items()},
-        out_convs={lv: kw["conv"] for lv, kw in parts["out"].items()},
-        laterals={lv: kw["conv"] for lv, kw in parts.get("lateral", {}).items()},
-    )
-
-
-def _layer(weights: HsfpnWeights, name: str) -> ConvLayer:
-    """The layer of `weights` that a :func:`layer_specs` name refers to."""
-    module, level, role = split_layer_name(name)
-    if module in ("hfp", "sdp"):
-        return getattr(getattr(weights, module)[level], role)
-    return (weights.out_convs if module == "out" else weights.laterals)[level]
-
-
 def init_weights(config: PyramidConfig, backbone_channels: dict | None = None) -> HsfpnWeights:
     """Seeded weight initialisation: uniform on +-sqrt(3/fan_in), zero biases.
 
@@ -194,17 +211,17 @@ def init_weights(config: PyramidConfig, backbone_channels: dict | None = None) -
     """
     rng = np.random.default_rng(config.seed)
     specs = layer_specs(config, backbone_channels)
-    return _assemble(config, {name: _draw_layer(rng, spec) for name, spec in specs.items()})
+    return HsfpnWeights(config, {name: _draw_layer(rng, spec) for name, spec in specs.items()})
 
 
 def build_laterals(backbone_feats: FeaturePyramid, weights: HsfpnWeights) -> FeaturePyramid:
     """Reduce arbitrary backbone channel counts to the configured width with 1x1 convolutions."""
-    if not weights.laterals:
+    if "lateral2.conv" not in weights.layers:
         raise ValidationError("weights carry no lateral convolutions; pass backbone_channels to init_weights")
     out = {}
     for level in LEVELS:
         feat = backbone_feats[level]
-        layer = weights.laterals[level]
+        layer = weights.layers[f"lateral{level}.conv"]
         if feat.shape[1] != layer.spec.in_channels:
             raise ShapeError(
                 f"level {level} has {feat.shape[1]} channels, lateral expects {layer.spec.in_channels}"
@@ -238,16 +255,16 @@ def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights, timings: dict | 
             fused = c_pyr[level] if upper is None else c_pyr[level] + upsample2x(upper)
             spent["baseline_fuse"] += clock() - t0
         else:
-            fused = hfp_forward(c_pyr[level], weights.hfp[level])
+            fused = hfp_forward(c_pyr[level], weights.hfp_params(level))
             t1 = clock()
             spent["hfp"] += t1 - t0
             if upper is not None:
-                fused = sdp_forward(fused, upper, weights.sdp[level].with_blocks(h5, w5))
+                fused = sdp_forward(fused, upper, weights.sdp_params(level, h5, w5))
                 if config.fusion_mode == "sdp_plus_add":
                     fused = fused + upsample2x(upper)
                 spent["sdp"] += clock() - t1
         t0 = clock()
-        outputs[level] = weights.out_convs[level](fused)
+        outputs[level] = weights.layers[f"out{level}.conv"](fused)
         spent["output_conv"] += clock() - t0
 
     if timings is not None:
@@ -364,11 +381,9 @@ def save_weights(path, weights: HsfpnWeights) -> None:
     The manifest schema is documented in the README: a config block plus one
     entry per layer with the ConvSpec fields and the weight/bias file names.
     """
-    backbone = {lv: layer.spec.in_channels for lv, layer in weights.laterals.items()} or None
     manifest = {"format": "hsfpn-weights-v1", "config": asdict(weights.config), "layers": {}}
     tensors = {}
-    for name in layer_specs(weights.config, backbone):
-        layer = _layer(weights, name)
+    for name, layer in weights.layers.items():
         entry = {**asdict(layer.spec), "weight": f"{name}.weight.pft"}
         tensors[entry["weight"]] = (f"{name} weight", layer.weight)
         if layer.bias is not None:
@@ -382,11 +397,11 @@ def load_weights(path) -> HsfpnWeights:
     """Inverse of :func:`save_weights`.
 
     A manifest that is not a JSON object, lacks a config field or layer
-    entry, or holds a value of the wrong type raises ValidationError. So does
-    a layer whose spec differs from the one its config implies, a layer name
-    the config does not imply, and laterals for some levels but not all. Weight
-    and bias files that break the :class:`ConvLayer` contract raise its error,
-    prefixed with the layer name.
+    entry, or holds a value of the wrong type raises ValidationError, and so
+    does a layer name the config does not imply, before any file is read.
+    Weight and bias files that break the :class:`ConvLayer` contract raise
+    its error, prefixed with the layer name. The layers are checked against
+    the config once, by :class:`HsfpnWeights`.
     """
     path = Path(path)
     manifest_path = path / MANIFEST
@@ -400,18 +415,12 @@ def load_weights(path) -> HsfpnWeights:
         raise _malformed(manifest_path, "config", err) from None
     if not isinstance(layers, dict):
         raise ValidationError(f"{manifest_path}: 'layers' must be an object")
-    backbone = None
-    try:
-        if any(name.startswith("lateral") for name in layers):
-            backbone = {lv: layers[f"lateral{lv}.conv"]["in_channels"] for lv in LEVELS}
-        expected = layer_specs(config, backbone)
-    except (KeyError, TypeError) as err:
-        raise _malformed(manifest_path, "laterals (all of levels 2..5 or none)", err) from None
-    unexpected = sorted(set(layers) - set(expected))
+    known = {*layer_specs(config), *(f"lateral{lv}.conv" for lv in LEVELS)}
+    unexpected = sorted(set(layers) - known)
     if unexpected:
         raise ValidationError(f"{manifest_path}: layers {unexpected} do not belong to the config")
 
-    def layer(name: str, expected_spec: ConvSpec) -> ConvLayer:
+    def layer(name: str) -> ConvLayer:
         try:
             entry = layers[name]
             spec = _from_manifest(ConvSpec, entry)
@@ -419,8 +428,6 @@ def load_weights(path) -> HsfpnWeights:
             bias_path = path / entry["bias"] if "bias" in entry else None
         except (KeyError, TypeError, ValidationError) as err:
             raise _malformed(manifest_path, f"layer {name!r}", err) from None
-        if spec != expected_spec:
-            raise ValidationError(f"{name}: manifest spec {spec} disagrees with config {expected_spec}")
         weight = hio.read_tensor(weight_path)
         bias = hio.read_tensor(bias_path) if bias_path is not None else None
         try:
@@ -428,4 +435,4 @@ def load_weights(path) -> HsfpnWeights:
         except (ShapeError, ValidationError) as err:
             raise type(err)(f"{name}: {err}") from None
 
-    return _assemble(config, {name: layer(name, spec) for name, spec in expected.items()})
+    return HsfpnWeights(config, {name: layer(name) for name in layers})

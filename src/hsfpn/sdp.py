@@ -14,7 +14,7 @@ over the unique keys j with multiplicities m_j. A 1x1 projection commutes with
 the upsampling, so keys and values are projected at the upper extents.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
@@ -29,31 +29,26 @@ def sdp_specs(channels: int, bias: bool = False) -> dict:
     return {"q_conv": spec, "k_conv": spec, "v_conv": spec}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SdpParams:
     """Projection weights and block extents for one pyramid level.
 
     q_conv / k_conv / v_conv are 1x1 convolutions preserving the channel
     count (bias-free by default). Block extents equal the top pyramid level's
-    spatial extents; leave them None to have the pyramid assembly fill them in
+    spatial extents; :meth:`hsfpn.pyramid.HsfpnWeights.sdp_params` takes them
     from the input at forward time.
     """
 
     q_conv: ConvLayer
     k_conv: ConvLayer
     v_conv: ConvLayer
-    block_h: int | None = None
-    block_w: int | None = None
+    block_h: int
+    block_w: int
 
     def __post_init__(self):
         check_layers(self, sdp_specs(self.q_conv.spec.in_channels))
-        if (self.block_h is None) != (self.block_w is None):
-            raise ValidationError("block extents must be set together")
-        if self.block_h is not None and (self.block_h < 1 or self.block_w < 1):
+        if self.block_h < 1 or self.block_w < 1:
             raise ValidationError("block extents must be >= 1")
-
-    def with_blocks(self, block_h: int, block_w: int) -> "SdpParams":
-        return replace(self, block_h=block_h, block_w=block_w)
 
 
 def attention_weights(q, k) -> np.ndarray:
@@ -138,8 +133,6 @@ def sdp_forward(c_low, p_up, params: SdpParams) -> np.ndarray:
         raise ShapeError(
             f"upper feature {p_up.shape[2:]} must be half the lower extents {(h, w)}"
         )
-    if params.block_h is None:
-        raise ValidationError("SdpParams block extents are unset")
     bh, bw = params.block_h, params.block_w
     if h % bh or w % bw:
         raise ShapeError(f"block extents ({bh}, {bw}) do not divide spatial extents ({h}, {w})")

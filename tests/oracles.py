@@ -260,19 +260,19 @@ def naive_hsfpn_forward(c_pyr, weights, alpha):
     """End-to-end composition of the module oracles along the top-down path.
 
     Levels in `weights.config.filter_levels` are filtered with `alpha`, the
-    others not at all; the alphas stored in `weights.hfp` are not consulted.
+    others not at all; the alphas `weights.hfp_params` gives are not consulted.
     """
     config = weights.config
     outputs = {}
     for level in (5, 4, 3, 2):
         level_alpha = alpha if level in config.filter_levels else 0.0
-        enriched = naive_hfp_forward(c_pyr[level], weights.hfp[level], level_alpha)
+        enriched = naive_hfp_forward(c_pyr[level], weights.hfp_params(level), level_alpha)
         if level == 5:
             fused = enriched
         else:
             h5 = c_pyr[5].shape[2]
             w5 = c_pyr[5].shape[3]
-            params = weights.sdp[level].with_blocks(h5, w5)
+            params = weights.sdp_params(level, h5, w5)
             fused = naive_sdp_forward(enriched, outputs[level + 1], params)
             if config.fusion_mode == "sdp_plus_add":
                 fused = fused + naive_upsample2x(outputs[level + 1])

@@ -263,28 +263,29 @@ def test_degenerate_collapse():
         identity = np.zeros((channels, channels, 3, 3), np.float32)
         for c in range(channels):
             identity[c, c, 1, 1] = 1.0
+        forced = {}
         for lv in (2, 3, 4, 5):
-            p = weights.hfp[lv]
-            weights.hfp[lv] = dataclasses.replace(
-                p,
-                gap_conv=ConvLayer(p.gap_conv.spec, np.zeros_like(p.gap_conv.weight),
-                                   np.zeros(channels, np.float32)),
-                gmp_conv=ConvLayer(p.gmp_conv.spec, np.zeros_like(p.gmp_conv.weight),
-                                   np.zeros(channels, np.float32)),
-                merge_conv=ConvLayer(p.merge_conv.spec, np.zeros_like(p.merge_conv.weight),
-                                     np.full(channels, 0.5, np.float32)),
-                spatial_conv=ConvLayer(p.spatial_conv.spec, np.zeros_like(p.spatial_conv.weight),
-                                       np.full(1, 0.5, np.float32)),
-                fuse_conv=ConvLayer(ConvSpec(channels, channels, 3, 1, False), identity),
-            )
-        for lv in weights.sdp:
-            p = weights.sdp[lv]
-            weights.sdp[lv] = dataclasses.replace(
-                p, v_conv=ConvLayer(p.v_conv.spec, np.zeros_like(p.v_conv.weight))
-            )
+            p = weights.hfp_params(lv)
+            forced.update({
+                f"hfp{lv}.gap_conv": ConvLayer(p.gap_conv.spec, np.zeros_like(p.gap_conv.weight),
+                                               np.zeros(channels, np.float32)),
+                f"hfp{lv}.gmp_conv": ConvLayer(p.gmp_conv.spec, np.zeros_like(p.gmp_conv.weight),
+                                               np.zeros(channels, np.float32)),
+                f"hfp{lv}.merge_conv": ConvLayer(p.merge_conv.spec, np.zeros_like(p.merge_conv.weight),
+                                                 np.full(channels, 0.5, np.float32)),
+                f"hfp{lv}.spatial_conv": ConvLayer(p.spatial_conv.spec, np.zeros_like(p.spatial_conv.weight),
+                                                   np.full(1, 0.5, np.float32)),
+                # the config's spec (conv_bias=True) with a zero bias: the identity still
+                f"hfp{lv}.fuse_conv": ConvLayer(p.fuse_conv.spec, identity, np.zeros(channels, np.float32)),
+            })
+        for lv in (2, 3, 4):
+            v = weights.layers[f"sdp{lv}.v_conv"]
+            forced[f"sdp{lv}.v_conv"] = ConvLayer(v.spec, np.zeros_like(v.weight))
+        weights = dataclasses.replace(weights, layers={**weights.layers, **forced})
 
         fpn_weights = init_weights(dataclasses.replace(config, mode="fpn_baseline"))
-        fpn_weights.out_convs = weights.out_convs
+        shared = {f"out{lv}.conv": weights.out_convs[lv] for lv in (2, 3, 4, 5)}
+        fpn_weights = dataclasses.replace(fpn_weights, layers={**fpn_weights.layers, **shared})
 
         pyr = random_pyramid(channels, base_hw=(32, 32), seed=6)
         collapsed = hsfpn_forward(pyr, weights)

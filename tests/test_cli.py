@@ -344,6 +344,12 @@ class TestParams:
         assert main(["params"]) == 0
         assert capsys.readouterr().out == count_params(PyramidConfig(), (200, 200)).to_table() + "\n"
 
+    def test_default_groups_follow_the_channels_as_in_forward(self, capsys):
+        # forward and params share one default: gcd(channels, 16)
+        assert main(["params", "--channels", "24"]) == 0
+        config = PyramidConfig(channels=24, groups=8)
+        assert capsys.readouterr().out == count_params(config, (200, 200)).to_table() + "\n"
+
     def test_invalid_groups_config_error(self, pyramid_dir, tmp_path, capsys):
         for argv in (["params", "--channels", "30", "--groups", "16"],
                      ["params", "--groups", "0"],
@@ -402,6 +408,39 @@ class TestOutputsNameOneFile:
         err = capsys.readouterr().err
         assert err.startswith("hsfpn: usage: two outputs of one run name the same file") and err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before
+
+
+def tree_bytes(root: Path) -> dict:
+    """Every path under `root`, with the bytes of each file."""
+    return {path: path.is_file() and path.read_bytes() for path in root.rglob("*")}
+
+
+class TestForwardKeepsItsInputs:
+    """An output of `forward` that names a file it reads fails before any work and writes nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ("-o", "in"),
+        ("-o", "in/../in"),
+        ("-o", "out", "--report", "in/c2.pft"),
+        ("-o", "out", "--report", "in/manifest.json"),
+    ], ids=["output-is-input-dir", "output-resolves-to-input-dir", "report-is-input-level",
+            "report-is-input-manifest"])
+    def test_writes_nothing(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_pyramid_dir("in", random_pyramid(8, base_hw=(16, 16), seed=1), prefix="c")
+        before = tree_bytes(tmp_path)
+        assert main(["forward", "in", *argv]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"hsfpn: usage: output '.*' names a file the run reads\n", err), err
+        assert tree_bytes(tmp_path) == before
+
+    def test_second_run_reads_the_inputs(self, tmp_path, monkeypatch):
+        # refused in place, so a later run still reads c2..c5.pft, not earlier outputs
+        monkeypatch.chdir(tmp_path)
+        write_pyramid_dir("in", random_pyramid(8, base_hw=(16, 16), seed=1), prefix="c")
+        assert main(["forward", "in", "-o", "in", "--k", "2"]) == 1
+        assert main(["forward", "in", "-o", "out", "--k", "2"]) == 0
+        assert json.loads(Path("in/manifest.json").read_text())["prefix"] == "c"
 
 
 def sha256(data: bytes) -> str:

@@ -104,7 +104,7 @@ class TestChannelPath:
         # zero the max branch; permuting pixels inside pooling windows must not change u_cp
         c, k = 4, 2
         params = make_params(channels=c, k=k, bias=True, seed=5)
-        params.gmp_conv = zero_layer(params.gmp_conv.spec)
+        params = dataclasses.replace(params, gmp_conv=zero_layer(params.gmp_conv.spec))
         f = RNG.standard_normal((1, c, 8, 8)).astype(np.float32)
         g = f.copy()
         # swap two pixels inside the same 4x4 pooling window
@@ -117,7 +117,8 @@ class TestSpatialPath:
         c = 4
         params = make_params(channels=c)
         spec = ConvSpec(c, 1, kernel=1, has_bias=False)
-        params.spatial_conv = ConvLayer(spec, np.full(spec.weight_shape, 1.0 / c, np.float32))
+        averaging = ConvLayer(spec, np.full(spec.weight_shape, 1.0 / c, np.float32))
+        params = dataclasses.replace(params, spatial_conv=averaging)
         f = RNG.standard_normal((2, c, 5, 5)).astype(np.float32)
         out = spatial_path(f, params)
         np.testing.assert_allclose(out[:, 0], f.mean(axis=1), atol=1e-6)
@@ -155,11 +156,14 @@ class TestHfpForward:
     def test_forced_unit_weights_give_two_c(self):
         c = 3
         params = make_params(channels=c, k=2, bias=True, alpha=0.0)
-        params.gap_conv = zero_layer(params.gap_conv.spec)
-        params.gmp_conv = zero_layer(params.gmp_conv.spec)
-        params.merge_conv = zero_layer(params.merge_conv.spec, bias_value=1.0)
-        params.spatial_conv = zero_layer(params.spatial_conv.spec, bias_value=1.0)
-        params.fuse_conv = identity_fuse(c)
+        params = dataclasses.replace(
+            params,
+            gap_conv=zero_layer(params.gap_conv.spec),
+            gmp_conv=zero_layer(params.gmp_conv.spec),
+            merge_conv=zero_layer(params.merge_conv.spec, bias_value=1.0),
+            spatial_conv=zero_layer(params.spatial_conv.spec, bias_value=1.0),
+            fuse_conv=identity_fuse(c),
+        )
         x = RNG.standard_normal((1, c, 6, 6)).astype(np.float32)
         np.testing.assert_array_equal(hfp_forward(x, params), 2 * x)
 
@@ -191,7 +195,7 @@ class TestHfpForward:
         outs = []
         for alpha in (0.0, 0.3, 0.9):
             config = PyramidConfig(channels=4, alpha=alpha, k=2, groups=1, seed=21, filter_levels=())
-            outs.append(hfp_forward(x, init_weights(config).hfp[2]).tobytes())
+            outs.append(hfp_forward(x, init_weights(config).hfp_params(2)).tobytes())
         assert outs[0] == outs[1] == outs[2]
 
     def test_squash_flag_changes_output(self):
@@ -214,7 +218,8 @@ class TestHfpForward:
         # the spec layer_specs gives a role is accepted; one wrong kernel or
         # channel count is not
         config = PyramidConfig(channels=4, k=2, groups=2)
-        params = getattr(init_weights(config), module)[2]
+        weights = init_weights(config)
+        params = weights.hfp_params(2) if module == "hfp" else weights.sdp_params(2, 1, 1)
         spec = layer_specs(config)[f"{module}2.{role}"]
         dataclasses.replace(params, **{role: rand_layer(RNG, spec)})
         wrong = 4 - spec.kernel if fault == "kernel" else 2 * getattr(spec, fault)

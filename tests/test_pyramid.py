@@ -11,6 +11,7 @@ from hsfpn import (
     ConvSpec,
     CostModel,
     FeaturePyramid,
+    HsfpnWeights,
     PyramidConfig,
     ShapeError,
     ValidationError,
@@ -42,6 +43,11 @@ NON_DEFAULT = PyramidConfig(channels=8, alpha=0.5, k=3, groups=4, fusion_mode="s
 
 def small_pyramid(seed=0, channels=4, base=(16, 16)):
     return random_pyramid(channels, base_hw=base, seed=seed)
+
+
+def replace_layers(weights, layers):
+    """`weights` with the named layers swapped in, rebuilt (and checked) by the constructor."""
+    return dataclasses.replace(weights, layers={**weights.layers, **layers})
 
 
 def zeroed(layer):
@@ -81,18 +87,19 @@ class TestInitWeights:
     def test_same_seed_bitwise(self):
         a = init_weights(SMALL)
         b = init_weights(SMALL)
-        assert a.hfp[2].fuse_conv.weight.tobytes() == b.hfp[2].fuse_conv.weight.tobytes()
-        assert a.sdp[3].q_conv.weight.tobytes() == b.sdp[3].q_conv.weight.tobytes()
+        assert a.layers["hfp2.fuse_conv"].weight.tobytes() == b.layers["hfp2.fuse_conv"].weight.tobytes()
+        assert a.layers["sdp3.q_conv"].weight.tobytes() == b.layers["sdp3.q_conv"].weight.tobytes()
         assert a.out_convs[5].weight.tobytes() == b.out_convs[5].weight.tobytes()
 
     def test_different_seed_differs(self):
         a = init_weights(SMALL)
         b = init_weights(dataclasses.replace(SMALL, seed=2))
-        assert a.hfp[2].fuse_conv.weight.tobytes() != b.hfp[2].fuse_conv.weight.tobytes()
+        assert a.layers["hfp2.fuse_conv"].weight.tobytes() != b.layers["hfp2.fuse_conv"].weight.tobytes()
 
     def test_fan_in_bound(self):
         weights = init_weights(SMALL)
-        for params in weights.hfp.values():
+        for lv in (2, 3, 4, 5):
+            params = weights.hfp_params(lv)
             for layer in (params.gap_conv, params.gmp_conv, params.merge_conv,
                           params.spatial_conv, params.fuse_conv):
                 spec = layer.spec
@@ -113,15 +120,93 @@ class TestInitWeights:
             save_weights(path, weights)
             for built in (weights, load_weights(path)):
                 for lv in (2, 3, 4, 5):
-                    alpha = built.hfp[lv].alpha
+                    alpha = built.hfp_params(lv).alpha
                     assert alpha == (config.alpha if lv in levels else 0.0), (levels, lv)
                     if lv not in levels:
                         assert highfreq_response(x, alpha).tobytes() == x.tobytes()
 
     def test_sdp_projections_bias_free_by_default(self):
         weights = init_weights(SMALL)
-        for p in weights.sdp.values():
+        for lv in (2, 3, 4):
+            p = weights.sdp_params(lv, 1, 1)
             assert p.q_conv.bias is None and p.k_conv.bias is None and p.v_conv.bias is None
+
+
+def drop(name):
+    return lambda layers: layers.pop(name)
+
+
+def swap(name, build):
+    return lambda layers: layers.update({name: build(layers)})
+
+
+BIAS_FREE = dataclasses.replace(layer_specs(SMALL)["out2.conv"], has_bias=False)
+
+
+class TestWeightTable:
+    """HsfpnWeights is a config plus its {name: ConvLayer} layers, checked once where built."""
+
+    @pytest.mark.parametrize("edit, match", [
+        (swap("hfp2.fuse_conv", lambda layers: layers["hfp2.gap_conv"]), "hfp2.fuse_conv: spec"),
+        (swap("out2.conv", lambda layers: ConvLayer(BIAS_FREE, layers["out2.conv"].weight)), "out2.conv: spec"),
+        (swap("sdp3.k_conv", lambda layers: layers["sdp3.k_conv"].weight), "sdp3.k_conv: expected a ConvLayer"),
+        (drop("sdp3.k_conv"), r"missing layers \['sdp3.k_conv'\]"),
+        (swap("hfp6.gap_conv", lambda layers: layers["hfp5.gap_conv"]), r"not of the config \['hfp6.gap_conv'\]"),
+        (drop("lateral5.conv"), r"laterals must cover all of levels .* got \[2, 3, 4\]"),
+        (swap("lateral5.conv", lambda layers: layers["out5.conv"]), "lateral5.conv: spec"),
+    ], ids=["1x1-in-3x3-role", "bias-free-under-conv-bias", "not-a-layer", "missing", "extra",
+            "partial-laterals", "lateral-not-1x1"])
+    def test_bad_table_rejected(self, edit, match):
+        layers = dict(init_weights(SMALL, backbone_channels={2: 6, 3: 6, 4: 6, 5: 6}).layers)
+        edit(layers)
+        with pytest.raises(ValidationError, match=match):
+            HsfpnWeights(SMALL, layers)
+
+    def test_frozen_two_fields_read_only_layers(self):
+        weights = init_weights(SMALL)
+        assert [f.name for f in dataclasses.fields(weights)] == ["config", "layers"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            weights.config = NON_DEFAULT
+        with pytest.raises(TypeError):
+            weights.layers["hfp2.fuse_conv"] = weights.layers["out2.conv"]
+        with pytest.raises(TypeError):
+            weights.out_convs[2] = weights.layers["out3.conv"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            weights.hfp_params(2).fuse_conv = weights.layers["hfp2.gap_conv"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            weights.sdp_params(2, 2, 2).block_h = 1
+
+    def test_level_params_built_from_the_table_and_config(self):
+        config = dataclasses.replace(SMALL, alpha=0.6, squash=True, filter_levels=(3,))
+        weights = init_weights(config)
+        for lv in (2, 3, 4, 5):
+            p = weights.hfp_params(lv)
+            assert (p.k, p.alpha, p.squash) == (config.k, 0.6 if lv == 3 else 0.0, True)
+            for role in ("gap_conv", "gmp_conv", "merge_conv", "spatial_conv", "fuse_conv"):
+                assert getattr(p, role) is weights.layers[f"hfp{lv}.{role}"]
+        for lv in (2, 3, 4):
+            p = weights.sdp_params(lv, 3, 5)
+            assert (p.block_h, p.block_w) == (3, 5)
+            for role in ("q_conv", "k_conv", "v_conv"):
+                assert getattr(p, role) is weights.layers[f"sdp{lv}.{role}"]
+
+    def test_rebuilt_weights_save_load_forward_bitwise(self, tmp_path):
+        # layers built by hand, given in reverse order: stored in layer_specs
+        # order, and saved, loaded and run without a change
+        rng = np.random.default_rng(77)
+        layers = {}
+        for name, spec in reversed(layer_specs(SMALL).items()):
+            bias = rng.uniform(-1, 1, spec.out_channels).astype(np.float32) if spec.has_bias else None
+            layers[name] = ConvLayer(spec, rng.uniform(-1, 1, spec.weight_shape).astype(np.float32), bias)
+        rebuilt = HsfpnWeights(SMALL, layers)
+        assert list(rebuilt.layers) == list(layer_specs(SMALL))
+        save_weights(tmp_path / "w", rebuilt)
+        loaded = load_weights(tmp_path / "w")
+        pyr = small_pyramid(seed=31)
+        a, b = hsfpn_forward(pyr, rebuilt), hsfpn_forward(pyr, loaded)
+        for lv in (2, 3, 4, 5):
+            assert a[lv].tobytes() == b[lv].tobytes()
+        assert a[2].tobytes() != hsfpn_forward(pyr, init_weights(SMALL))[2].tobytes()
 
 
 class TestBuildLaterals:
@@ -129,8 +214,8 @@ class TestBuildLaterals:
         config = dataclasses.replace(SMALL, conv_bias=False)
         weights = init_weights(config, backbone_channels={2: 4, 3: 4, 4: 4, 5: 4})
         eye = np.eye(4, dtype=np.float32).reshape(4, 4, 1, 1)
-        for lv in (2, 3, 4, 5):
-            weights.laterals[lv] = ConvLayer(weights.laterals[lv].spec, eye)
+        laterals = {f"lateral{lv}.conv": weights.layers[f"lateral{lv}.conv"] for lv in (2, 3, 4, 5)}
+        weights = replace_layers(weights, {name: ConvLayer(layer.spec, eye) for name, layer in laterals.items()})
         pyr = small_pyramid()
         out = build_laterals(pyr, weights)
         for lv in (2, 3, 4, 5):
@@ -138,10 +223,10 @@ class TestBuildLaterals:
 
     def test_zero_input_bias_only(self):
         weights = init_weights(SMALL, backbone_channels={2: 6, 3: 6, 4: 6, 5: 6})
-        for lv in (2, 3, 4, 5):
-            layer = weights.laterals[lv]
-            weights.laterals[lv] = ConvLayer(layer.spec, layer.weight,
-                                             np.full(4, 0.25, np.float32))
+        laterals = {f"lateral{lv}.conv": weights.layers[f"lateral{lv}.conv"] for lv in (2, 3, 4, 5)}
+        quarter = np.full(4, 0.25, np.float32)
+        weights = replace_layers(weights, {name: ConvLayer(layer.spec, layer.weight, quarter)
+                                           for name, layer in laterals.items()})
         levels = {lv: np.zeros((1, 6, 16 >> (lv - 2), 16 >> (lv - 2)), np.float32)
                   for lv in (2, 3, 4, 5)}
         out = build_laterals(FeaturePyramid(levels), weights)
@@ -154,7 +239,7 @@ class TestBuildLaterals:
                   for lv, c in zip((2, 3, 4, 5), (3, 5, 6, 8))}
         out = build_laterals(FeaturePyramid(levels), weights)
         for lv in (2, 3, 4, 5):
-            layer = weights.laterals[lv]
+            layer = weights.layers[f"lateral{lv}.conv"]
             ref = naive_conv2d(levels[lv], layer.weight, layer.bias)
             np.testing.assert_allclose(out[lv], ref, atol=1e-5)
 
@@ -216,11 +301,8 @@ class TestForward:
         weights = init_weights(SMALL)
         pyr = small_pyramid(seed=11)
         base = hsfpn_forward(pyr, weights)
-        for lv in weights.sdp:
-            p = weights.sdp[lv]
-            weights.sdp[lv] = dataclasses.replace(
-                p, q_conv=zeroed(p.q_conv), k_conv=zeroed(p.k_conv), v_conv=zeroed(p.v_conv)
-            )
+        weights = replace_layers(weights, {name: zeroed(layer) for name, layer in weights.layers.items()
+                                           if name.startswith("sdp")})
         out = hsfpn_forward(pyr, weights)
         assert out[5].tobytes() == base[5].tobytes()
         assert any(not np.array_equal(out[lv], base[lv]) for lv in (2, 3, 4))
@@ -269,26 +351,29 @@ class TestDegenerateCollapse:
         for c in range(channels):
             identity[c, c, 1, 1] = 1.0
 
+        forced = {}
         for lv in (2, 3, 4, 5):
-            p = weights.hfp[lv]
+            p = weights.hfp_params(lv)
             half = np.full(channels, 0.5, np.float32)
-            weights.hfp[lv] = dataclasses.replace(
-                p,
-                gap_conv=ConvLayer(p.gap_conv.spec, np.zeros_like(p.gap_conv.weight),
-                                   np.zeros(channels, np.float32)),
-                gmp_conv=ConvLayer(p.gmp_conv.spec, np.zeros_like(p.gmp_conv.weight),
-                                   np.zeros(channels, np.float32)),
-                merge_conv=ConvLayer(p.merge_conv.spec, np.zeros_like(p.merge_conv.weight), half),
-                spatial_conv=ConvLayer(p.spatial_conv.spec, np.zeros_like(p.spatial_conv.weight),
-                                       np.full(1, 0.5, np.float32)),
-                fuse_conv=ConvLayer(ConvSpec(channels, channels, 3, 1, False), identity),
-            )
-        for lv in weights.sdp:
-            p = weights.sdp[lv]
-            weights.sdp[lv] = dataclasses.replace(p, v_conv=zeroed(p.v_conv))
+            forced.update({
+                f"hfp{lv}.gap_conv": ConvLayer(p.gap_conv.spec, np.zeros_like(p.gap_conv.weight),
+                                               np.zeros(channels, np.float32)),
+                f"hfp{lv}.gmp_conv": ConvLayer(p.gmp_conv.spec, np.zeros_like(p.gmp_conv.weight),
+                                               np.zeros(channels, np.float32)),
+                f"hfp{lv}.merge_conv": ConvLayer(p.merge_conv.spec, np.zeros_like(p.merge_conv.weight), half),
+                f"hfp{lv}.spatial_conv": ConvLayer(p.spatial_conv.spec, np.zeros_like(p.spatial_conv.weight),
+                                                   np.full(1, 0.5, np.float32)),
+                # the config's spec (conv_bias=True) with a zero bias: the identity still
+                f"hfp{lv}.fuse_conv": ConvLayer(p.fuse_conv.spec, identity, np.zeros(channels, np.float32)),
+            })
+        for lv in (2, 3, 4):
+            forced[f"sdp{lv}.v_conv"] = zeroed(weights.layers[f"sdp{lv}.v_conv"])
+        weights = replace_layers(weights, forced)
 
         fpn_weights = init_weights(dataclasses.replace(config, mode="fpn_baseline"))
-        fpn_weights.out_convs = weights.out_convs  # shared output convolutions
+        # shared output convolutions
+        fpn_weights = replace_layers(fpn_weights, {f"out{lv}.conv": weights.out_convs[lv]
+                                                   for lv in (2, 3, 4, 5)})
 
         pyr = small_pyramid(seed=17)
         collapsed = hsfpn_forward(pyr, weights)
@@ -521,8 +606,10 @@ class TestPyramidIo:
         weights = init_weights(SMALL, backbone_channels={2: 6, 3: 6, 4: 6, 5: 6})
         save_weights(tmp_path / "w", weights)
         loaded = load_weights(tmp_path / "w")
-        assert sorted(loaded.laterals) == [2, 3, 4, 5]
-        np.testing.assert_array_equal(loaded.laterals[2].weight, weights.laterals[2].weight)
+        assert [name for name in loaded.layers if name.startswith("lateral")] == [
+            f"lateral{lv}.conv" for lv in (2, 3, 4, 5)]
+        np.testing.assert_array_equal(loaded.layers["lateral2.conv"].weight,
+                                      weights.layers["lateral2.conv"].weight)
 
 
 # Values a hostile manifest may put where another belongs: every JSON type,
@@ -653,7 +740,7 @@ class TestConfigFieldTypes:
         assert config.filter_levels == (2,)
         plain = dataclasses.replace(SMALL, alpha=0.5, filter_levels=(2,))
         assert layer_specs(config) == layer_specs(plain)
-        assert init_weights(config).hfp[2].alpha == np.float32(0.5)
+        assert init_weights(config).hfp_params(2).alpha == np.float32(0.5)
 
     def test_numpy_scalar_config_saves_and_reloads(self, tmp_path):
         config = PyramidConfig(channels=np.int64(4), k=np.int16(2), groups=np.int32(2), alpha=np.float32(0.25),

@@ -297,14 +297,6 @@ class TestSdpForward:
         with pytest.raises(ShapeError, match="do not divide"):
             sdp_forward(c_low, p_up, params)
 
-    def test_unset_blocks_rejected(self):
-        rng = np.random.default_rng(0)
-        params = SdpParams(proj_layer(rng, 4), proj_layer(rng, 4), proj_layer(rng, 4))
-        c_low = RNG.standard_normal((1, 4, 8, 8)).astype(np.float32)
-        p_up = RNG.standard_normal((1, 4, 4, 4)).astype(np.float32)
-        with pytest.raises(ValidationError):
-            sdp_forward(c_low, p_up, params)
-
     def test_batched_matches_per_sample(self):
         c_low = RNG.standard_normal((2, 4, 8, 8)).astype(np.float32)
         p_up = RNG.standard_normal((2, 4, 4, 4)).astype(np.float32)
