@@ -350,14 +350,19 @@ def _malformed(path: Path, what: str, err: Exception) -> ValidationError:
 def read_pyramid_dir(path, prefix: str = "c") -> FeaturePyramid:
     """Read `<prefix><level>.pft` files, validated against the directory manifest.
 
-    A manifest that is not a JSON object, or whose level entries are not
-    objects naming their file as a string, raises ValidationError.
+    A manifest that is not a JSON object, whose `prefix` (if given) is not
+    `prefix`, or whose level entries are not objects naming their file as a
+    string, raises ValidationError.
     """
     path = Path(path)
     manifest_path = path / MANIFEST
     entries = {}
     if manifest_path.exists():
-        entries = _read_manifest(manifest_path).get("levels", {})
+        manifest = _read_manifest(manifest_path)
+        if manifest.get("prefix", prefix) != prefix:
+            raise ValidationError(f"{manifest_path}: files have prefix {manifest['prefix']!r}, "
+                                  f"expected {prefix!r}")
+        entries = manifest.get("levels", {})
         if not isinstance(entries, dict) or not all(isinstance(e, dict) for e in entries.values()):
             raise ValidationError(f"{manifest_path}: 'levels' must map level names to objects")
     levels = {}

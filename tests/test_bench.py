@@ -26,3 +26,18 @@ def test_traced_run_is_correct(workload):
     record = json.loads((ROOT / "bench" / "out" / f"{workload}-seed0-trace1.json").read_text())
     assert record["mac_cross_check"]["status"] == "ok", record["mac_cross_check"]
     assert record["count_failures"] == {}
+
+
+@pytest.mark.parametrize("workload, bound_mb", [("fpn-mid", 16), ("hsfpn-mid", 21)])
+def test_untraced_peak_memory_bounded(workload, bound_mb):
+    # the end-to-end tracemalloc peak is set by the level-2 3x3 convs' workspace
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
+         "--seconds", "0.2", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, result
+    peak_mb = result["metrics"]["peak_mb"]["value"]
+    assert peak_mb <= bound_mb, f"peak_mb {peak_mb:.2f} exceeds {bound_mb}"

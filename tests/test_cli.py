@@ -442,6 +442,18 @@ class TestForwardKeepsItsInputs:
         assert main(["forward", "in", "-o", "out", "--k", "2"]) == 0
         assert json.loads(Path("in/manifest.json").read_text())["prefix"] == "c"
 
+    def test_earlier_output_is_not_read_as_input(self, tmp_path, monkeypatch, capsys):
+        # out/ holds p2..p5.pft under a manifest with prefix "p"; forward reads c2..c5.pft
+        monkeypatch.chdir(tmp_path)
+        write_pyramid_dir("in", random_pyramid(8, base_hw=(16, 16), seed=1), prefix="c")
+        assert main(["forward", "in", "-o", "out", "--k", "2"]) == 0
+        capsys.readouterr()
+        before = tree_bytes(tmp_path)
+        assert main(["forward", "out", "-o", "out2", "--k", "2"]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"hsfpn: config: .*prefix 'p', expected 'c'\n", err), err
+        assert tree_bytes(tmp_path) == before
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()

@@ -491,6 +491,23 @@ class TestPyramidIo:
         with pytest.raises(ValidationError):
             read_pyramid_dir(tmp_path / "pyr", prefix="c")
 
+    def test_manifest_prefix_must_match(self, tmp_path):
+        # an earlier forward's output directory names p2..p5.pft; it is not read as c2..c5
+        write_pyramid_dir(tmp_path / "pyr", small_pyramid(), prefix="p")
+        with pytest.raises(ValidationError, match="prefix 'p', expected 'c'"):
+            read_pyramid_dir(tmp_path / "pyr", prefix="c")
+
+    def test_manifest_without_prefix_reads(self, tmp_path):
+        pyr = small_pyramid(seed=3)
+        write_pyramid_dir(tmp_path / "pyr", pyr, prefix="c")
+        manifest_path = tmp_path / "pyr" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["prefix"]
+        manifest_path.write_text(json.dumps(manifest))
+        back = read_pyramid_dir(tmp_path / "pyr", prefix="c")
+        for lv in (2, 3, 4, 5):
+            assert back[lv].tobytes() == pyr[lv].tobytes()
+
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"levels": [1]}',
                                       '{"levels": {"2": {"file": 7}}}'],
                              ids=["not-json", "not-object", "levels-list", "file-not-string"])

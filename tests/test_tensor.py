@@ -14,6 +14,7 @@ from hsfpn import (
     conv2d,
     relu,
     sigmoid,
+    tensor,
     upsample2x,
 )
 
@@ -148,31 +149,76 @@ class TestConv2dEdgeCases:
         np.testing.assert_allclose(out, naive_conv2d(x, weight, bias), atol=1e-5)
 
 
-def conv_peak_over_input(kernel):
-    """tracemalloc peak of one 64 -> 64 conv2d on (1, 64, 128, 128), over the input's bytes."""
-    x = randf(1, 64, 128, 128)
+BAND_SHAPES = [(h, w) for h in (15, 16, 17, 33, 37) for w in (5, 24)]
+
+
+class TestConv2dBands:
+    """`conv2d` runs `BAND_ROWS` output rows at a time; heights around the band edges."""
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("hw", BAND_SHAPES)
+    def test_matches_oracle(self, hw, with_bias, kernel):
+        x = randf(2, 8, *hw)
+        spec = ConvSpec(8, 12, kernel=kernel, groups=4, has_bias=with_bias)
+        weight = randf(*spec.weight_shape)
+        bias = randf(12) if with_bias else None
+        out = conv2d(x, spec, weight, bias)
+        np.testing.assert_allclose(out, naive_conv2d(x, weight, bias, groups=4), atol=1e-5)
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("shape", [(2, 8, *hw) for hw in BAND_SHAPES] + [(1, 64, 128, 128)])
+    def test_bitwise_equal_to_one_whole_map_band(self, shape, with_bias, kernel, monkeypatch):
+        x = randf(*shape)
+        groups = 4 if shape[1] == 8 else 1
+        spec = ConvSpec(shape[1], shape[1], kernel=kernel, groups=groups, has_bias=with_bias)
+        weight = randf(*spec.weight_shape)
+        bias = randf(shape[1]) if with_bias else None
+        banded = conv2d(x, spec, weight, bias)
+        monkeypatch.setattr(tensor, "BAND_ROWS", 10**6)
+        assert banded.tobytes() == conv2d(x, spec, weight, bias).tobytes()
+
+
+def conv_peak(kernel, height=128):
+    """tracemalloc peak of one 64 -> 64 conv2d on (1, 64, height, 128), with its input and output."""
+    x = randf(1, 64, height, 128)
     spec = ConvSpec(64, 64, kernel=kernel)
     weight, bias = randf(*spec.weight_shape), randf(64)
     conv2d(x, spec, weight, bias)  # first call outside the measurement
     tracemalloc.start()
     try:
-        conv2d(x, spec, weight, bias)
+        out = conv2d(x, spec, weight, bias)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, x, out
+
+
+def conv_peak_over_input(kernel):
+    peak, x, _ = conv_peak(kernel)
     return peak / x.nbytes
 
 
 class TestConv2dMemoryAndAccumulation:
     def test_3x3_peak_memory_bounded_by_input(self):
-        # the float64 input buffer (~2x), the accumulator and one tap product (2x each)
+        # the float32 output (1x) plus a 16-row band's float64 input buffer,
+        # accumulator and one tap product (~0.3x each at 128 rows): 1.89x
         ratio = conv_peak_over_input(3)
-        assert ratio <= 6.5, f"peak is {ratio:.2f}x the input"
+        assert ratio <= 2.2, f"peak is {ratio:.2f}x the input"
 
     def test_1x1_peak_memory_bounded_by_input(self):
-        # one tap: the float64 input buffer and the accumulator (2x each), no product
+        # one tap: the float32 output (1x) plus the band's input buffer and accumulator: 1.52x
         ratio = conv_peak_over_input(1)
-        assert ratio <= 4.5, f"peak is {ratio:.2f}x the input"
+        assert ratio <= 1.8, f"peak is {ratio:.2f}x the input"
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_working_memory_does_not_grow_with_height(self, kernel):
+        peak, _, out = conv_peak(kernel, height=128)
+        working = peak - out.nbytes
+        tall_peak, _, tall_out = conv_peak(kernel, height=256)
+        tall_working = tall_peak - tall_out.nbytes
+        assert abs(tall_working - working) <= 0.05 * working, (working, tall_working)
 
     def test_1x1_accumulates_in_float64(self):
         # float32 accumulation in channel order loses the 1 next to 1e8 and
