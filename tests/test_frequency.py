@@ -15,6 +15,7 @@ from hsfpn import (
     highpass_cut,
     highpass_mask,
     idct2,
+    lowcut_filter,
     lowcut_mask,
     scr,
     scr_filter_sweep,
@@ -256,6 +257,33 @@ class TestScr:
         with pytest.raises(ValidationError):
             scr(img, win)
 
+    @pytest.mark.parametrize("centre", [(50, 50), (3, 40), (97, 40), (40, 1), (40, 98), (0, 99)],
+                             ids=["inside", "top", "bottom", "left", "right", "corner"])
+    def test_matches_full_image_annulus_bitwise(self, centre):
+        # the same background pixels in the same order as a mask over the whole image
+        img = RNG.uniform(size=(100, 100)).astype(np.float32)
+        win = ScrWindows(target_center=centre, target_extent=20, neighborhood_extent=50)
+        trs, tcs = win.target_slice(100, 100)
+        nrs, ncs = win.neighborhood_slice(100, 100)
+        ann = np.zeros(img.shape, bool)
+        ann[nrs, ncs] = True
+        ann[trs, tcs] = False
+        bg = img[ann].astype(np.float64)
+        expected = float(abs(img[trs, tcs].astype(np.float64).mean() - bg.mean()) / bg.std())
+        assert scr(img, win) == expected
+
+    def test_peak_memory_reads_only_the_neighbourhood(self):
+        img = RNG.uniform(size=(2048, 2048)).astype(np.float32)
+        win = ScrWindows(target_center=(1024, 1024))
+        scr(img, win)  # first call outside the measurement
+        tracemalloc.start()
+        try:
+            scr(img, win)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * img.nbytes, f"peak {peak} B is {peak / img.nbytes:.4f}x the image"
+
 
 class TestSweepTrend:
     def test_rise_then_fall_on_blob_scene(self):
@@ -301,7 +329,70 @@ class TestSweepTrend:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * scene.nbytes, f"peak {peak} B is {peak / scene.nbytes:.1f}x the image"
+        assert peak <= 2 * scene.nbytes, f"peak {peak} B is {peak / scene.nbytes:.1f}x the image"
+
+
+def _spot_scene(h, w, target):
+    # blob scene plus noise and a bright 3x3 spot on the target: every cut of
+    # TestSweepOracle then scores above 0.1, so a relative tolerance holds
+    # for the float32 transforms of filter_plane too
+    scene = blob_scene(h, w) + np.random.default_rng(h * w).normal(0.0, 0.05, (h, w)).astype(np.float32)
+    r, c = target
+    scene[max(r - 1, 0) : r + 2, max(c - 1, 0) : c + 2] += 1.0
+    return scene
+
+
+class TestSweepOracle:
+    """The shared-corner sweep against one full filter per cut."""
+
+    # unsorted, repeated and shrinking; rectangular, empty on one axis, and
+    # larger than the image on one axis or both
+    CUTS = [(6, 6), (0, 5), (5, 0), (3, 9), (6, 6), (2, 2), (0, 0), (12, 1), (1, 12),
+            (200, 3), (3, 200), (9, 3), (40, 40), (4, 4)]
+
+    @pytest.mark.parametrize("h, w", [(48, 48), (40, 56)], ids=["square", "oblong"])
+    @pytest.mark.parametrize("where", ["centre", "top", "bottom", "left", "right", "corner"])
+    def test_matches_per_cut_filters(self, h, w, where):
+        centre = {"centre": (h // 2, w // 2), "top": (1, w // 2), "bottom": (h - 2, w // 2),
+                  "left": (h // 2, 0), "right": (h // 2, w - 1), "corner": (h - 1, 0)}[where]
+        scene = _spot_scene(h, w, centre)
+        win = ScrWindows(target_center=centre, target_extent=4, neighborhood_extent=20)
+        rows = scr_filter_sweep(scene, win, iter(self.CUTS))
+        assert [(r, c) for r, c, _ in rows] == self.CUTS
+        for r, c, value in rows:
+            assert value == pytest.approx(scr(lowcut_filter(scene, r, c), win), rel=1e-6), (r, c)
+            ref = scr(filter_plane(scene, lowcut_mask(h, w, r, c)), win)
+            assert value == pytest.approx(ref, rel=1e-6), (r, c)
+
+    def test_empty_cut_scores_the_unfiltered_image_bitwise(self):
+        scene = _spot_scene(40, 56, (20, 28))
+        win = ScrWindows(target_center=(20, 28), target_extent=4, neighborhood_extent=20)
+        rows = scr_filter_sweep(scene, win, [(3, 3), (0, 9), (9, 0), (0, 0)])
+        unfiltered = scr(scene, win)
+        assert rows[0][2] != unfiltered
+        assert [value for _, _, value in rows[1:]] == [unfiltered] * 3
+
+    def test_benchmark_scene_matches_lowcut_filter(self):
+        # the 512x512 scene and the 33 square cuts of the scr-sweep benchmark
+        scene = blob_scene(512, 512)
+        win = ScrWindows(target_center=(256, 256))
+        cuts = [(c, c) for c in range(0, 257, 8)]
+        rows = scr_filter_sweep(scene, win, cuts)
+        assert [(r, c) for r, c, _ in rows] == cuts
+        for r, c, value in rows:
+            assert value == pytest.approx(scr(lowcut_filter(scene, r, c), win), rel=1e-6), (r, c)
+
+    def test_negative_cut_mid_sweep_rejected(self):
+        scene = _spot_scene(48, 48, (24, 24))
+        win = ScrWindows(target_center=(24, 24), target_extent=4, neighborhood_extent=20)
+        with pytest.raises(ValidationError):
+            scr_filter_sweep(scene, win, iter([(2, 2), (4, 4), (3, -1), (5, 5)]))
+
+    def test_target_off_image_rejected(self):
+        scene = _spot_scene(48, 48, (24, 24))
+        for centre in [(-1000, -1000), (24, 100), (100, 24)]:
+            with pytest.raises(ValidationError):
+                scr_filter_sweep(scene, ScrWindows(target_center=centre), [(0, 0), (4, 4)])
 
 
 class TestDctMatrixCache:
