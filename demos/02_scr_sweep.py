@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hsfpn import ScrWindows, blob_scene, dct2, idct2, lowcut_mask, scr, scr_filter_sweep, write_pgm
+from hsfpn import ScrWindows, blob_scene, lowcut_filter, scr, scr_filter_sweep, write_pgm
 
 out_dir = Path("demo_out")
 out_dir.mkdir(exist_ok=True)
@@ -36,7 +36,7 @@ best = rows[int(np.argmax(values))]
 print(f"\nbest cut {best[0]}x{best[1]} raises SCR from {values[0]:.3f} to {best[2]:.3f} "
       f"({best[2] / values[0]:.1f}x); the largest cut collapses it to {values[-1]:.4f}")
 
-filtered = idct2(dct2(scene) * lowcut_mask(100, 100, best[0], best[1]))
+filtered = lowcut_filter(scene, best[0], best[1])
 write_pgm(out_dir / "filtered_best.pgm", filtered + np.float32(0.5))  # recentre for viewing
 
 csv = ["cut_rows,cut_cols,scr"] + [f"{r},{c},{v:.9g}" for r, c, v in rows]

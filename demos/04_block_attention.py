@@ -13,7 +13,6 @@ from hsfpn import (
     ConvLayer,
     ConvSpec,
     SdpParams,
-    attention_weights,
     block_attention,
     sdp_forward,
 )
@@ -35,7 +34,7 @@ print("\nInside one block, every pixel attends to every pixel of its partner blo
 q = rng.standard_normal((16, 8)).astype(np.float32)
 k = rng.standard_normal((16, 8)).astype(np.float32)
 v = rng.standard_normal((16, 8)).astype(np.float32)
-a = attention_weights(q, k)
+a = block_attention(q, k, np.eye(16, dtype=np.float32))  # identity values give the weights
 print(f"  similarity matrix {a.shape}, every row sums to "
       f"{a.sum(axis=1).min():.6f}..{a.sum(axis=1).max():.6f}")
 out = block_attention(q, k, v)

@@ -5,15 +5,10 @@ from .errors import DegenerateBackgroundError, PgmParseError, ShapeError, Valida
 from .frequency import (
     ScrWindows,
     blob_scene,
-    dct2,
     dct_matrix,
-    filter_plane,
     highfreq_response,
     highpass_cut,
-    highpass_mask,
-    idct2,
     lowcut_filter,
-    lowcut_mask,
     scr,
     scr_filter_sweep,
 )
@@ -34,7 +29,7 @@ from .pyramid import (
     save_weights,
     write_pyramid_dir,
 )
-from .sdp import SdpParams, attention_weights, block_attention, sdp_forward
+from .sdp import SdpParams, block_attention, sdp_forward
 from .tensor import (
     ConvLayer,
     ConvSpec,

@@ -1,16 +1,13 @@
-"""Frequency-domain toolbox: separable 2D DCT, low-cut masks, and saliency.
+"""Frequency-domain toolbox: DCT low-cut filtering and saliency.
 
-The transform pair is the orthonormal type-II DCT and its inverse, built as
-explicit cosine matrices (direct separable form; no FFT). Orthonormality makes
-the round trip exact to float32 precision, preserves sum-of-squares, and turns
-masked filtering into an orthogonal projection, so filtering twice equals
-filtering once.
-
-Low frequencies of a DCT plane sit in the top-left corner. The binary masks
-here zero that corner, either as a fraction of the plane (``highpass_mask``)
-or as an absolute coefficient region (``lowcut_mask``).
-``lowcut_filter`` removes such a corner from every plane as a projection
-onto the corner's DCT basis, without transforming the whole plane;
+The paper's high-pass filter transforms each plane with the orthonormal
+type-II DCT, zeroes the low-frequency top-left corner of the coefficients and
+transforms back. ``dct_matrix`` builds the DCT as an explicit cosine matrix
+(no FFT), and ``highpass_cut`` gives the corner that a fraction ``alpha`` of
+each axis blocks. Orthonormality turns the masked round trip into an
+orthogonal projection, so ``lowcut_filter`` removes an absolute r x s corner
+from every plane by projecting onto the corner's DCT basis, without
+transforming the whole plane, and filtering twice equals filtering once.
 ``highfreq_response`` applies it with the fractional cut per channel. The
 signal-to-clutter ratio ``scr`` quantifies how salient a small target is
 against its surroundings before and after such filtering.
@@ -41,33 +38,6 @@ def dct_matrix(n: int) -> np.ndarray:
     return mat
 
 
-def _as_planes(x) -> np.ndarray:
-    """A bare (H, W) plane or an (N, C, H, W) tensor, as float32."""
-    return as_tensor(x, rank=2) if np.ndim(x) == 2 else as_tensor(x, rank=4)
-
-
-def _per_plane(x, forward: bool) -> np.ndarray:
-    x = _as_planes(x)
-    dh, dw = dct_matrix(x.shape[-2]), dct_matrix(x.shape[-1])
-    if not forward:
-        dh, dw = dh.T, dw.T
-    return (dh @ x.astype(np.float64) @ dw.T).astype(DTYPE)
-
-
-def dct2(x) -> np.ndarray:
-    """Orthonormal 2D DCT of each (sample, channel) plane.
-
-    Accepts an (N, C, H, W) tensor or a bare (H, W) plane; output extents
-    equal input extents and the sum of squares is preserved.
-    """
-    return _per_plane(x, forward=True)
-
-
-def idct2(x) -> np.ndarray:
-    """Exact inverse of :func:`dct2` (orthonormal type-III along both axes)."""
-    return _per_plane(x, forward=False)
-
-
 def highpass_cut(h: int, w: int, alpha: float) -> tuple:
     """Extents (r, s) of the top-left DCT corner that the fraction `alpha` blocks.
 
@@ -76,49 +46,25 @@ def highpass_cut(h: int, w: int, alpha: float) -> tuple:
     blocks u in {0, 1, 2}. alpha=0 blocks nothing, alpha=1 everything.
     """
     if h < 1 or w < 1:
-        raise ShapeError("mask extents must be >= 1")
+        raise ShapeError("plane extents must be >= 1")
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
     # the integers u >= 0 with u < alpha*n number ceil(alpha*n)
     return min(h, ceil(alpha * h)), min(w, ceil(alpha * w))
 
 
-def highpass_mask(h: int, w: int, alpha: float) -> np.ndarray:
-    """Binary (h, w) mask that zeroes the corner :func:`highpass_cut` blocks."""
-    return lowcut_mask(h, w, *highpass_cut(h, w, alpha))
-
-
-def lowcut_mask(h: int, w: int, cut_rows: int, cut_cols: int) -> np.ndarray:
-    """Absolute-region variant: zeroes coefficients (u, v) with u < cut_rows and v < cut_cols."""
-    if h < 1 or w < 1:
-        raise ShapeError("mask extents must be >= 1")
-    if cut_rows < 0 or cut_cols < 0:
-        raise ValidationError("cut extents must be >= 0")
-    mask = np.ones((h, w), dtype=DTYPE)
-    mask[: min(cut_rows, h), : min(cut_cols, w)] = 0.0
-    return mask
-
-
-def filter_plane(plane, mask) -> np.ndarray:
-    """idct2(mask * dct2(plane)) for a single (H, W) plane."""
-    plane = as_tensor(plane, rank=2)
-    mask = as_tensor(mask, rank=2)
-    if mask.shape != plane.shape:
-        raise ShapeError(f"mask shape {mask.shape} does not match plane {plane.shape}")
-    return idct2(dct2(plane) * mask)
-
-
 def lowcut_filter(x, cut_rows: int, cut_cols: int) -> np.ndarray:
-    """idct2(dct2(x) * lowcut_mask(...)) of each plane, as an orthogonal projection.
+    """Each plane with its top-left cut_rows x cut_cols DCT corner zeroed, as a projection.
 
     Accepts an (N, C, H, W) tensor or a bare (H, W) plane. With D_r the first
     r = min(cut_rows, H) rows of the order-H DCT matrix and D_s the first
     s = min(cut_cols, W) rows of the order-W one, the result is
-    x - D_r.T @ (D_r @ x @ D_s.T) @ D_s, evaluated in float64 and rounded once.
-    This removes the r x s corner without transforming the whole plane. An
-    empty cut returns the input unchanged (bitwise).
+    x - D_r.T @ (D_r @ x @ D_s.T) @ D_s, evaluated in float64 and rounded once:
+    the mask form (transform, zero the corner, invert; the reference in
+    ``tests/oracles.py``) without transforming the whole plane. An empty cut
+    returns the input unchanged (bitwise).
     """
-    x = _as_planes(x)
+    x = as_tensor(x, rank=2) if np.ndim(x) == 2 else as_tensor(x, rank=4)
     if cut_rows < 0 or cut_cols < 0:
         raise ValidationError("cut extents must be >= 0")
     h, w = x.shape[-2:]
@@ -136,8 +82,8 @@ def lowcut_filter(x, cut_rows: int, cut_cols: int) -> np.ndarray:
 def highfreq_response(c, alpha: float) -> np.ndarray:
     """Per-channel low-cut filtering of an (N, C, H, W) tensor.
 
-    Every channel plane loses the DCT corner that :func:`highpass_mask`
-    zeroes (see :func:`lowcut_filter`); output dims equal input dims. At
+    Every channel plane loses the DCT corner that :func:`highpass_cut`
+    blocks (see :func:`lowcut_filter`); output dims equal input dims. At
     alpha=0 nothing is blocked and the input is returned unchanged (bitwise).
     """
     c = as_tensor(c, rank=4)
@@ -153,8 +99,9 @@ class ScrWindows:
     """Target and neighbourhood windows for the saliency ratio.
 
     Both windows are squares centred on `target_center` (row r, col c): an
-    extent e covers rows [r - e//2, r - e//2 + e) and likewise columns. They are
-    clipped to the image bounds and statistics use the clipped regions; a
+    extent e covers rows [r - e//2, r - e//2 + e) and likewise columns. Both
+    bounds are clipped into the image, so a window off the image is an empty
+    slice at the nearest edge, and statistics use the clipped regions; a
     target window with nothing left after clipping raises ValidationError.
     The background region is the annulus: neighbourhood window minus target
     window. As the neighbourhood extent exceeds the target's, the target
@@ -173,17 +120,17 @@ class ScrWindows:
 
     def _clip(self, extent: int, h: int, w: int):
         r0, c0 = (int(v) - extent // 2 for v in self.target_center)
-        return max(r0, 0), min(r0 + extent, h), max(c0, 0), min(c0 + extent, w)
+        return (slice(min(max(r0, 0), h), min(max(r0 + extent, 0), h)),
+                slice(min(max(c0, 0), w), min(max(c0 + extent, 0), w)))
 
     def target_slice(self, h: int, w: int):
-        r0, r1, c0, c1 = self._clip(self.target_extent, h, w)
-        if r0 >= r1 or c0 >= c1:
+        rows, cols = self._clip(self.target_extent, h, w)
+        if rows.start == rows.stop or cols.start == cols.stop:
             raise ValidationError("target window lies outside the image")
-        return slice(r0, r1), slice(c0, c1)
+        return rows, cols
 
     def neighborhood_slice(self, h: int, w: int):
-        r0, r1, c0, c1 = self._clip(self.neighborhood_extent, h, w)
-        return slice(r0, r1), slice(c0, c1)
+        return self._clip(self.neighborhood_extent, h, w)
 
 
 def scr(image, windows: ScrWindows) -> float:

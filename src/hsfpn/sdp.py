@@ -51,17 +51,6 @@ class SdpParams:
             raise ValidationError("block extents must be >= 1")
 
 
-def attention_weights(q, k) -> np.ndarray:
-    """Row-stochastic similarity matrix softmax(q @ k.T / sqrt(C)) for one block.
-
-    This is :func:`block_attention` over identity values: multiplying by the
-    identity adds only exact zeros, so row i is exactly query i's weights.
-    """
-    k = np.asarray(k, dtype=np.float32)
-    # a 0-d k gets an empty eye and fails block_attention's shape check
-    return block_attention(q, k, np.eye(len(k) if k.ndim else 0, dtype=DTYPE))
-
-
 def block_attention(q, k, v, counts=None) -> np.ndarray:
     """Attention output for one block: (hw, C) queries over (u, C) keys and (u, D) values.
 

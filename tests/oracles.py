@@ -107,6 +107,29 @@ def naive_idct2_plane(coeffs):
     return out
 
 
+def naive_dct_basis(n):
+    """Orthonormal type-II DCT basis of order n, entry by entry: row u is frequency u."""
+    basis = np.zeros((n, n), dtype=np.float64)
+    for u in range(n):
+        scale = math.sqrt(1.0 / n) if u == 0 else math.sqrt(2.0 / n)
+        for i in range(n):
+            basis[u, i] = scale * math.cos(math.pi * (2 * i + 1) * u / (2 * n))
+    return basis
+
+
+def naive_lowcut_filter(plane, cut_rows, cut_cols):
+    """The paper's mask form on one (H, W) plane, in float64.
+
+    Transform with the basis, zero coefficients (u, v) with u < cut_rows and
+    v < cut_cols, transform back.
+    """
+    plane = np.asarray(plane, dtype=np.float64)
+    basis_h, basis_w = naive_dct_basis(plane.shape[0]), naive_dct_basis(plane.shape[1])
+    coeffs = basis_h @ plane @ basis_w.T
+    coeffs[:cut_rows, :cut_cols] = 0.0
+    return basis_h.T @ coeffs @ basis_w
+
+
 def naive_highfreq_response(x, alpha):
     """Per-plane mask-and-invert using the direct-sum DCT pair. Small planes only."""
     x = np.asarray(x, dtype=np.float64)

@@ -18,14 +18,12 @@ from hsfpn import (
     ScrWindows,
     SdpParams,
     attention_cost,
-    attention_weights,
     blob_scene,
     block_attention,
     count_params,
-    dct2,
-    highpass_mask,
+    dct_matrix,
+    highpass_cut,
     hsfpn_forward,
-    idct2,
     init_weights,
     random_pyramid,
     scr_filter_sweep,
@@ -65,32 +63,34 @@ def test_dct_fidelity():
             h = int(rng.integers(1, 65))
             w = int(rng.integers(1, 65))
             x = rng.standard_normal((h, w)).astype(np.float32)
-            worst = max(worst, float(np.abs(idct2(dct2(x)) - x).max()))
+            d_h, d_w = dct_matrix(h), dct_matrix(w)
+            worst = max(worst, float(np.abs(d_h.T @ (d_h @ x @ d_w.T) @ d_w - x).max()))
         assert worst <= 1e-5
 
         for h, w in ((4, 4), (8, 8)):
+            d_h, d_w = dct_matrix(h), dct_matrix(w)
             impulse = np.zeros((h, w), np.float32)
             impulse[0, 0] = 1.0
-            np.testing.assert_allclose(dct2(impulse), naive_dct2_plane(impulse), atol=1e-6)
+            np.testing.assert_allclose(d_h @ impulse @ d_w.T, naive_dct2_plane(impulse), atol=1e-6)
             dc = np.full((h, w), 0.8, np.float32)
-            np.testing.assert_allclose(dct2(dc), naive_dct2_plane(dc), atol=1e-6)
+            np.testing.assert_allclose(d_h @ dc @ d_w.T, naive_dct2_plane(dc), atol=1e-6)
             coeff = np.zeros((h, w), np.float32)
             coeff[1, 0] = 1.0
-            np.testing.assert_allclose(idct2(coeff), naive_idct2_plane(coeff), atol=1e-6)
+            np.testing.assert_allclose(d_h.T @ coeff @ d_w, naive_idct2_plane(coeff), atol=1e-6)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"DCT fidelity took {elapsed:.1f}s"
 
 
 def test_cutoff_boundaries_and_monotonicity():
-    with criterion("cut-off mask boundary cases and alpha monotonicity"):
-        assert (highpass_mask(16, 12, 0.0) == 1).all()
-        assert (highpass_mask(16, 12, 1.0) == 0).all()
+    with criterion("cut-off corner boundary cases and alpha monotonicity"):
+        assert highpass_cut(16, 12, 0.0) == (0, 0)
+        assert highpass_cut(16, 12, 1.0) == (16, 12)
         alphas = np.linspace(0.0, 1.0, 21)
         for h, w in ((8, 8), (13, 11)):
-            prev = highpass_mask(h, w, float(alphas[0]))
+            prev = highpass_cut(h, w, float(alphas[0]))
             for a in alphas[1:]:
-                cur = highpass_mask(h, w, float(a))
-                assert (prev >= cur).all(), f"monotonicity broken at alpha={a}"
+                cur = highpass_cut(h, w, float(a))
+                assert cur[0] >= prev[0] and cur[1] >= prev[1], f"monotonicity broken at alpha={a}"
                 prev = cur
 
 
@@ -149,7 +149,7 @@ def test_attention_rows_and_convexity():
             q = (rng.standard_normal((hw, c)) * scale).astype(np.float32)
             k = (rng.standard_normal((hw, c)) * scale).astype(np.float32)
             v = rng.standard_normal((hw, c)).astype(np.float32)
-            a = attention_weights(q, k)
+            a = block_attention(q, k, np.eye(hw, dtype=np.float32))  # the weights themselves
             np.testing.assert_allclose(a.sum(axis=1), np.ones(hw), atol=1e-6)
             out = block_attention(q, k, v)
             assert (out >= v.min(axis=0) - 1e-6).all()

@@ -8,29 +8,62 @@ from hsfpn import (
     ScrWindows,
     ValidationError,
     blob_scene,
-    dct2,
     dct_matrix,
-    filter_plane,
     highfreq_response,
     highpass_cut,
-    highpass_mask,
-    idct2,
     lowcut_filter,
-    lowcut_mask,
     scr,
     scr_filter_sweep,
 )
 
-from oracles import naive_dct2_plane, naive_highfreq_response, naive_idct2_plane
+from oracles import (
+    naive_dct2_plane,
+    naive_dct_basis,
+    naive_highfreq_response,
+    naive_idct2_plane,
+    naive_lowcut_filter,
+)
 
 RNG = np.random.default_rng(99)
 
 
+def dct_coeffs(x):
+    """The 2D DCT of each plane as the package's matrix products, D_H @ x @ D_W.T, in float64."""
+    return dct_matrix(x.shape[-2]) @ np.asarray(x, np.float64) @ dct_matrix(x.shape[-1]).T
+
+
+def from_coeffs(y):
+    """The inverse of :func:`dct_coeffs`, D_H.T @ y @ D_W."""
+    return dct_matrix(y.shape[-2]).T @ np.asarray(y, np.float64) @ dct_matrix(y.shape[-1])
+
+
+class TestDctBasis:
+    """The oracle's loop-built basis, checked against the direct sums and then against dct_matrix."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 7])
+    def test_oracle_basis_matches_direct_sums_on_impulses(self, n):
+        basis = naive_dct_basis(n)
+        for i in range(n):
+            for j in range(n):
+                impulse = np.zeros((n, n))
+                impulse[i, j] = 1.0
+                np.testing.assert_allclose(basis @ impulse @ basis.T, naive_dct2_plane(impulse),
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(basis.T @ impulse @ basis, naive_idct2_plane(impulse),
+                                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 100])
+    def test_dct_matrix_matches_oracle_basis(self, n):
+        np.testing.assert_allclose(dct_matrix(n), naive_dct_basis(n), rtol=0, atol=1e-12)
+
+
 class TestDct2:
+    """The 2D DCT as dct_matrix products (the transform lowcut_filter projects with)."""
+
     def test_constant_plane_dc_only(self):
         c, h, w = 0.7, 6, 9
         plane = np.full((h, w), c, np.float32)
-        coeffs = dct2(plane)
+        coeffs = dct_coeffs(plane)
         assert coeffs[0, 0] == pytest.approx(c * np.sqrt(h * w), abs=1e-5)
         rest = coeffs.copy()
         rest[0, 0] = 0.0
@@ -38,89 +71,91 @@ class TestDct2:
 
     def test_roundtrip_random_plane(self):
         x = RNG.standard_normal((8, 8)).astype(np.float32)
-        np.testing.assert_allclose(idct2(dct2(x)), x, atol=1e-5)
+        np.testing.assert_allclose(from_coeffs(dct_coeffs(x)), x, atol=1e-5)
 
     def test_impulse_matches_direct_sum(self):
         plane = np.zeros((4, 4), np.float32)
         plane[0, 0] = 1.0
-        np.testing.assert_allclose(dct2(plane), naive_dct2_plane(plane), atol=1e-6)
+        np.testing.assert_allclose(dct_coeffs(plane), naive_dct2_plane(plane), atol=1e-6)
 
     def test_random_4x4_matches_direct_sum(self):
         plane = RNG.standard_normal((4, 4)).astype(np.float32)
-        np.testing.assert_allclose(dct2(plane), naive_dct2_plane(plane), atol=1e-6)
+        np.testing.assert_allclose(dct_coeffs(plane), naive_dct2_plane(plane), atol=1e-6)
 
     def test_rectangular_matches_direct_sum(self):
         plane = RNG.standard_normal((5, 7)).astype(np.float32)
-        np.testing.assert_allclose(dct2(plane), naive_dct2_plane(plane), atol=1e-6)
+        np.testing.assert_allclose(dct_coeffs(plane), naive_dct2_plane(plane), atol=1e-6)
 
     def test_parseval(self):
         x = RNG.standard_normal((1, 3, 16, 12)).astype(np.float32)
         before = np.square(x.astype(np.float64)).sum()
-        after = np.square(dct2(x).astype(np.float64)).sum()
+        after = np.square(dct_coeffs(x)).sum()
         assert after == pytest.approx(before, rel=1e-4)
 
     def test_linear(self):
         x = RNG.standard_normal((8, 8)).astype(np.float32)
         y = RNG.standard_normal((8, 8)).astype(np.float32)
-        lhs = dct2(2.5 * x + 0.5 * y)
-        rhs = 2.5 * dct2(x) + 0.5 * dct2(y)
+        lhs = dct_coeffs(2.5 * x + 0.5 * y)
+        rhs = 2.5 * dct_coeffs(x) + 0.5 * dct_coeffs(y)
         np.testing.assert_allclose(lhs, rhs, atol=1e-5)
 
     def test_4d_acts_per_plane(self):
+        # lowcut_filter takes a bare plane or an (N, C, H, W) tensor alike
         x = RNG.standard_normal((2, 3, 6, 6)).astype(np.float32)
-        out = dct2(x)
-        np.testing.assert_allclose(out[1, 2], dct2(x[1, 2]), atol=1e-7)
+        out = lowcut_filter(x, 2, 3)
+        np.testing.assert_allclose(out[1, 2], lowcut_filter(x[1, 2], 2, 3), atol=1e-7)
 
 
 class TestIdct2:
     def test_zeros(self):
-        np.testing.assert_array_equal(idct2(np.zeros((5, 5), np.float32)), np.zeros((5, 5)))
+        np.testing.assert_array_equal(from_coeffs(np.zeros((5, 5), np.float32)), np.zeros((5, 5)))
 
     def test_forward_roundtrip(self):
         y = RNG.standard_normal((8, 8)).astype(np.float32)
-        np.testing.assert_allclose(dct2(idct2(y)), y, atol=1e-5)
+        np.testing.assert_allclose(dct_coeffs(from_coeffs(y)), y, atol=1e-5)
 
     def test_single_coefficient_profile(self):
         coeffs = np.zeros((4, 4), np.float32)
         coeffs[1, 0] = 1.0
-        np.testing.assert_allclose(idct2(coeffs), naive_idct2_plane(coeffs), atol=1e-6)
+        np.testing.assert_allclose(from_coeffs(coeffs), naive_idct2_plane(coeffs), atol=1e-6)
 
 
 class TestHighpassMask:
+    """The corner (r, s) that highpass_cut blocks, and lowcut_filter's absolute region."""
+
     def test_alpha_zero_all_ones(self):
-        np.testing.assert_array_equal(highpass_mask(6, 8, 0.0), np.ones((6, 8), np.float32))
+        assert highpass_cut(6, 8, 0.0) == (0, 0)
 
     def test_alpha_one_all_zeros(self):
-        np.testing.assert_array_equal(highpass_mask(6, 8, 1.0), np.zeros((6, 8), np.float32))
+        assert highpass_cut(6, 8, 1.0) == (6, 8)
 
     def test_quarter_on_8x8(self):
-        mask = highpass_mask(8, 8, 0.25)
-        expected = np.ones((8, 8), np.float32)
-        expected[:2, :2] = 0.0
-        np.testing.assert_array_equal(mask, expected)
+        assert highpass_cut(8, 8, 0.25) == (2, 2)
 
     def test_real_valued_threshold(self):
         # alpha*h = 2.5 on h = 10: indices 0, 1, 2 fall below the threshold
-        mask = highpass_mask(10, 10, 0.25)
-        assert (mask[:3, :3] == 0).all()
-        assert mask[3, 0] == 1 and mask[0, 3] == 1
+        assert highpass_cut(10, 10, 0.25) == (3, 3)
 
     def test_monotone_in_alpha(self):
         alphas = np.linspace(0.0, 1.0, 21)
-        prev = highpass_mask(13, 11, float(alphas[0]))
+        prev = highpass_cut(13, 11, float(alphas[0]))
         for a in alphas[1:]:
-            cur = highpass_mask(13, 11, float(a))
-            assert (prev >= cur).all()
+            cur = highpass_cut(13, 11, float(a))
+            assert cur[0] >= prev[0] and cur[1] >= prev[1]
             prev = cur
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValidationError):
-            highpass_mask(4, 4, 1.5)
+            highpass_cut(4, 4, 1.5)
 
     def test_lowcut_mask_region(self):
-        mask = lowcut_mask(6, 6, 2, 3)
-        assert mask[:2, :3].sum() == 0
-        assert mask.sum() == 36 - 6
+        # cut (2, 3) zeroes exactly the 2x3 corner of the coefficients, no other
+        x = RNG.standard_normal((6, 6)).astype(np.float32)
+        before, after = dct_coeffs(x), dct_coeffs(lowcut_filter(x, 2, 3))
+        assert np.abs(after[:2, :3]).max() <= 1e-6
+        kept = np.ones((6, 6), bool)
+        kept[:2, :3] = False
+        np.testing.assert_allclose(after[kept], before[kept], atol=1e-6)
 
 
 class TestHighfreqResponse:
@@ -160,8 +195,9 @@ class TestHighfreqResponse:
         assert highpass_cut(9, 7, 0.0) == (0, 0)
         assert highpass_cut(9, 7, 1.0) == (9, 7)
         for h, w, alpha in [(10, 6, 0.5), (9, 7, 0.25), (10, 10, 0.1)]:
+            blocked = sum(u < alpha * h and v < alpha * w for u in range(h) for v in range(w))
             r, s = highpass_cut(h, w, alpha)
-            assert highpass_mask(h, w, alpha).sum() == h * w - r * s
+            assert blocked == r * s
 
     def test_alpha_zero_bitwise_identity(self):
         x = RNG.standard_normal((1, 3, 9, 7)).astype(np.float32)
@@ -171,10 +207,11 @@ class TestHighfreqResponse:
     def test_matches_masked_filter_plane(self, alpha):
         x = RNG.standard_normal((2, 2, 12, 10)).astype(np.float32)
         out = highfreq_response(x, alpha)
-        mask = highpass_mask(12, 10, alpha)
+        # the corner rows u < alpha*12 and columns v < alpha*10, counted directly
+        r, c = sum(u < alpha * 12 for u in range(12)), sum(v < alpha * 10 for v in range(10))
         for s in range(2):
             for ch in range(2):
-                np.testing.assert_allclose(out[s, ch], filter_plane(x[s, ch], mask),
+                np.testing.assert_allclose(out[s, ch], naive_lowcut_filter(x[s, ch], r, c),
                                            rtol=0, atol=1e-6)
 
     def test_peak_memory_bounded_by_input(self):
@@ -257,6 +294,19 @@ class TestScr:
         with pytest.raises(ValidationError):
             scr(img, win)
 
+    @pytest.mark.parametrize("centre, want", [
+        ((-1000, 50), (slice(0, 0), slice(10, 90))),
+        ((1000, 50), (slice(100, 100), slice(10, 90))),
+        ((50, -1000), (slice(10, 90), slice(0, 0))),
+        ((50, 1000), (slice(10, 90), slice(100, 100))),
+        ((-1000, -1000), (slice(0, 0), slice(0, 0))),
+    ], ids=["above", "below", "left", "right", "corner"])
+    def test_neighbourhood_off_image_is_empty_and_in_bounds(self, centre, want):
+        # both bounds are clamped: a stop left negative would read from the far edge
+        rows, cols = ScrWindows(target_center=centre).neighborhood_slice(100, 100)
+        assert (rows, cols) == want
+        assert np.zeros((100, 100))[rows, cols].size == 0
+
     @pytest.mark.parametrize("centre", [(50, 50), (3, 40), (97, 40), (40, 1), (40, 98), (0, 99)],
                              ids=["inside", "top", "bottom", "left", "right", "corner"])
     def test_matches_full_image_annulus_bitwise(self, centre):
@@ -314,7 +364,7 @@ class TestSweepTrend:
         rows = scr_filter_sweep(scene, win, cuts)
         assert [(r, c) for r, c, _ in rows] == cuts
         for r, c, value in rows:
-            ref = scr(filter_plane(scene, lowcut_mask(h, w, r, c)), win)
+            ref = scr(naive_lowcut_filter(scene, r, c), win)
             assert value == pytest.approx(ref, rel=1e-6), (r, c)
 
     def test_peak_memory_bounded_by_image(self):
@@ -335,7 +385,6 @@ class TestSweepTrend:
 def _spot_scene(h, w, target):
     # blob scene plus noise and a bright 3x3 spot on the target: every cut of
     # TestSweepOracle then scores above 0.1, so a relative tolerance holds
-    # for the float32 transforms of filter_plane too
     scene = blob_scene(h, w) + np.random.default_rng(h * w).normal(0.0, 0.05, (h, w)).astype(np.float32)
     r, c = target
     scene[max(r - 1, 0) : r + 2, max(c - 1, 0) : c + 2] += 1.0
@@ -361,7 +410,7 @@ class TestSweepOracle:
         assert [(r, c) for r, c, _ in rows] == self.CUTS
         for r, c, value in rows:
             assert value == pytest.approx(scr(lowcut_filter(scene, r, c), win), rel=1e-6), (r, c)
-            ref = scr(filter_plane(scene, lowcut_mask(h, w, r, c)), win)
+            ref = scr(naive_lowcut_filter(scene, r, c), win)
             assert value == pytest.approx(ref, rel=1e-6), (r, c)
 
     def test_empty_cut_scores_the_unfiltered_image_bitwise(self):
@@ -404,11 +453,8 @@ class TestDctMatrixCache:
 
 
 class TestFilterPlane:
-    def test_mask_shape_checked(self):
-        with pytest.raises(Exception):
-            filter_plane(RNG.uniform(size=(8, 8)).astype(np.float32), np.ones((4, 4), np.float32))
-
     def test_full_mask_identity(self):
+        # an empty cut on either axis returns the plane bitwise
         plane = RNG.uniform(size=(10, 10)).astype(np.float32)
-        out = filter_plane(plane, np.ones((10, 10), np.float32))
-        np.testing.assert_allclose(out, plane, atol=1e-5)
+        for cut in [(0, 0), (0, 4), (4, 0)]:
+            assert lowcut_filter(plane, *cut).tobytes() == plane.tobytes()

@@ -13,7 +13,6 @@ from hsfpn import (
     ShapeError,
     ValidationError,
     attention_cost,
-    attention_weights,
     block_attention,
     cost_rows,
     cost_table,
@@ -23,9 +22,14 @@ from hsfpn import (
     sdp_forward,
 )
 
-from oracles import naive_block_attention, naive_hsfpn_forward, naive_sdp_forward
+from oracles import naive_block_attention, naive_hsfpn_forward, naive_sdp_forward, naive_softmax_rows
 
 RNG = np.random.default_rng(2718)
+
+
+def attention_matrix(q, k):
+    """The row-stochastic weights softmax(q @ k.T / sqrt(C)): block_attention over identity values."""
+    return block_attention(q, k, np.eye(len(k), dtype=np.float32))
 
 
 def proj_layer(rng, channels, zero=False, bias=False):
@@ -55,7 +59,7 @@ class TestBlockAttention:
         q = np.zeros((hw, c), np.float32)
         k = RNG.standard_normal((hw, c)).astype(np.float32)
         v = RNG.standard_normal((hw, c)).astype(np.float32)
-        a = attention_weights(q, k)
+        a = attention_matrix(q, k)
         np.testing.assert_allclose(a, np.full((hw, hw), 1.0 / hw), atol=1e-6)
         out = block_attention(q, k, v)
         np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (hw, 1)), atol=1e-5)
@@ -64,7 +68,7 @@ class TestBlockAttention:
         q = RNG.standard_normal((1, 5)).astype(np.float32)
         k = RNG.standard_normal((1, 5)).astype(np.float32)
         v = RNG.standard_normal((1, 5)).astype(np.float32)
-        np.testing.assert_array_equal(attention_weights(q, k), [[1.0]])
+        np.testing.assert_array_equal(attention_matrix(q, k), [[1.0]])
         np.testing.assert_allclose(block_attention(q, k, v), v, atol=1e-7)
 
     def test_matches_row_oracle(self):
@@ -87,7 +91,8 @@ class TestBlockAttention:
         q = RNG.standard_normal((64, 16)).astype(np.float32)
         k = RNG.standard_normal((64, 16)).astype(np.float32)
         v = RNG.standard_normal((64, 16)).astype(np.float32)
-        composed = attention_weights(q, k).astype(np.float64) @ v.astype(np.float64)
+        weights = naive_softmax_rows(q.astype(np.float64) @ k.astype(np.float64).T / sqrt(16))
+        composed = weights @ v.astype(np.float64)
         np.testing.assert_allclose(block_attention(q, k, v), composed, rtol=0, atol=1e-6)
 
     def test_value_product_accumulates_in_float64(self):
@@ -101,7 +106,7 @@ class TestBlockAttention:
         for _ in range(20):
             q = (RNG.standard_normal((9, 6)) * 5).astype(np.float32)
             k = (RNG.standard_normal((9, 6)) * 5).astype(np.float32)
-            a = attention_weights(q, k)
+            a = attention_matrix(q, k)
             np.testing.assert_allclose(a.sum(axis=1), np.ones(9), atol=1e-6)
 
     def test_output_inside_value_envelope(self):
@@ -117,8 +122,8 @@ class TestBlockAttention:
         q = RNG.standard_normal((7, 4)).astype(np.float32)
         k = RNG.standard_normal((7, 4)).astype(np.float32)
         for s in (0.25, 2.0, 7.5):
-            a = attention_weights(q, k)
-            b = attention_weights((q * s).astype(np.float32), (k / s).astype(np.float32))
+            a = attention_matrix(q, k)
+            b = attention_matrix((q * s).astype(np.float32), (k / s).astype(np.float32))
             np.testing.assert_allclose(a, b, atol=1e-6)
 
 
@@ -165,7 +170,8 @@ class TestRepeatedKeys:
         out = block_attention(q, k, v, counts)
         k_all = k if counts is None else np.repeat(k, counts, axis=0)
         v_all = v if counts is None else np.repeat(v, counts, axis=0)
-        ref = attention_weights(q, k_all).astype(np.float64) @ v_all.astype(np.float64)
+        weights = naive_softmax_rows(q.astype(np.float64) @ k_all.astype(np.float64).T / sqrt(8))
+        ref = weights @ v_all.astype(np.float64)
         assert out.shape == (64, 5)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
 
@@ -180,8 +186,6 @@ class TestRepeatedKeys:
             block_attention(q, k[:0], v[:0])
         with pytest.raises(ShapeError, match="key"):
             block_attention(q, k[:0], v[:0], self.COUNTS[:0])
-        with pytest.raises(ShapeError, match="key"):
-            attention_weights(q, k[:0])
 
     @pytest.mark.parametrize("counts", [np.zeros(64), np.tile([1, -1, 2, 1], 16),
                                         np.tile([1, 0, 2, 1], 16), np.tile([1.0, np.nan], 32)],
