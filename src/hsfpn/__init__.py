@@ -1,6 +1,6 @@
 """High-frequency and spatial perception feature pyramid toolkit."""
 
-from .cost import ATTENTION_LAYOUTS, CostModel, OpCostReport, attention_cost, cost_rows, cost_table, count_params
+from .cost import ATTENTION_LAYOUTS, CostModel, OpCostReport, attention_cost, cost_rows, count_params
 from .errors import DegenerateBackgroundError, PgmParseError, ShapeError, ValidationError
 from .frequency import (
     ScrWindows,

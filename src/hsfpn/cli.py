@@ -154,7 +154,7 @@ def cmd_filter(args) -> int:
     if (args.alpha is None) == (args.cut is None):
         raise UsageError("exactly one of --alpha or --cut is required")
     stats_path = args.stats or str(Path(args.output).with_suffix(".stats.json"))
-    _require_dirs(args.output, stats_path)
+    _require_dirs(args.output, stats_path, reads=[args.image])
     image = read_pgm(args.image)
     h, w = image.shape
     if args.alpha is not None:
@@ -190,9 +190,10 @@ def cmd_filter(args) -> int:
 def cmd_scr_sweep(args) -> int:
     if args.cut_max < 0 or args.cut_step < 1:
         raise UsageError("--cut-max must be >= 0 and --cut-step >= 1")
-    _require_dirs(args.output)
+    _require_dirs(args.output, reads=[args.image])
     image = read_pgm(args.image)
-    cuts = ((c, c) for c in range(0, args.cut_max + 1, args.cut_step))
+    # stop at the first cut covering the whole plane: it leaves the window zero to rounding, so scr raises there
+    cuts = [(c, c) for c in range(0, min(args.cut_max, max(image.shape) + args.cut_step - 1) + 1, args.cut_step)]
     rows = [(str(r), str(c), f"{value:.9g}") for r, c, value in scr_filter_sweep(image, _windows(args), cuts)]
     Path(args.output).write_text(render([("cut_rows", "cut_cols", "scr")] + rows, "csv"))
     return 0

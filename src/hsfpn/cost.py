@@ -71,11 +71,6 @@ def render(rows, fmt: str) -> str:
     return "\n".join("  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rows)
 
 
-def cost_table(model: CostModel) -> str:
-    """Aligned-column text table of the three layouts."""
-    return render(cost_table_rows(model), "table")
-
-
 # ---------------------------------------------------------------------------
 # Parameter and MAC accounting for the pyramid modules
 # ---------------------------------------------------------------------------
@@ -126,12 +121,6 @@ class OpCostReport:
         for level, mods in sorted(self.per_level.items()):
             rows += [(str(level), module, str(e.params), str(e.macs)) for module, e in sorted(mods.items())]
         return rows + [("total", "all", str(self.total.params), str(self.total.macs))]
-
-    def to_csv(self) -> str:
-        return render(self.rows(), "csv")
-
-    def to_table(self) -> str:
-        return render(self.rows(), "table")
 
 
 # Report row of each pyramid layer role (see :func:`hsfpn.pyramid.layer_specs`).

@@ -11,9 +11,9 @@ transforming the whole plane, and filtering twice equals filtering once.
 ``highfreq_response`` applies it with the fractional cut per channel. The
 signal-to-clutter ratio ``scr`` quantifies how salient a small target is
 against its surroundings before and after such filtering.
-``scr_filter_sweep`` scores many absolute cuts of one image: it grows one
-shared corner of DCT coefficients, computing each coefficient once per
-sweep, and rebuilds only the pixels ``scr`` reads for each cut.
+``scr_filter_sweep`` scores many absolute cuts of one image: it reads and
+checks every cut first, computes one corner of DCT coefficients at the
+largest cut, and rebuilds only the pixels ``scr`` reads for each cut.
 """
 
 from dataclasses import dataclass, replace
@@ -165,83 +165,46 @@ def scr(image, windows: ScrWindows) -> float:
     return float(abs(mu_t - mu_b) / sigma_b)
 
 
-def _grown(buf: np.ndarray, shape: tuple, limit: tuple) -> np.ndarray:
-    """`buf` if it holds `shape`, else a copy whose short axes at least double, capped at `limit`."""
-    if all(need <= have for need, have in zip(shape, buf.shape)):
-        return buf
-    out = np.empty([min(cap, max(need, 2 * have)) if need > have else have
-                    for need, have, cap in zip(shape, buf.shape, limit)])
-    out[: buf.shape[0], : buf.shape[1]] = buf
-    return out
-
-
-class _DctCorner:
-    """Top-left DCT coefficients ``D_h[:R] @ x @ D_w[:S].T`` of one plane, grown on demand.
-
-    ``half`` holds the columns ``x @ D_w[:S].T`` computed so far and ``coeffs``
-    the R x S corner built from them. A request for more columns computes only
-    the new columns of both, one for more rows only the new rows of the corner,
-    so each coefficient is computed once however the requested extents rise
-    and fall. The float32 plane is cast to float64 one band of rows at a time.
-    """
-
-    def __init__(self, x: np.ndarray):
-        self.x = x
-        self.d_h, self.d_w = dct_matrix(x.shape[0]), dct_matrix(x.shape[1])
-        self.half = np.empty((x.shape[0], 0))
-        self.coeffs = np.empty((0, 0))
-        self.rows = self.cols = 0
-
-    def get(self, r: int, s: int) -> np.ndarray:
-        """The float64 r x s corner, for r <= H and s <= W (a view; valid until the next call)."""
-        h, w = self.x.shape
-        if s > self.cols:
-            self.half = _grown(self.half, (h, s), (h, w))
-            new = self.half[:, self.cols : s]
-            d_new = self.d_w[self.cols : s].T
-            for i in range(0, h, BAND_ROWS):
-                np.matmul(self.x[i : i + BAND_ROWS], d_new, out=new[i : i + BAND_ROWS])
-            self.coeffs = _grown(self.coeffs, (self.rows, s), (h, w))
-            np.matmul(self.d_h[: self.rows], new, out=self.coeffs[: self.rows, self.cols : s])
-            self.cols = s
-        if r > self.rows:
-            self.coeffs = _grown(self.coeffs, (r, self.cols), (h, w))
-            np.matmul(self.d_h[self.rows : r], self.half[:, : self.cols],
-                      out=self.coeffs[self.rows : r, : self.cols])
-            self.rows = r
-        return self.coeffs[:r, :s]
-
-
 def scr_filter_sweep(image, windows: ScrWindows, cuts) -> list:
     """SCR after low-cut filtering for each (cut_rows, cut_cols) region.
 
     Returns [(cut_rows, cut_cols, scr), ...] in the given order, each SCR
     that of :func:`lowcut_filter` with that cut (within float64 rounding).
-    The sweep shares one corner of DCT coefficients ``C = D_h[:R] @ x @
-    D_w[:S].T`` that grows to the largest cut seen so far, each coefficient
-    computed once, and for cut (r, s) rebuilds only the neighbourhood window
-    ``scr`` reads: ``crop - D_h[:r, rows].T @ C[:r, :s] @ D_w[:s, cols]``,
-    in float64 and rounded once. `cuts` is read one at a time; a cut with
+    `cuts` is read into a list and every cut checked before any is scored.
+    The sweep then computes one corner of DCT coefficients ``C = D_h[:R] @
+    x @ D_w[:S].T`` at the largest clipped cut (R, S), casting the image to
+    float64 one band of rows at a time, and for cut (r, s) rebuilds only
+    the neighbourhood window ``scr`` reads: ``crop - D_h[:r, rows].T @
+    C[:r, :s] @ D_w[:s, cols]``, in float64 and rounded once. A cut with
     no rows or no columns scores the unfiltered window.
     """
     image = as_tensor(image, rank=2)
     h, w = image.shape
     windows.target_slice(h, w)  # an off-image target fails before any cut is read
+    cuts = list(cuts)
+    if any(cut_rows < 0 or cut_cols < 0 for cut_rows, cut_cols in cuts):
+        raise ValidationError("cut extents must be >= 0")
+    clipped = [(min(cut_rows, h), min(cut_cols, w)) for cut_rows, cut_cols in cuts]
+    big_r = max((r for r, s in clipped if r and s), default=0)
+    big_s = max((s for r, s in clipped if r and s), default=0)
+    d_h, d_w = dct_matrix(h)[:big_r], dct_matrix(w)[:big_s]
+    half = np.empty((h, big_s))
+    for i in range(0, h, BAND_ROWS):
+        np.matmul(image[i : i + BAND_ROWS], d_w.T, out=half[i : i + BAND_ROWS])
+    corner = d_h @ half
+    del half  # before the per-cut products, which copy corner slices: the peak stays half + corner
+
     rows, cols = windows.neighborhood_slice(h, w)
     crop = image[rows, cols]
     # the same windows in crop coordinates clip to the same pixels
     tr, tc = (int(v) for v in windows.target_center)
     local = replace(windows, target_center=(tr - rows.start, tc - cols.start))
-    d_rows, d_cols = dct_matrix(h)[:, rows], dct_matrix(w)[:, cols]
-    corner = _DctCorner(image)
+    d_rows, d_cols = d_h[:, rows], d_w[:, cols]
     out = []
-    for cut_rows, cut_cols in cuts:
-        if cut_rows < 0 or cut_cols < 0:
-            raise ValidationError("cut extents must be >= 0")
-        r, s = min(cut_rows, h), min(cut_cols, w)
+    for (cut_rows, cut_cols), (r, s) in zip(cuts, clipped):
         window = crop
         if r and s:
-            low = d_rows[:r].T @ corner.get(r, s) @ d_cols[:s]
+            low = d_rows[:r].T @ corner[:r, :s] @ d_cols[:s]
             window = np.subtract(crop, low, out=low).astype(DTYPE)
         out.append((int(cut_rows), int(cut_cols), scr(window, local)))
     return out

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+MISSING_TARGETS = sorted(["frequency.dct2", "frequency.idct2", "frequency.lowcut_mask", "sdp.partition_blocks",
+                          "sdp.reassemble_blocks", "tensor.matmul", "tensor.softmax_rows"])
 
 
 @pytest.mark.parametrize("workload", ["hsfpn-mid", "fpn-mid", "scr-sweep"])
@@ -26,6 +28,12 @@ def test_traced_run_is_correct(workload):
     record = json.loads((ROOT / "bench" / "out" / f"{workload}-seed0-trace1.json").read_text())
     assert record["mac_cross_check"]["status"] == "ok", record["mac_cross_check"]
     assert record["count_failures"] == {}
+    # targets whose functions no longer exist: renaming another one adds it
+    # here, and a call that bypasses a wrapped function reads 0 calls below
+    assert sorted(record["missing_targets"]) == MISSING_TARGETS
+    if workload == "scr-sweep":
+        assert record["metrics"]["frequency.scr.calls"] == 33
+        assert record["metrics"]["io.read_pgm.calls"] == 1
 
 
 @pytest.mark.parametrize("workload, bound_mb", [("fpn-mid", 16), ("hsfpn-mid", 21), ("scr-sweep", 3.5)])

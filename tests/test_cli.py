@@ -14,6 +14,7 @@ import pytest
 from hsfpn import (FeaturePyramid, PyramidConfig, ScrWindows, blob_scene, count_params, random_pyramid,
                    read_pgm, read_tensor, scr, write_pgm, write_pyramid_dir, write_tensor)
 from hsfpn.cli import build_parser, main
+from hsfpn.cost import render
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -169,8 +170,8 @@ class TestScrSweep:
         assert cuts == [0, 3, 6, 9]
 
     def test_huge_cut_max_ends_degenerate_in_bounded_memory(self, scene_pgm, tmp_path):
-        # A cut list built up front for --cut-max 1e9 exhausts the 1 GB address
-        # space; a lazy one reaches the first cut that removes the whole plane.
+        # A list of every cut up to --cut-max 1e9 exhausts the 1 GB address
+        # space; the list ends at the first cut that covers the whole plane.
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -179,6 +180,27 @@ class TestScrSweep:
                        "--target-center", "50,50", "--cut-max", "1000000000", preexec_fn=limit_memory)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("hsfpn: degenerate: ")
+        assert not out.exists()
+
+    # 100x80 scene, --cut-step 7: cut 98 is the last below the 100 rows, and
+    # 105 the first that covers the whole plane
+    @pytest.mark.parametrize("cut_max, last", [(97, 91), (104, 98)])
+    def test_cut_below_the_plane_ends_the_csv(self, cut_max, last, tmp_path):
+        write_pgm(tmp_path / "s.pgm", blob_scene(100, 80))
+        out = tmp_path / "s.csv"
+        assert main(["scr-sweep", str(tmp_path / "s.pgm"), "-o", str(out), "--target-center", "50,40",
+                     "--cut-max", str(cut_max), "--cut-step", "7"]) == 0
+        cuts = [int(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+        assert cuts == list(range(0, last + 1, 7))
+
+    @pytest.mark.parametrize("cut_max", [105, 10**9])
+    def test_cut_covering_the_plane_is_degenerate(self, cut_max, tmp_path, capsys):
+        write_pgm(tmp_path / "s.pgm", blob_scene(100, 80))
+        out = tmp_path / "s.csv"
+        assert main(["scr-sweep", str(tmp_path / "s.pgm"), "-o", str(out), "--target-center", "50,40",
+                     "--cut-max", str(cut_max), "--cut-step", "7"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("hsfpn: degenerate: "), err
         assert not out.exists()
 
 
@@ -342,13 +364,13 @@ class TestParams:
 
     def test_defaults_are_the_library_defaults(self, capsys):
         assert main(["params"]) == 0
-        assert capsys.readouterr().out == count_params(PyramidConfig(), (200, 200)).to_table() + "\n"
+        assert capsys.readouterr().out == render(count_params(PyramidConfig(), (200, 200)).rows(), "table") + "\n"
 
     def test_default_groups_follow_the_channels_as_in_forward(self, capsys):
         # forward and params share one default: gcd(channels, 16)
         assert main(["params", "--channels", "24"]) == 0
         config = PyramidConfig(channels=24, groups=8)
-        assert capsys.readouterr().out == count_params(config, (200, 200)).to_table() + "\n"
+        assert capsys.readouterr().out == render(count_params(config, (200, 200)).rows(), "table") + "\n"
 
     def test_invalid_groups_config_error(self, pyramid_dir, tmp_path, capsys):
         for argv in (["params", "--channels", "30", "--groups", "16"],
@@ -452,6 +474,24 @@ class TestForwardKeepsItsInputs:
         assert main(["forward", "out", "-o", "out2", "--k", "2"]) == 3
         err = capsys.readouterr().err
         assert re.fullmatch(r"hsfpn: config: .*prefix 'p', expected 'c'\n", err), err
+        assert tree_bytes(tmp_path) == before
+
+
+class TestImageCommandsKeepTheirInput:
+    """An output of `filter` or `scr-sweep` that names its input image fails before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ("filter", "a.pgm", "-o", "a.pgm", "--alpha", "0.25"),
+        ("filter", "a.pgm", "-o", "f.pgm", "--alpha", "0.25", "--stats", "./a.pgm"),
+        ("scr-sweep", "a.pgm", "-o", "a.pgm", "--target-center", "50,50", "--cut-max", "4"),
+    ], ids=["filter-output", "filter-stats", "scr-sweep-output"])
+    def test_writes_nothing(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_pgm("a.pgm", blob_scene())
+        before = tree_bytes(tmp_path)
+        assert main(list(argv)) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"hsfpn: usage: output '.*a\.pgm' names a file the run reads\n", err), err
         assert tree_bytes(tmp_path) == before
 
 

@@ -15,6 +15,7 @@ from hsfpn import (
     scr,
     scr_filter_sweep,
 )
+from hsfpn import frequency
 
 from oracles import (
     naive_dct2_plane,
@@ -431,11 +432,16 @@ class TestSweepOracle:
         for r, c, value in rows:
             assert value == pytest.approx(scr(lowcut_filter(scene, r, c), win), rel=1e-6), (r, c)
 
-    def test_negative_cut_mid_sweep_rejected(self):
+    def test_negative_cut_mid_sweep_rejected(self, monkeypatch):
+        # every cut is checked before any is scored, wherever the bad one sits
         scene = _spot_scene(48, 48, (24, 24))
         win = ScrWindows(target_center=(24, 24), target_extent=4, neighborhood_extent=20)
-        with pytest.raises(ValidationError):
-            scr_filter_sweep(scene, win, iter([(2, 2), (4, 4), (3, -1), (5, 5)]))
+        calls = []
+        monkeypatch.setattr(frequency, "scr", lambda *args: calls.append(args))
+        for cuts in ([(2, 2), (4, 4), (3, -1), (5, 5)], [(2, 2), (4, 4), (5, 5), (6, -1)]):
+            with pytest.raises(ValidationError):
+                scr_filter_sweep(scene, win, iter(cuts))
+        assert calls == []
 
     def test_target_off_image_rejected(self):
         scene = _spot_scene(48, 48, (24, 24))

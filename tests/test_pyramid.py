@@ -28,7 +28,7 @@ from hsfpn import (
     write_pyramid_dir,
     write_tensor,
 )
-from hsfpn.cost import LayerCost, OpCostReport
+from hsfpn.cost import LayerCost, OpCostReport, render
 from hsfpn.pyramid import layer_specs, level_extents
 
 from oracles import naive_conv2d, naive_fpn_forward, naive_hsfpn_forward
@@ -423,8 +423,8 @@ class TestCountParams:
         report = count_params(config, base_hw=(64, 64))
         d = report.to_dict()
         assert "per_level" in d and "total" in d
-        assert "level,module,params,macs" in report.to_csv()
-        assert "hfp_fuse" in report.to_table()
+        assert "level,module,params,macs" in render(report.rows(), "csv")
+        assert "hfp_fuse" in render(report.rows(), "table")
 
     def test_repeated_add_accumulates(self):
         report = OpCostReport()

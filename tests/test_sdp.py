@@ -15,12 +15,13 @@ from hsfpn import (
     attention_cost,
     block_attention,
     cost_rows,
-    cost_table,
     hsfpn_forward,
     init_weights,
     random_pyramid,
     sdp_forward,
 )
+
+from hsfpn.cost import cost_table_rows, render
 
 from oracles import naive_block_attention, naive_hsfpn_forward, naive_sdp_forward, naive_softmax_rows
 
@@ -342,7 +343,7 @@ class TestAttentionCost:
         rows = cost_rows(model)
         assert [r["method"] for r in rows] == ["vit", "sdp", "global"]
         assert [r["multiplier"] for r in rows] == ["1", "hw/n", "hw"]
-        table = cost_table(model)
+        table = render(cost_table_rows(model), "table")
         assert "hw/n" in table and "multiplier" in table
 
     def test_invalid_layout(self):
