@@ -175,8 +175,9 @@ def scr_filter_sweep(image, windows: ScrWindows, cuts) -> list:
     x @ D_w[:S].T`` at the largest clipped cut (R, S), casting the image to
     float64 one band of rows at a time, and for cut (r, s) rebuilds only
     the neighbourhood window ``scr`` reads: ``crop - D_h[:r, rows].T @
-    C[:r, :s] @ D_w[:s, cols]``, in float64 and rounded once. A cut with
-    no rows or no columns scores the unfiltered window.
+    C[:r, :s] @ D_w[:s, cols]``, in float64 and rounded once. A cut with no
+    rows or no columns makes that product all zeros, so it scores the
+    unfiltered window and does not widen (R, S).
     """
     image = as_tensor(image, rank=2)
     h, w = image.shape
@@ -184,9 +185,8 @@ def scr_filter_sweep(image, windows: ScrWindows, cuts) -> list:
     cuts = list(cuts)
     if any(cut_rows < 0 or cut_cols < 0 for cut_rows, cut_cols in cuts):
         raise ValidationError("cut extents must be >= 0")
-    clipped = [(min(cut_rows, h), min(cut_cols, w)) for cut_rows, cut_cols in cuts]
-    big_r = max((r for r, s in clipped if r and s), default=0)
-    big_s = max((s for r, s in clipped if r and s), default=0)
+    big_r = min(h, max((r for r, s in cuts if r and s), default=0))
+    big_s = min(w, max((s for r, s in cuts if r and s), default=0))
     d_h, d_w = dct_matrix(h)[:big_r], dct_matrix(w)[:big_s]
     half = np.empty((h, big_s))
     for i in range(0, h, BAND_ROWS):
@@ -201,12 +201,10 @@ def scr_filter_sweep(image, windows: ScrWindows, cuts) -> list:
     local = replace(windows, target_center=(tr - rows.start, tc - cols.start))
     d_rows, d_cols = d_h[:, rows], d_w[:, cols]
     out = []
-    for (cut_rows, cut_cols), (r, s) in zip(cuts, clipped):
-        window = crop
-        if r and s:
-            low = d_rows[:r].T @ corner[:r, :s] @ d_cols[:s]
-            window = np.subtract(crop, low, out=low).astype(DTYPE)
-        out.append((int(cut_rows), int(cut_cols), scr(window, local)))
+    for r, s in cuts:
+        low = d_rows[:r].T @ corner[:r, :s] @ d_cols[:s]
+        window = np.subtract(crop, low, out=low).astype(DTYPE)
+        out.append((int(r), int(s), scr(window, local)))
     return out
 
 

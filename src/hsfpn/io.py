@@ -91,7 +91,7 @@ def _header_int(raw: bytes, pos: int, what: str):
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read an 8-bit binary PGM into a float32 (H, W) image scaled to [0, 1]."""
+    """Read an 8-bit binary PGM into a float32 (H, W) image scaled to [0, 1]; a byte above maxval is an error."""
     raw = Path(path).read_bytes()
     if raw[:2] != b"P5":
         raise PgmParseError(f"expected magic 'P5', got {raw[:2]!r}", 0)
@@ -114,13 +114,15 @@ def read_pgm(path) -> np.ndarray:
     if len(raw) - pos > need:
         raise PgmParseError("trailing bytes after raster", pos + need)
     pixels = np.frombuffer(raw, dtype=np.uint8, count=need, offset=pos)
+    if maxval < 255 and (above := pixels > maxval).any():  # a uint8 never exceeds 255
+        raise PgmParseError(f"raster byte above maxval={maxval}", pos + int(above.argmax()))
     img = (pixels.astype(DTYPE) / DTYPE(maxval)).reshape(height, width)
     return check_finite(img, f"{path}")
 
 
 def write_pgm(path, image) -> None:
-    """Write a float image as 8-bit binary PGM, clamping to [0, 1] first."""
-    image = as_tensor(image, rank=2)
+    """Write a float image as 8-bit PGM, clamped to [0, 1]; NaN/Inf are refused before any byte is written."""
+    image = check_finite(as_tensor(image, rank=2), f"{path}")
     quantised = np.rint(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
     h, w = quantised.shape
     with open(path, "wb") as fh:

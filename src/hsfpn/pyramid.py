@@ -66,7 +66,10 @@ class PyramidConfig:
 
 
 class FeaturePyramid:
-    """Mapping of level -> (N, C_level, H, W) tensor with strict 2x nesting."""
+    """Mapping of level -> (N, C_level, H, W) tensor with strict 2x nesting.
+
+    Levels share N; C_level may differ per level and ``channels(level)`` reads it.
+    """
 
     def __init__(self, levels: dict):
         if sorted(levels) != list(LEVELS):
@@ -100,11 +103,6 @@ class FeaturePyramid:
 
     def channels(self, level: int = LEVELS[0]) -> int:
         return self._levels[level].shape[1]
-
-    @property
-    def uniform_channels(self) -> bool:
-        c = self.channels(LEVELS[0])
-        return all(self._levels[lv].shape[1] == c for lv in LEVELS)
 
     def extents(self, level: int) -> tuple:
         return tuple(self._levels[level].shape[2:])
@@ -239,7 +237,7 @@ def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights, timings: dict | 
     fpn_baseline mode: P5 = out_conv(C5), P_i = out_conv(C_i + up(P_{i+1})).
     """
     config = weights.config
-    if not c_pyr.uniform_channels or c_pyr.channels() != config.channels:
+    if any(c_pyr.channels(lv) != config.channels for lv in LEVELS):
         raise ShapeError(
             f"pyramid must have {config.channels} channels at every level; "
             f"got {[c_pyr[lv].shape[1] for lv in LEVELS]}"

@@ -54,8 +54,8 @@ class SdpParams:
 def block_attention(q, k, v, counts=None) -> np.ndarray:
     """Attention output for one block: (hw, C) queries over (u, C) keys and (u, D) values.
 
-    The (hw, D) result is softmax(q @ k.T / sqrt(C)) @ v. With `counts`, key
-    j stands for counts[j] identical copies of itself: its exponential enters
+    The (hw, D) result is softmax(q @ k.T / sqrt(C)) @ v. Key j stands for
+    counts[j] (default 1) identical copies of itself: its exponential enters
     both the value product and the row sums counts[j] times. Normalisation is
     deferred: exp(s - rowmax(s)) multiplies v and the (hw, D) product is
     divided by the row sums, so the (hw, u) matrix is never divided.
@@ -74,19 +74,13 @@ def block_attention(q, k, v, counts=None) -> np.ndarray:
     z *= 1.0 / sqrt(q.shape[1])
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
-    v = v.astype(np.float64)
-    if counts is None:
-        rowsum = z.sum(axis=1, keepdims=True)
-    else:
-        counts = np.asarray(counts, dtype=np.float64)
-        if counts.shape != v.shape[:1]:
-            raise ShapeError(f"counts {counts.shape} do not match {v.shape[0]} keys")
-        if not (counts > 0).all():
-            raise ValidationError("key counts must be positive")
-        v *= counts[:, None]
-        rowsum = z @ counts[:, None]
-    out = z @ v
-    out /= rowsum
+    counts = np.ones(len(k)) if counts is None else np.asarray(counts, dtype=np.float64)
+    if counts.shape != v.shape[:1]:
+        raise ShapeError(f"counts {counts.shape} do not match {v.shape[0]} keys")
+    if not (counts > 0).all():
+        raise ValidationError("key counts must be positive")
+    out = z @ (v * counts[:, None])
+    out /= z @ counts[:, None]
     return out.astype(DTYPE)
 
 

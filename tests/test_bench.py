@@ -11,6 +11,16 @@ ROOT = Path(__file__).resolve().parents[1]
 MISSING_TARGETS = sorted(["frequency.dct2", "frequency.idct2", "frequency.lowcut_mask", "sdp.partition_blocks",
                           "sdp.reassemble_blocks", "tensor.matmul", "tensor.softmax_rows"])
 
+# traced calls per op of the wrapped functions each workload runs
+TRACED_CALLS = {
+    "hsfpn-mid": {"sdp.block_attention": 84, "sdp.sdp_forward": 3, "hfp.hfp_forward": 4,
+                  "hfp.channel_path": 4, "hfp.spatial_path": 4, "frequency.highfreq_response": 4,
+                  "tensor.adaptive_pool": 8, "tensor.conv2d.k3": 8, "tensor.conv2d.k1": 13,
+                  "tensor.conv2d.k1vec": 12},
+    "fpn-mid": {"tensor.conv2d.k3": 4, "tensor.upsample2x": 3},
+    "scr-sweep": {"frequency.scr": 33, "io.read_pgm": 1},
+}
+
 
 @pytest.mark.parametrize("workload", ["hsfpn-mid", "fpn-mid", "scr-sweep"])
 def test_traced_run_is_correct(workload):
@@ -31,9 +41,8 @@ def test_traced_run_is_correct(workload):
     # targets whose functions no longer exist: renaming another one adds it
     # here, and a call that bypasses a wrapped function reads 0 calls below
     assert sorted(record["missing_targets"]) == MISSING_TARGETS
-    if workload == "scr-sweep":
-        assert record["metrics"]["frequency.scr.calls"] == 33
-        assert record["metrics"]["io.read_pgm.calls"] == 1
+    for op, calls in TRACED_CALLS[workload].items():
+        assert record["metrics"][f"{op}.calls"] == calls, op
 
 
 @pytest.mark.parametrize("workload, bound_mb", [("fpn-mid", 16), ("hsfpn-mid", 21), ("scr-sweep", 3.5)])

@@ -118,6 +118,15 @@ class TestFilter:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "parse" in err
 
+    def test_byte_above_maxval_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "over.pgm"
+        bad.write_bytes(b"P5\n2 1\n100\n\xc8\x10")
+        code = main(["filter", str(bad), "-o", str(tmp_path / "o.pgm"), "--alpha", "0"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "hsfpn: parse: raster byte above maxval=100 (byte 11)\n"
+        assert not (tmp_path / "o.pgm").exists()
+
     def test_missing_stats_directory_writes_nothing(self, tmp_path, capsys):
         scene = tmp_path / "s.pgm"
         write_pgm(scene, blob_scene(32, 32))

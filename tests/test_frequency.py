@@ -422,6 +422,11 @@ class TestSweepOracle:
         assert rows[0][2] != unfiltered
         assert [value for _, _, value in rows[1:]] == [unfiltered] * 3
 
+    def test_no_cuts_scores_nothing(self):
+        scene = _spot_scene(40, 56, (20, 28))
+        win = ScrWindows(target_center=(20, 28), target_extent=4, neighborhood_extent=20)
+        assert scr_filter_sweep(scene, win, []) == []
+
     def test_benchmark_scene_matches_lowcut_filter(self):
         # the 512x512 scene and the 33 square cuts of the scr-sweep benchmark
         scene = blob_scene(512, 512)

@@ -120,6 +120,26 @@ class TestPgm:
         with pytest.raises(PgmParseError, match="width"):
             read_pgm(path)
 
+    def test_byte_above_maxval_rejected_at_its_offset(self, tmp_path):
+        # maxval 100: 0xc8 = 200 would read as 2.0, outside [0, 1]
+        path = tmp_path / "over.pgm"
+        path.write_bytes(b"P5 3 1 100\n\x10\xc8\xff")
+        with pytest.raises(PgmParseError, match="maxval") as err:
+            read_pgm(path)
+        assert err.value.offset == len(b"P5 3 1 100\n") + 1
+
+    def test_bytes_up_to_maxval_accepted(self, tmp_path):
+        path = tmp_path / "edge.pgm"
+        path.write_bytes(b"P5 2 1 100\n\x00\x64")
+        assert read_pgm(path).tolist() == [[0.0, 1.0]]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_write_nonfinite_rejected_before_writing(self, tmp_path, bad):
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(ValidationError, match="finite"):
+            write_pgm(path, np.array([[bad, 0.5]], np.float32))
+        assert not path.exists()
+
     def test_write_clamps(self, tmp_path):
         img = np.array([[-0.5, 0.25], [0.75, 1.5]], np.float32)
         path = tmp_path / "clamp.pgm"
@@ -134,7 +154,7 @@ class TestPgm:
 PGM_HEADER = b"P5\n8 6\n255\n"
 PGM_FIELDS = [(0, 2), (3, 4), (5, 6), (7, 10), (2, 3), (10, 11)]
 PGM_TOKENS = [b"", b" ", b"\n", b"#", b"\xff", b"0", b"-1", b"+4", b"3.5", b"0x10", b"1e3",
-              b"256", b"65535", b"99999999999999999999", b"\xd9\xa3", b"P2", b"P6"]
+              b"256", b"65535", b"99999999999999999999", b"\xd9\xa3", b"P2", b"P6", b"1", b"100"]
 PFT_FIELDS = [(0, 4), (4, 8), (8, 12), (12, 16), (16, 20)]
 PFT_TOKENS = [b"", b"PFT", b"PFT0", b"pft1"] + [
     struct.pack("<I", v) for v in (0, 1, 3, 4, 5, 24, 65536, 2 ** 31, 2 ** 32 - 1)]
@@ -164,21 +184,25 @@ class TestHostileInput:
     """Only the documented error types escape the readers, whatever the bytes."""
 
     def run(self, path, reader, raw, fields, tokens):
-        rejected = 0
+        """What `reader` returns for the mutants it accepts."""
+        rejected, accepted = 0, []
         for data in mutants(raw, fields, tokens, count=2000, seed=11):
             path.write_bytes(data)
             try:
-                reader(path)
+                accepted.append(reader(path))
             except (PgmParseError, ShapeError, ValidationError):
                 rejected += 1
         assert rejected > 1000  # most mutants break the file; the loop is not a no-op
+        return accepted
 
     def test_pgm_mutants(self, tmp_path):
         path = tmp_path / "valid.pgm"
         path.write_bytes(PGM_HEADER + RNG.integers(0, 256, 48, dtype=np.uint8).tobytes())
         raw = path.read_bytes()
         assert read_pgm(path).shape == (6, 8)
-        self.run(tmp_path / "m.pgm", read_pgm, raw, PGM_FIELDS, PGM_TOKENS)
+        accepted = self.run(tmp_path / "m.pgm", read_pgm, raw, PGM_FIELDS, PGM_TOKENS)
+        # every image read honours the [0, 1] contract, whatever maxval the header names
+        assert accepted and all(np.isfinite(img).all() and 0 <= img.min() and img.max() <= 1 for img in accepted)
 
     def test_pft_mutants(self, tmp_path):
         path = tmp_path / "valid.pft"

@@ -80,7 +80,7 @@ class TestFeaturePyramid:
     def test_extents_and_channels(self):
         pyr = small_pyramid()
         assert pyr.extents(2) == (16, 16) and pyr.extents(5) == (2, 2)
-        assert pyr.uniform_channels and pyr.channels() == 4
+        assert [pyr.channels(lv) for lv in (2, 3, 4, 5)] == [4] * 4 and pyr.channels() == 4
 
 
 class TestInitWeights:

@@ -161,6 +161,14 @@ class TestRepeatedKeys:
         want = ((z @ v.astype(np.float64)) / z.sum(axis=1, keepdims=True)).astype(np.float32)
         assert block_attention(q, k, v).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("hw, u, c", [(4, 4, 4), (64, 16, 16), (256, 64, 64), (625, 169, 32)])
+    def test_default_counts_are_ones(self, hw, u, c):
+        # one weighted path: no counts means one copy of each key, bitwise
+        q = RNG.standard_normal((hw, c)).astype(np.float32)
+        k = RNG.standard_normal((u, c)).astype(np.float32)
+        for v in (RNG.standard_normal((u, c)).astype(np.float32), np.eye(u, dtype=np.float32)):
+            assert block_attention(q, k, v).tobytes() == block_attention(q, k, v, np.ones(u)).tobytes()
+
     @pytest.mark.parametrize("with_counts", [False, True])
     def test_values_narrower_than_keys(self, with_counts):
         # values need only match the keys' row count: D = 5 values over C = 8 keys
