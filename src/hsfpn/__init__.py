@@ -20,7 +20,6 @@ from .pyramid import (
     LEVELS,
     PyramidConfig,
     SDP_LEVELS,
-    build_laterals,
     hsfpn_forward,
     init_weights,
     load_weights,

@@ -14,7 +14,7 @@ uniform factor of two, so the pairwise ratios match the multipliers exactly.
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .pyramid import LEVELS, SDP_LEVELS, layer_specs, level_extents, split_layer_name
+from .pyramid import LEVELS, SDP_LEVELS, layer_specs, level_extents
 
 # layout: (complexity, multiplier, MACs of both products from n, hw = h*w and c)
 _LAYOUTS = {
@@ -154,11 +154,12 @@ def count_params(config, base_hw, with_cp: bool = True, with_sp: bool = True,
     extents = level_extents(base_hw)
     enabled = {"cp": with_cp, "sp": with_sp, "hfp_fuse": with_cp or with_sp, "sdp": with_sdp}
     for name, spec in layer_specs(config).items():
-        _, level, role = split_layer_name(name)
+        group, role = name.split(".")  # "<module><level>.<role>"
         row = _ROW.get(role)  # output convolutions exist in a plain FPN too
         if row is None or not enabled[row]:
             continue
         # keys and values are projected from the upper level's map
+        level = int(group[-1])
         at = level + 1 if role in ("k_conv", "v_conv") else level
         hw = (1, 1) if row == "cp" else extents[at]
         report.add(level, row, spec.param_count, spec.macs(*hw))

@@ -16,6 +16,7 @@ checks every cut first, computes one corner of DCT coefficients at the
 largest cut, and rebuilds only the pixels ``scr`` reads for each cut.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import ceil
@@ -53,6 +54,13 @@ def highpass_cut(h: int, w: int, alpha: float) -> tuple:
     return min(h, ceil(alpha * h)), min(w, ceil(alpha * w))
 
 
+def _check_cut(cut_rows, cut_cols) -> None:
+    """Raise ValidationError unless both cut extents are integers >= 0: numpy ones too, no bools."""
+    if not all(isinstance(e, numbers.Integral) and not isinstance(e, bool) and e >= 0
+               for e in (cut_rows, cut_cols)):
+        raise ValidationError(f"cut extents must be integers >= 0, got {(cut_rows, cut_cols)!r}")
+
+
 def lowcut_filter(x, cut_rows: int, cut_cols: int) -> np.ndarray:
     """Each plane with its top-left cut_rows x cut_cols DCT corner zeroed, as a projection.
 
@@ -65,8 +73,7 @@ def lowcut_filter(x, cut_rows: int, cut_cols: int) -> np.ndarray:
     returns the input unchanged (bitwise).
     """
     x = as_tensor(x, rank=2) if np.ndim(x) == 2 else as_tensor(x, rank=4)
-    if cut_rows < 0 or cut_cols < 0:
-        raise ValidationError("cut extents must be >= 0")
+    _check_cut(cut_rows, cut_cols)
     h, w = x.shape[-2:]
     r, s = min(cut_rows, h), min(cut_cols, w)
     if r == 0 or s == 0:
@@ -183,8 +190,8 @@ def scr_filter_sweep(image, windows: ScrWindows, cuts) -> list:
     h, w = image.shape
     windows.target_slice(h, w)  # an off-image target fails before any cut is read
     cuts = list(cuts)
-    if any(cut_rows < 0 or cut_cols < 0 for cut_rows, cut_cols in cuts):
-        raise ValidationError("cut extents must be >= 0")
+    for cut in cuts:
+        _check_cut(*cut)
     big_r = min(h, max((r for r, s in cuts if r and s), default=0))
     big_s = min(w, max((s for r, s in cuts if r and s), default=0))
     d_h, d_w = dct_matrix(h)[:big_r], dct_matrix(w)[:big_s]

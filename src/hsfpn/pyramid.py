@@ -1,4 +1,4 @@
-"""Four-level pyramid assembly: laterals, per-level reweighting, top-down fusion.
+"""Four-level pyramid assembly: per-level reweighting, top-down fusion.
 
 Levels are keyed 2..5 with strict 2x spatial nesting (level 2 is the largest).
 The top level gets the reweighting module and an output 3x3 convolution only;
@@ -108,14 +108,13 @@ class FeaturePyramid:
         return tuple(self._levels[level].shape[2:])
 
 
-def layer_specs(config: PyramidConfig, backbone_channels: dict | None = None) -> dict:
+def layer_specs(config: PyramidConfig) -> dict:
     """Every convolution of the network as `{name: ConvSpec}`, in draw order.
 
     Names are `<module><level>.<field>`: per level 2..5 the reweighting
     convolutions `hfp<L>.*` of :func:`hsfpn.hfp.hfp_specs`, then the
     attention projections `sdp<L>.*` of :func:`hsfpn.sdp.sdp_specs` for
-    levels 2..4, then the output convolutions `out<L>.conv`, then
-    `lateral<L>.conv` if backbone channel counts are given. The names key
+    levels 2..4, then the output convolutions `out<L>.conv`. The names key
     `HsfpnWeights.layers`, and `<field>` names the HfpParams/SdpParams field
     the layer fills. Init, the HsfpnWeights check, save and cost accounting
     all walk this table.
@@ -126,18 +125,7 @@ def layer_specs(config: PyramidConfig, backbone_channels: dict | None = None) ->
     specs = {f"hfp{lv}.{role}": spec for lv in LEVELS for role, spec in hfp.items()}
     specs.update({f"sdp{lv}.{role}": spec for lv in SDP_LEVELS for role, spec in sdp.items()})
     specs.update({f"out{lv}.conv": ConvSpec(c, c, kernel=3, has_bias=bias) for lv in LEVELS})
-    if backbone_channels is not None:
-        specs.update({
-            f"lateral{lv}.conv": ConvSpec(backbone_channels[lv], c, kernel=1, has_bias=bias)
-            for lv in LEVELS
-        })
     return specs
-
-
-def split_layer_name(name: str) -> tuple:
-    """`"hfp2.gap_conv"` -> `("hfp", 2, "gap_conv")`, for names from :func:`layer_specs`."""
-    group, role = name.split(".")
-    return group[:-1], int(group[-1]), role
 
 
 @dataclass(frozen=True)
@@ -145,9 +133,8 @@ class HsfpnWeights:
     """A config plus its `{name: ConvLayer}` layers, named as in :func:`layer_specs`.
 
     Checked once, where built: each layer's spec must equal the one
-    `layer_specs(config, backbone)` gives its name, the backbone widths being
-    the `in_channels` of `lateral<L>.conv` (all of levels 2..5 or none). A
-    missing, extra or mismatched layer raises ValidationError naming it.
+    `layer_specs(config)` gives its name. A missing, extra or mismatched
+    layer raises ValidationError naming it.
     `layers` is read-only, in `layer_specs` order; each level's HFP and SDP
     parameters are built from it by :meth:`hfp_params` and :meth:`sdp_params`.
     """
@@ -160,10 +147,7 @@ class HsfpnWeights:
         for name, layer in layers.items():
             if not isinstance(layer, ConvLayer):
                 raise ValidationError(f"{name}: expected a ConvLayer, got {type(layer).__name__}")
-        backbone = {lv: layers[n].spec.in_channels for lv in LEVELS if (n := f"lateral{lv}.conv") in layers}
-        if 0 < len(backbone) < len(LEVELS):
-            raise ValidationError(f"laterals must cover all of levels {LEVELS} or none, got {sorted(backbone)}")
-        specs = layer_specs(self.config, backbone or None)
+        specs = layer_specs(self.config)
         missing, extra = sorted(specs.keys() - layers.keys()), sorted(layers.keys() - specs.keys(), key=str)
         if missing or extra:
             raise ValidationError(f"missing layers {missing}, layers not of the config {extra}")
@@ -193,39 +177,20 @@ class HsfpnWeights:
         return MappingProxyType({lv: self.layers[f"out{lv}.conv"] for lv in LEVELS})
 
 
-def _draw_layer(rng, spec: ConvSpec) -> ConvLayer:
-    fan_in = (spec.in_channels // spec.groups) * spec.kernel * spec.kernel
-    bound = np.sqrt(3.0 / fan_in)
-    weight = rng.uniform(-bound, bound, size=spec.weight_shape).astype(np.float32)
-    bias = np.zeros(spec.out_channels, dtype=np.float32) if spec.has_bias else None
-    return ConvLayer(spec, weight, bias)
-
-
-def init_weights(config: PyramidConfig, backbone_channels: dict | None = None) -> HsfpnWeights:
+def init_weights(config: PyramidConfig) -> HsfpnWeights:
     """Seeded weight initialisation: uniform on +-sqrt(3/fan_in), zero biases.
 
     Layers are drawn in :func:`layer_specs` order, so a seed pins every
     weight bitwise.
     """
     rng = np.random.default_rng(config.seed)
-    specs = layer_specs(config, backbone_channels)
-    return HsfpnWeights(config, {name: _draw_layer(rng, spec) for name, spec in specs.items()})
-
-
-def build_laterals(backbone_feats: FeaturePyramid, weights: HsfpnWeights) -> FeaturePyramid:
-    """Reduce arbitrary backbone channel counts to the configured width with 1x1 convolutions."""
-    if "lateral2.conv" not in weights.layers:
-        raise ValidationError("weights carry no lateral convolutions; pass backbone_channels to init_weights")
-    out = {}
-    for level in LEVELS:
-        feat = backbone_feats[level]
-        layer = weights.layers[f"lateral{level}.conv"]
-        if feat.shape[1] != layer.spec.in_channels:
-            raise ShapeError(
-                f"level {level} has {feat.shape[1]} channels, lateral expects {layer.spec.in_channels}"
-            )
-        out[level] = layer(feat)
-    return FeaturePyramid(out)
+    layers = {}
+    for name, spec in layer_specs(config).items():
+        bound = np.sqrt(3.0 / ((spec.in_channels // spec.groups) * spec.kernel * spec.kernel))
+        weight = rng.uniform(-bound, bound, size=spec.weight_shape).astype(np.float32)
+        bias = np.zeros(spec.out_channels, dtype=np.float32) if spec.has_bias else None
+        layers[name] = ConvLayer(spec, weight, bias)
+    return HsfpnWeights(config, layers)
 
 
 def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights, timings: dict | None = None) -> FeaturePyramid:
@@ -237,11 +202,9 @@ def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights, timings: dict | 
     fpn_baseline mode: P5 = out_conv(C5), P_i = out_conv(C_i + up(P_{i+1})).
     """
     config = weights.config
-    if any(c_pyr.channels(lv) != config.channels for lv in LEVELS):
-        raise ShapeError(
-            f"pyramid must have {config.channels} channels at every level; "
-            f"got {[c_pyr[lv].shape[1] for lv in LEVELS]}"
-        )
+    channels = [c_pyr.channels(lv) for lv in LEVELS]
+    if channels != [config.channels] * len(LEVELS):
+        raise ShapeError(f"pyramid must have {config.channels} channels at every level; got {channels}")
     clock = time.perf_counter
     spent = {"hfp": 0.0, "sdp": 0.0, "output_conv": 0.0, "baseline_fuse": 0.0}
     h5, w5 = c_pyr.extents(LEVELS[-1])
@@ -262,7 +225,7 @@ def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights, timings: dict | 
                     fused = fused + upsample2x(upper)
                 spent["sdp"] += clock() - t1
         t0 = clock()
-        outputs[level] = weights.layers[f"out{level}.conv"](fused)
+        outputs[level] = weights.out_convs[level](fused)
         spent["output_conv"] += clock() - t0
 
     if timings is not None:
@@ -349,8 +312,8 @@ def read_pyramid_dir(path, prefix: str = "c") -> FeaturePyramid:
     """Read `<prefix><level>.pft` files, validated against the directory manifest.
 
     A manifest that is not a JSON object, whose `prefix` (if given) is not
-    `prefix`, or whose level entries are not objects naming their file as a
-    string, raises ValidationError.
+    `prefix`, or whose level entries are not objects naming (if at all)
+    the :func:`level_file` name, raises ValidationError before any level is read.
     """
     path = Path(path)
     manifest_path = path / MANIFEST
@@ -363,12 +326,13 @@ def read_pyramid_dir(path, prefix: str = "c") -> FeaturePyramid:
         entries = manifest.get("levels", {})
         if not isinstance(entries, dict) or not all(isinstance(e, dict) for e in entries.values()):
             raise ValidationError(f"{manifest_path}: 'levels' must map level names to objects")
+    names = {level: level_file(prefix, level) for level in LEVELS}
+    for level, name in names.items():
+        if entries.get(str(level), {}).get("file", name) != name:
+            raise ValidationError(f"{manifest_path}: level {level} must name file {name!r}")
     levels = {}
-    for level in LEVELS:
+    for level, name in names.items():
         entry = entries.get(str(level), {})
-        name = entry.get("file", level_file(prefix, level))
-        if not isinstance(name, str):
-            raise ValidationError(f"{manifest_path}: level {level} file must be a string")
         tensor = hio.read_tensor(path / name)
         if "dims" in entry and list(tensor.shape) != entry["dims"]:
             raise ValidationError(
@@ -376,6 +340,11 @@ def read_pyramid_dir(path, prefix: str = "c") -> FeaturePyramid:
             )
         levels[level] = tensor
     return FeaturePyramid(levels)
+
+
+def _layer_files(name: str, spec: ConvSpec) -> dict:
+    """`{"weight": "<name>.weight.pft", "bias": "<name>.bias.pft"}`, the bias iff `spec.has_bias`."""
+    return {key: f"{name}.{key}.pft" for key in (("weight", "bias") if spec.has_bias else ("weight",))}
 
 
 def save_weights(path, weights: HsfpnWeights) -> None:
@@ -387,12 +356,9 @@ def save_weights(path, weights: HsfpnWeights) -> None:
     manifest = {"format": "hsfpn-weights-v1", "config": asdict(weights.config), "layers": {}}
     tensors = {}
     for name, layer in weights.layers.items():
-        entry = {**asdict(layer.spec), "weight": f"{name}.weight.pft"}
-        tensors[entry["weight"]] = (f"{name} weight", layer.weight)
-        if layer.bias is not None:
-            entry["bias"] = f"{name}.bias.pft"
-            tensors[entry["bias"]] = (f"{name} bias", layer.bias)
-        manifest["layers"][name] = entry
+        files = _layer_files(name, layer.spec)
+        manifest["layers"][name] = {**asdict(layer.spec), **files}
+        tensors.update({file: (f"{name} {key}", getattr(layer, key)) for key, file in files.items()})
     _write_dir(path, tensors, manifest)
 
 
@@ -401,7 +367,8 @@ def load_weights(path) -> HsfpnWeights:
 
     A manifest that is not a JSON object, lacks a config field or layer
     entry, or holds a value of the wrong type raises ValidationError, and so
-    does a layer name the config does not imply, before any file is read.
+    does a layer name the config does not imply or a file name other than
+    :func:`save_weights` derives, before any file is read.
     Weight and bias files that break the :class:`ConvLayer` contract raise
     its error, prefixed with the layer name. The layers are checked against
     the config once, by :class:`HsfpnWeights`.
@@ -418,24 +385,25 @@ def load_weights(path) -> HsfpnWeights:
         raise _malformed(manifest_path, "config", err) from None
     if not isinstance(layers, dict):
         raise ValidationError(f"{manifest_path}: 'layers' must be an object")
-    known = {*layer_specs(config), *(f"lateral{lv}.conv" for lv in LEVELS)}
-    unexpected = sorted(set(layers) - known)
+    unexpected = sorted(set(layers) - layer_specs(config).keys())
     if unexpected:
         raise ValidationError(f"{manifest_path}: layers {unexpected} do not belong to the config")
 
-    def layer(name: str) -> ConvLayer:
+    specs = {}
+    for name, entry in layers.items():
         try:
-            entry = layers[name]
-            spec = _from_manifest(ConvSpec, entry)
-            weight_path = path / entry["weight"]
-            bias_path = path / entry["bias"] if "bias" in entry else None
+            specs[name] = _from_manifest(ConvSpec, entry)
         except (KeyError, TypeError, ValidationError) as err:
             raise _malformed(manifest_path, f"layer {name!r}", err) from None
-        weight = hio.read_tensor(weight_path)
-        bias = hio.read_tensor(bias_path) if bias_path is not None else None
+        files = _layer_files(name, specs[name])
+        if {key: entry[key] for key in ("weight", "bias") if key in entry} != files:
+            raise ValidationError(f"{manifest_path}: layer {name!r} must name files {files}")
+
+    def layer(name: str, spec: ConvSpec) -> ConvLayer:
+        arrays = {key: hio.read_tensor(path / file) for key, file in _layer_files(name, spec).items()}
         try:
-            return ConvLayer(spec, weight, bias)
+            return ConvLayer(spec, **arrays)
         except (ShapeError, ValidationError) as err:
             raise type(err)(f"{name}: {err}") from None
 
-    return HsfpnWeights(config, {name: layer(name) for name in layers})
+    return HsfpnWeights(config, {name: layer(name, spec) for name, spec in specs.items()})

@@ -473,6 +473,25 @@ class TestForwardKeepsItsInputs:
         assert main(["forward", "in", "-o", "out", "--k", "2"]) == 0
         assert json.loads(Path("in/manifest.json").read_text())["prefix"] == "c"
 
+    @pytest.mark.parametrize("named", ["../out/c2.pft", "ABSOLUTE"], ids=["output-file", "absolute"])
+    def test_manifest_naming_another_file_writes_nothing(self, named, tmp_path, monkeypatch, capsys):
+        # level files are derived: a manifest naming the report path (or any file
+        # outside the directory) is refused, so the run neither reads nor overwrites it
+        monkeypatch.chdir(tmp_path)
+        write_pyramid_dir("in", random_pyramid(8, base_hw=(16, 16), seed=1), prefix="c")
+        Path("out").mkdir()
+        Path("out/c2.pft").write_bytes(Path("in/c2.pft").read_bytes())
+        Path("secret.txt").write_text("TOPSECRET")
+        manifest = json.loads(Path("in/manifest.json").read_text())
+        manifest["levels"]["2"]["file"] = str(tmp_path / "secret.txt") if named == "ABSOLUTE" else named
+        Path("in/manifest.json").write_text(json.dumps(manifest))
+        before = tree_bytes(tmp_path)
+        assert main(["forward", "in", "-o", "out", "--report", "out/c2.pft", "--k", "2"]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"hsfpn: config: .*level 2 must name file 'c2.pft'\n", err), err
+        assert "TOPS" not in err
+        assert tree_bytes(tmp_path) == before
+
     def test_earlier_output_is_not_read_as_input(self, tmp_path, monkeypatch, capsys):
         # out/ holds p2..p5.pft under a manifest with prefix "p"; forward reads c2..c5.pft
         monkeypatch.chdir(tmp_path)

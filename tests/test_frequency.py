@@ -455,6 +455,26 @@ class TestSweepOracle:
                 scr_filter_sweep(scene, ScrWindows(target_center=centre), [(0, 0), (4, 4)])
 
 
+class TestCutExtents:
+    """lowcut_filter and scr_filter_sweep take the same cuts: integers >= 0, numpy ones included."""
+
+    SCENE = blob_scene(40, 40)
+    WIN = ScrWindows(target_center=(20, 20), target_extent=4, neighborhood_extent=20)
+
+    @pytest.mark.parametrize("cut", [(2.5, 3), (3, -1), (np.float64(2.0), 3), (True, 3), ("2", 3)],
+                             ids=["float", "negative", "numpy-float", "bool", "str"])
+    def test_rejected_by_both(self, cut):
+        with pytest.raises(ValidationError, match="cut extents must be integers >= 0"):
+            lowcut_filter(self.SCENE, *cut)
+        with pytest.raises(ValidationError, match="cut extents must be integers >= 0"):
+            scr_filter_sweep(self.SCENE, self.WIN, [(1, 1), cut])
+
+    def test_numpy_integers_accepted(self):
+        cut = (np.int64(3), np.int32(2))
+        assert lowcut_filter(self.SCENE, *cut).tobytes() == lowcut_filter(self.SCENE, 3, 2).tobytes()
+        assert scr_filter_sweep(self.SCENE, self.WIN, [cut]) == scr_filter_sweep(self.SCENE, self.WIN, [(3, 2)])
+
+
 class TestDctMatrixCache:
     def test_cache_holds_at_most_sixteen_orders(self):
         for n in range(1, 101):

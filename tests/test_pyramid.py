@@ -16,7 +16,6 @@ from hsfpn import (
     ShapeError,
     ValidationError,
     attention_cost,
-    build_laterals,
     count_params,
     highfreq_response,
     hsfpn_forward,
@@ -28,10 +27,11 @@ from hsfpn import (
     write_pyramid_dir,
     write_tensor,
 )
+from hsfpn import io as hio
 from hsfpn.cost import LayerCost, OpCostReport, render
 from hsfpn.pyramid import layer_specs, level_extents
 
-from oracles import naive_conv2d, naive_fpn_forward, naive_hsfpn_forward
+from oracles import naive_fpn_forward, naive_hsfpn_forward
 
 RNG = np.random.default_rng(424242)
 
@@ -152,12 +152,9 @@ class TestWeightTable:
         (swap("sdp3.k_conv", lambda layers: layers["sdp3.k_conv"].weight), "sdp3.k_conv: expected a ConvLayer"),
         (drop("sdp3.k_conv"), r"missing layers \['sdp3.k_conv'\]"),
         (swap("hfp6.gap_conv", lambda layers: layers["hfp5.gap_conv"]), r"not of the config \['hfp6.gap_conv'\]"),
-        (drop("lateral5.conv"), r"laterals must cover all of levels .* got \[2, 3, 4\]"),
-        (swap("lateral5.conv", lambda layers: layers["out5.conv"]), "lateral5.conv: spec"),
-    ], ids=["1x1-in-3x3-role", "bias-free-under-conv-bias", "not-a-layer", "missing", "extra",
-            "partial-laterals", "lateral-not-1x1"])
+    ], ids=["1x1-in-3x3-role", "bias-free-under-conv-bias", "not-a-layer", "missing", "extra"])
     def test_bad_table_rejected(self, edit, match):
-        layers = dict(init_weights(SMALL, backbone_channels={2: 6, 3: 6, 4: 6, 5: 6}).layers)
+        layers = dict(init_weights(SMALL).layers)
         edit(layers)
         with pytest.raises(ValidationError, match=match):
             HsfpnWeights(SMALL, layers)
@@ -207,46 +204,6 @@ class TestWeightTable:
         for lv in (2, 3, 4, 5):
             assert a[lv].tobytes() == b[lv].tobytes()
         assert a[2].tobytes() != hsfpn_forward(pyr, init_weights(SMALL))[2].tobytes()
-
-
-class TestBuildLaterals:
-    def test_identity_weights_pass_through(self):
-        config = dataclasses.replace(SMALL, conv_bias=False)
-        weights = init_weights(config, backbone_channels={2: 4, 3: 4, 4: 4, 5: 4})
-        eye = np.eye(4, dtype=np.float32).reshape(4, 4, 1, 1)
-        laterals = {f"lateral{lv}.conv": weights.layers[f"lateral{lv}.conv"] for lv in (2, 3, 4, 5)}
-        weights = replace_layers(weights, {name: ConvLayer(layer.spec, eye) for name, layer in laterals.items()})
-        pyr = small_pyramid()
-        out = build_laterals(pyr, weights)
-        for lv in (2, 3, 4, 5):
-            np.testing.assert_array_equal(out[lv], pyr[lv])
-
-    def test_zero_input_bias_only(self):
-        weights = init_weights(SMALL, backbone_channels={2: 6, 3: 6, 4: 6, 5: 6})
-        laterals = {f"lateral{lv}.conv": weights.layers[f"lateral{lv}.conv"] for lv in (2, 3, 4, 5)}
-        quarter = np.full(4, 0.25, np.float32)
-        weights = replace_layers(weights, {name: ConvLayer(layer.spec, layer.weight, quarter)
-                                           for name, layer in laterals.items()})
-        levels = {lv: np.zeros((1, 6, 16 >> (lv - 2), 16 >> (lv - 2)), np.float32)
-                  for lv in (2, 3, 4, 5)}
-        out = build_laterals(FeaturePyramid(levels), weights)
-        for lv in (2, 3, 4, 5):
-            np.testing.assert_array_equal(out[lv], np.full_like(out[lv], 0.25))
-
-    def test_matches_conv_oracle(self):
-        weights = init_weights(SMALL, backbone_channels={2: 3, 3: 5, 4: 6, 5: 8})
-        levels = {lv: RNG.standard_normal((1, c, 16 >> (lv - 2), 16 >> (lv - 2))).astype(np.float32)
-                  for lv, c in zip((2, 3, 4, 5), (3, 5, 6, 8))}
-        out = build_laterals(FeaturePyramid(levels), weights)
-        for lv in (2, 3, 4, 5):
-            layer = weights.layers[f"lateral{lv}.conv"]
-            ref = naive_conv2d(levels[lv], layer.weight, layer.bias)
-            np.testing.assert_allclose(out[lv], ref, atol=1e-5)
-
-    def test_channel_mismatch(self):
-        weights = init_weights(SMALL, backbone_channels={2: 3, 3: 3, 4: 3, 5: 3})
-        with pytest.raises(ShapeError):
-            build_laterals(small_pyramid(channels=4), weights)
 
 
 class TestForward:
@@ -460,12 +417,6 @@ def json_edit(change):
     return edit
 
 
-def partial_laterals(manifest):
-    layers = manifest["layers"]
-    layers["lateral7.conv"] = layers.pop("lateral4.conv")
-    del layers["lateral5.conv"]
-
-
 def extra_layer(manifest):
     manifest["layers"]["hfp6.gap_conv"] = manifest["layers"]["hfp5.gap_conv"]
 
@@ -508,6 +459,68 @@ class TestPyramidIo:
         for lv in (2, 3, 4, 5):
             assert back[lv].tobytes() == pyr[lv].tobytes()
 
+    def test_manifest_without_file_names_reads(self, tmp_path):
+        pyr = small_pyramid(seed=4)
+        write_pyramid_dir(tmp_path / "pyr", pyr, prefix="c")
+        manifest_path = tmp_path / "pyr" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for entry in manifest["levels"].values():
+            del entry["file"]
+        manifest_path.write_text(json.dumps(manifest))
+        back = read_pyramid_dir(tmp_path / "pyr", prefix="c")
+        for lv in (2, 3, 4, 5):
+            assert back[lv].tobytes() == pyr[lv].tobytes()
+
+    @pytest.mark.parametrize("where", ["absolute", "parent"])
+    def test_pyramid_manifest_names_derived(self, tmp_path, monkeypatch, where):
+        # a valid PFT1 file outside the directory: refused by name, never opened
+        write_pyramid_dir(tmp_path / "pyr", small_pyramid(), prefix="c")
+        write_tensor(tmp_path / "other.pft", small_pyramid()[3])
+        manifest_path = tmp_path / "pyr" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["levels"]["3"]["file"] = str(tmp_path / "other.pft") if where == "absolute" else "../other.pft"
+        manifest_path.write_text(json.dumps(manifest))
+        reads = []
+        monkeypatch.setattr(hio, "read_tensor", reads.append)
+        with pytest.raises(ValidationError, match="level 3 must name file 'c3.pft'"):
+            read_pyramid_dir(tmp_path / "pyr", prefix="c")
+        assert reads == []
+
+    @pytest.mark.parametrize("key", ["weight", "bias"])
+    @pytest.mark.parametrize("where", ["absolute", "parent"])
+    def test_weight_manifest_names_derived(self, tmp_path, monkeypatch, key, where):
+        save_weights(tmp_path / "w", init_weights(SMALL))
+        write_tensor(tmp_path / "other.pft", init_weights(SMALL).out_convs[2].weight)
+        manifest_path = tmp_path / "w" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["layers"]["out2.conv"][key] = str(tmp_path / "other.pft") if where == "absolute" else "../other.pft"
+        manifest_path.write_text(json.dumps(manifest))
+        reads = []
+        monkeypatch.setattr(hio, "read_tensor", reads.append)
+        with pytest.raises(ValidationError, match="layer .out2.conv. must name files"):
+            load_weights(tmp_path / "w")
+        assert reads == []
+
+    def test_weight_dir_with_laterals_refused(self, tmp_path, monkeypatch):
+        # lateral 1x1 convs (backbone width 6) as earlier versions saved them
+        save_weights(tmp_path / "w", init_weights(SMALL))
+        manifest_path = tmp_path / "w" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for lv in (2, 3, 4, 5):
+            name = f"lateral{lv}.conv"
+            manifest["layers"][name] = {"in_channels": 6, "out_channels": 4, "kernel": 1, "groups": 1,
+                                        "has_bias": True, "weight": f"{name}.weight.pft",
+                                        "bias": f"{name}.bias.pft"}
+            write_tensor(tmp_path / "w" / f"{name}.weight.pft", np.ones((4, 6, 1, 1), np.float32))
+            write_tensor(tmp_path / "w" / f"{name}.bias.pft", np.zeros(4, np.float32))
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+        reads = []
+        monkeypatch.setattr(hio, "read_tensor", reads.append)
+        with pytest.raises(ValidationError, match=r"layers \['lateral2.conv', 'lateral3.conv', 'lateral4.conv', "
+                                                  r"'lateral5.conv'\] do not belong to the config"):
+            load_weights(tmp_path / "w")
+        assert reads == []
+
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"levels": [1]}',
                                       '{"levels": {"2": {"file": 7}}}'],
                              ids=["not-json", "not-object", "levels-list", "file-not-string"])
@@ -523,10 +536,8 @@ class TestPyramidIo:
         lambda m: m.replace('"channels"', '"chans"'),
         lambda m: m.replace('"hfp2.gap_conv"', '"hfp2.gap"'),
         lambda m: m.replace('"weight": "out2.conv.weight.pft"', '"weight": 5'),
-        lambda m: m.replace('"lateral2.conv"', '"lateralX.conv"'),
         json_edit(lambda m: m["config"].update(groups=0)),
         json_edit(lambda m: m["config"].update(conv_bias=False)),
-        json_edit(partial_laterals),
         json_edit(extra_layer),
         json_edit(short_bias),
         json_edit(lambda m: m["config"].update(k=4.0)),
@@ -538,11 +549,11 @@ class TestPyramidIo:
         json_edit(lambda m: m["config"].update(filter_levels=[2.0, 3.0])),
         json_edit(lambda m: m["config"].update(seed=-1)),
     ], ids=["not-json", "no-config", "no-channels", "no-layer", "weight-not-string",
-            "bad-lateral-name", "groups-zero", "config-contradicts-bias", "laterals-2-3-7",
+            "groups-zero", "config-contradicts-bias",
             "extra-layer", "bias-length", "k-float", "in-channels-float", "squash-string",
             "alpha-bool", "k-bool", "filter-levels-float", "seed-negative"])
     def test_malformed_weight_manifest(self, tmp_path, edit):
-        save_weights(tmp_path / "w", init_weights(SMALL, backbone_channels={2: 6, 3: 6, 4: 6, 5: 6}))
+        save_weights(tmp_path / "w", init_weights(SMALL))
         manifest = tmp_path / "w" / "manifest.json"
         edited = edit(manifest.read_text())
         assert edited != manifest.read_text()
@@ -575,16 +586,16 @@ class TestPyramidIo:
     # `sha256sum`-style listing ("<sha256>  <name>" per file, sorted by name)
     # that pins every file's name and bytes. A change to init draw order,
     # layer names, manifest key order or the PFT1 encoding moves them.
-    @pytest.mark.parametrize("config, backbone, files, manifest_sha, listing_sha", [
-        (SMALL, {2: 6, 3: 6, 4: 6, 5: 6}, 66,
-         "ea40a28d3a9f8a91f9bfae2222fdea98456ac955f8c264723f2b9837540f50f0",
-         "5511b8365caad1ed4292186f086f5786b5cec18f9eb4f7d37a20aa22a6e027d0"),
-        (NON_DEFAULT, None, 43,
+    @pytest.mark.parametrize("config, files, manifest_sha, listing_sha", [
+        (SMALL, 58,
+         "602a94728d2f34c79a89d32c1d40aff660d57be2c5c0f211d17ff1d651a85558",
+         "ba77b35a8f84b618c012c2d012790c24f1d80a06a47e1c314b782bb7b9afbaba"),
+        (NON_DEFAULT, 43,
          "2ab0733e3f47542fd7151b12d931d4ee750c920600a22622960cf8527a765cd6",
          "31f506555d46d55b59bfc0185fccea4bb6b595d1272963698faa872d952e1f15"),
-    ], ids=["small-laterals", "non-default"])
-    def test_saved_files_pinned(self, tmp_path, config, backbone, files, manifest_sha, listing_sha):
-        save_weights(tmp_path / "w", init_weights(config, backbone_channels=backbone))
+    ], ids=["small", "non-default"])
+    def test_saved_files_pinned(self, tmp_path, config, files, manifest_sha, listing_sha):
+        save_weights(tmp_path / "w", init_weights(config))
         paths = sorted((tmp_path / "w").iterdir())
         listing = "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n" for p in paths)
         assert len(paths) == files
@@ -619,22 +630,12 @@ class TestPyramidIo:
         with pytest.raises(ShapeError, match="weight dims"):
             ConvLayer(layer.spec, layer.weight[..., :1, :1], layer.bias)
 
-    def test_weights_roundtrip_with_laterals(self, tmp_path):
-        weights = init_weights(SMALL, backbone_channels={2: 6, 3: 6, 4: 6, 5: 6})
-        save_weights(tmp_path / "w", weights)
-        loaded = load_weights(tmp_path / "w")
-        assert [name for name in loaded.layers if name.startswith("lateral")] == [
-            f"lateral{lv}.conv" for lv in (2, 3, 4, 5)]
-        np.testing.assert_array_equal(loaded.layers["lateral2.conv"].weight,
-                                      weights.layers["lateral2.conv"].weight)
-
 
 # Values a hostile manifest may put where another belongs: every JSON type,
 # ints that are negative or too large for any tensor, and a deleted key.
 DELETE = object()
 HOSTILE_VALUES = (DELETE, 0.5, 4.0, True, False, "x", "", None, [], [2, 3], {}, -1, 0, 1, 3,
                   2**40, 10**30)
-FILE_KEYS = ("weight", "bias", "file")
 
 
 def key_paths(node, prefix=()):
@@ -648,12 +649,11 @@ def key_paths(node, prefix=()):
 def manifest_mutants(manifest, count, seed, focus=None):
     """Seeded copies of a manifest with 1-3 values replaced or keys deleted.
 
-    With `focus` set, three edits in four land under that top-level key. Yields
-    (mutant, renamed) where `renamed` says a file-name value changed.
+    With `focus` set, three edits in four land under that top-level key.
     """
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        mutant, renamed = copy.deepcopy(manifest), False
+        mutant = copy.deepcopy(manifest)
         for _ in range(rng.integers(1, 4)):
             paths = list(key_paths(mutant))
             if focus in mutant and rng.random() < 0.75:
@@ -665,34 +665,28 @@ def manifest_mutants(manifest, count, seed, focus=None):
             for parent in parents:
                 node = node[parent]
             value = HOSTILE_VALUES[rng.integers(len(HOSTILE_VALUES))]
-            renamed |= key in FILE_KEYS
             if value is DELETE:
                 del node[key]
             else:
                 node[key] = copy.deepcopy(value)
-        yield mutant, renamed
+        yield mutant
 
 
 class TestHostileManifests:
     """Only ValidationError/ShapeError escape the manifest readers, whatever the values.
 
-    A changed file name may also name no readable file: that is the documented
-    missing-path error (exit 1), so OSError is allowed for those mutants only.
+    File names are derived, not read from the manifest, so no mutant can make
+    a reader open a file that is not there: an OSError fails the test.
     """
 
     def run(self, manifest_path, reader, count, seed, focus=None):
         manifest = json.loads(manifest_path.read_text())
         loaded = rejected = 0
-        for mutant, renamed in manifest_mutants(manifest, count, seed, focus):
+        for mutant in manifest_mutants(manifest, count, seed, focus):
             manifest_path.write_text(json.dumps(mutant))
             try:
                 result = reader(manifest_path.parent)
             except (ValidationError, ShapeError):
-                rejected += 1
-                continue
-            except OSError:
-                if not renamed:
-                    raise
                 rejected += 1
                 continue
             loaded += 1
@@ -700,7 +694,7 @@ class TestHostileManifests:
         assert rejected > count // 4 and loaded >= 10  # both outcomes exercised
 
     def test_weight_manifest_mutants(self, tmp_path):
-        save_weights(tmp_path / "w", init_weights(SMALL, backbone_channels={2: 6, 3: 6, 4: 6, 5: 6}))
+        save_weights(tmp_path / "w", init_weights(SMALL))
         pyr = small_pyramid(seed=5, base=(8, 8))
         for weights in self.run(tmp_path / "w" / "manifest.json", load_weights, 500, seed=41,
                                 focus="config"):
