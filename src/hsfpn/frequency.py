@@ -16,7 +16,6 @@ checks every cut first, computes one corner of DCT coefficients at the
 largest cut, and rebuilds only the pixels ``scr`` reads for each cut.
 """
 
-import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import ceil
@@ -24,7 +23,9 @@ from math import ceil
 import numpy as np
 
 from .errors import DegenerateBackgroundError, ShapeError, ValidationError
-from .tensor import BAND_ROWS, DTYPE, as_tensor, check_finite
+from .tensor import BAND_ROWS, DTYPE, as_tensor, check_finite, is_integer
+
+FILTER_PLANES = 16  # planes per lowcut_filter group; sets the size of its float64 workspace
 
 
 @lru_cache(maxsize=16)
@@ -56,8 +57,7 @@ def highpass_cut(h: int, w: int, alpha: float) -> tuple:
 
 def _check_cut(cut_rows, cut_cols) -> None:
     """Raise ValidationError unless both cut extents are integers >= 0: numpy ones too, no bools."""
-    if not all(isinstance(e, numbers.Integral) and not isinstance(e, bool) and e >= 0
-               for e in (cut_rows, cut_cols)):
+    if not all(is_integer(e) and e >= 0 for e in (cut_rows, cut_cols)):
         raise ValidationError(f"cut extents must be integers >= 0, got {(cut_rows, cut_cols)!r}")
 
 
@@ -70,7 +70,9 @@ def lowcut_filter(x, cut_rows: int, cut_cols: int) -> np.ndarray:
     x - D_r.T @ (D_r @ x @ D_s.T) @ D_s, evaluated in float64 and rounded once:
     the mask form (transform, zero the corner, invert; the reference in
     ``tests/oracles.py``) without transforming the whole plane. An empty cut
-    returns the input unchanged (bitwise).
+    returns the input unchanged (bitwise). Planes run `FILTER_PLANES` at a
+    time into one float32 output, so the float64 working memory is one
+    group's, not the map's; every plane's result is independent of its group.
     """
     x = as_tensor(x, rank=2) if np.ndim(x) == 2 else as_tensor(x, rank=4)
     _check_cut(cut_rows, cut_cols)
@@ -79,11 +81,16 @@ def lowcut_filter(x, cut_rows: int, cut_cols: int) -> np.ndarray:
     if r == 0 or s == 0:
         return x
     d_r, d_s = dct_matrix(h)[:r], dct_matrix(w)[:s]
-    # Corner coefficients D_r @ x @ D_s.T; the W-axis product is one GEMM.
-    corner = d_r @ (x.reshape(-1, w) @ d_s.T).reshape(-1, h, s)
-    low = ((d_r.T @ corner).reshape(-1, s) @ d_s).reshape(x.shape)
-    np.subtract(x, low, out=low)
-    return low.astype(DTYPE)
+    planes = x.reshape(-1, h, w)
+    out = np.empty(x.shape, DTYPE)
+    dest = out.reshape(-1, h, w)
+    for p0 in range(0, len(planes), FILTER_PLANES):
+        group = planes[p0 : p0 + FILTER_PLANES]
+        # Corner coefficients D_r @ x @ D_s.T; the W-axis product is one GEMM.
+        corner = d_r @ (group.reshape(-1, w) @ d_s.T).reshape(-1, h, s)
+        low = ((d_r.T @ corner).reshape(-1, s) @ d_s).reshape(group.shape)
+        dest[p0 : p0 + FILTER_PLANES] = np.subtract(group, low, out=low)
+    return out
 
 
 def highfreq_response(c, alpha: float) -> np.ndarray:
@@ -177,7 +184,8 @@ def scr_filter_sweep(image, windows: ScrWindows, cuts) -> list:
 
     Returns [(cut_rows, cut_cols, scr), ...] in the given order, each SCR
     that of :func:`lowcut_filter` with that cut (within float64 rounding).
-    `cuts` is read into a list and every cut checked before any is scored.
+    `cuts` is read into a list of pairs and every cut checked before any is
+    scored; anything but an iterable of pairs raises ValidationError.
     The sweep then computes one corner of DCT coefficients ``C = D_h[:R] @
     x @ D_w[:S].T`` at the largest clipped cut (R, S), casting the image to
     float64 one band of rows at a time, and for cut (r, s) rebuilds only
@@ -189,7 +197,10 @@ def scr_filter_sweep(image, windows: ScrWindows, cuts) -> list:
     image = as_tensor(image, rank=2)
     h, w = image.shape
     windows.target_slice(h, w)  # an off-image target fails before any cut is read
-    cuts = list(cuts)
+    try:
+        cuts = [(r, s) for r, s in cuts]
+    except (TypeError, ValueError):  # not iterable, or a cut that does not unpack into two
+        raise ValidationError("cuts must be an iterable of (cut_rows, cut_cols) pairs") from None
     for cut in cuts:
         _check_cut(*cut)
     big_r = min(h, max((r for r, s in cuts if r and s), default=0))

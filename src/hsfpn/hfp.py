@@ -89,10 +89,15 @@ def hfp_forward(c, params: HfpParams) -> np.ndarray:
     The filtered response feeds both paths; their outputs broadcast against
     the raw input `c` (u_cp over space, u_sp over channels), the two Hadamard
     products are summed pixel by pixel, and fuse_conv produces the output.
-    Dims are preserved.
+    Dims are preserved. The filtered map is dropped once both paths have read
+    it, and the second product is added into the first, so fuse_conv runs
+    with only its input map alive beside `c`.
     """
     c = as_tensor(c, rank=4)
     f = highfreq_response(c, params.alpha)
     u_cp = channel_path(f, params)
     u_sp = spatial_path(f, params)
-    return params.fuse_conv(u_cp * c + u_sp * c)
+    del f
+    t = u_cp * c
+    t += u_sp * c
+    return params.fuse_conv(t)

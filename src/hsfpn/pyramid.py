@@ -222,7 +222,7 @@ def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights, timings: dict | 
             if upper is not None:
                 fused = sdp_forward(fused, upper, weights.sdp_params(level, h5, w5))
                 if config.fusion_mode == "sdp_plus_add":
-                    fused = fused + upsample2x(upper)
+                    fused += upsample2x(upper)  # fused is sdp_forward's fresh output
                 spent["sdp"] += clock() - t1
         t0 = clock()
         outputs[level] = weights.out_convs[level](fused)

@@ -105,7 +105,10 @@ def sdp_forward(c_low, p_up, params: SdpParams) -> np.ndarray:
     from c_low, K and V from p_up itself. Block (r0, c0) is the slice
     [r0:r0+block_h, c0:c0+block_w] of the projected queries; it attends over
     the p_up pixels under its upsampled span, each counted as often as the
-    upsampling repeats it, and its result is added to the same slice of c_low.
+    upsampling repeats it, and its result plus the same slice of c_low is
+    written over the block's queries, which no other block reads. So the
+    projected query map becomes the output, and c_low is neither copied nor
+    changed.
     """
     c_low = as_tensor(c_low, rank=4)
     p_up = as_tensor(p_up, rank=4)
@@ -120,10 +123,10 @@ def sdp_forward(c_low, p_up, params: SdpParams) -> np.ndarray:
     if h % bh or w % bw:
         raise ShapeError(f"block extents ({bh}, {bw}) do not divide spatial extents ({h}, {w})")
 
-    q = params.q_conv(c_low).transpose(0, 2, 3, 1)  # (N, H, W, C)
+    out = params.q_conv(c_low)
+    q = out.transpose(0, 2, 3, 1)  # (N, H, W, C)
     k = params.k_conv(p_up).transpose(0, 2, 3, 1)  # (N, H/2, W/2, C)
     v = params.v_conv(p_up).transpose(0, 2, 3, 1)
-    out = c_low.copy()
     for r0 in range(0, h, bh):
         rows, row_repeats = _upper_span(r0, bh)
         for c0 in range(0, w, bw):
@@ -133,5 +136,6 @@ def sdp_forward(c_low, p_up, params: SdpParams) -> np.ndarray:
                 att = block_attention(q[s, r0:r0 + bh, c0:c0 + bw].reshape(-1, c),
                                       k[s, rows, cols].reshape(-1, c),
                                       v[s, rows, cols].reshape(-1, c), counts)
-                out[s, :, r0:r0 + bh, c0:c0 + bw] += att.T.reshape(c, bh, bw)
+                block = (s, slice(None), slice(r0, r0 + bh), slice(c0, c0 + bw))
+                np.add(c_low[block], att.T.reshape(c, bh, bw), out=out[block])
     return out

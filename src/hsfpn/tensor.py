@@ -15,6 +15,7 @@ from .errors import ShapeError, ValidationError
 
 DTYPE = np.float32
 BAND_ROWS = 16  # output rows per conv2d band; sets the size of its float64 workspace
+POOL_PLANES = 16  # (sample, channel) planes per adaptive_pool group; sets the size of its workspace
 
 
 def as_tensor(x, rank: int | None = None) -> np.ndarray:
@@ -40,6 +41,11 @@ def check_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValidationError(f"{what} contains non-finite values")
     return x
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer, False for a bool or anything else: the rule for extents."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 _NUMBERS = {int: numbers.Integral, float: numbers.Real}
@@ -226,12 +232,22 @@ def adaptive_pool(x, out_h: int, out_w: int, mode: str = "avg") -> np.ndarray:
     """Adaptive average or max pooling to an (out_h, out_w) grid.
 
     Output cell (i, j) covers input rows floor(i*H/out_h) .. ceil((i+1)*H/out_h)-1
-    and the analogous columns, matching the usual adaptive-pooling rule.
+    and the analogous columns, matching the usual adaptive-pooling rule. The
+    output extents are integers (numpy ones too, no bools; else
+    ValidationError) between 1 and the input's (else ShapeError).
+
+    Planes are pooled `POOL_PLANES` at a time into one float32 output, so the
+    working memory is one group's, not the map's. Average pooling is the
+    float64 product P_h @ x @ P_w.T, with 1/len weights in the pooling
+    matrices; max pooling gathers each row window, then each column window.
+    Every plane's result is independent of the group it runs in.
     """
     x = as_tensor(x, rank=4)
     n, c, h, w = x.shape
     if mode not in ("avg", "max"):
         raise ValidationError(f"mode must be 'avg' or 'max', got {mode!r}")
+    if not (is_integer(out_h) and is_integer(out_w)):
+        raise ValidationError(f"output extents must be integers, got {(out_h, out_w)!r}")
     if out_h < 1 or out_w < 1:
         raise ShapeError("output extents must be >= 1")
     if out_h > h or out_w > w:
@@ -239,11 +255,20 @@ def adaptive_pool(x, out_h: int, out_w: int, mode: str = "avg") -> np.ndarray:
 
     rows, cols = _pool_windows(h, out_h), _pool_windows(w, out_w)
     if mode == "avg":
-        # Window means as P_h @ x @ P_w.T, with 1/len weights in the pooling matrices.
-        by_col = (x.reshape(-1, w) @ _avg_matrix(w, *cols).T).reshape(n * c, h, out_w)
-        return (_avg_matrix(h, *rows) @ by_col).reshape(n, c, out_h, out_w).astype(DTYPE)
-    by_row = x[:, :, _window_index(*rows), :].max(axis=3)
-    return by_row[..., _window_index(*cols)].max(axis=4)
+        p_h, p_w = _avg_matrix(h, *rows), _avg_matrix(w, *cols).T
+
+        def pool(group):
+            return p_h @ (group.reshape(-1, w) @ p_w).reshape(-1, h, out_w)
+    else:
+        row_index, col_index = _window_index(*rows), _window_index(*cols)
+
+        def pool(group):
+            return group[:, row_index, :].max(axis=2)[..., col_index].max(axis=3)
+    planes = x.reshape(-1, h, w)
+    out = np.empty((n * c, out_h, out_w), DTYPE)
+    for p0 in range(0, n * c, POOL_PLANES):
+        out[p0 : p0 + POOL_PLANES] = pool(planes[p0 : p0 + POOL_PLANES])
+    return out.reshape(n, c, out_h, out_w)
 
 
 def _pool_windows(size: int, out: int):

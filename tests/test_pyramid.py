@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,33 @@ class TestForward:
         weights = init_weights(SMALL)
         with pytest.raises(ShapeError):
             hsfpn_forward(small_pyramid(channels=8), weights)
+
+    @pytest.mark.parametrize("mode, fusion_mode", [("hsfpn", "sdp_only"), ("hsfpn", "sdp_plus_add"),
+                                                   ("fpn_baseline", "sdp_only")])
+    def test_input_pyramid_unchanged(self, mode, fusion_mode):
+        # levels 3..5 lie outside filter_levels, where the filter returns its input array itself
+        config = dataclasses.replace(SMALL, mode=mode, fusion_mode=fusion_mode, filter_levels=(2,))
+        pyr = random_pyramid(4, base_hw=(40, 24), batch=2, seed=17)
+        before = {lv: pyr[lv].tobytes() for lv in (2, 3, 4, 5)}
+        out = hsfpn_forward(pyr, init_weights(config))
+        for lv in (2, 3, 4, 5):
+            assert pyr[lv].tobytes() == before[lv], lv
+            assert not np.shares_memory(out[lv], pyr[lv]), lv
+
+    def test_peak_memory_bounded_by_level_2_input(self):
+        # mid scale: 64 channels, level 2 at 128x128; measured 3.49x, set by the level-2
+        # fuse conv's input, output and band workspace beside the outputs
+        config = PyramidConfig(channels=64, alpha=0.25, k=16, groups=16, seed=0)
+        weights = init_weights(config)
+        pyr = random_pyramid(64, base_hw=(128, 128), seed=1)
+        hsfpn_forward(pyr, weights)  # first call outside the measurement
+        tracemalloc.start()
+        try:
+            hsfpn_forward(pyr, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.6 * pyr[2].nbytes, f"peak {peak} B is {peak / pyr[2].nbytes:.2f}x level 2"
 
     def test_timings_collected(self):
         # one key set for every mode; a mode's unused stages read exactly 0
