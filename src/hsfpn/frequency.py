@@ -3,39 +3,65 @@
 The paper's high-pass filter transforms each plane with the orthonormal
 type-II DCT, zeroes the low-frequency top-left corner of the coefficients and
 transforms back. ``dct_matrix`` builds the DCT as an explicit cosine matrix
-(no FFT), and ``highpass_cut`` gives the corner that a fraction ``alpha`` of
-each axis blocks. Orthonormality turns the masked round trip into an
-orthogonal projection, so ``lowcut_filter`` removes an absolute r x s corner
-from every plane by projecting onto the corner's DCT basis, without
-transforming the whole plane, and filtering twice equals filtering once.
-``highfreq_response`` applies it with the fractional cut per channel. The
-signal-to-clutter ratio ``scr`` quantifies how salient a small target is
-against its surroundings before and after such filtering.
+(no FFT), only the leading rows asked for, and ``highpass_cut`` gives the
+corner that a fraction ``alpha`` of each axis blocks. Orthonormality turns
+the masked round trip into an orthogonal projection, so ``lowcut_filter``
+removes an absolute r x s corner from every plane by projecting onto the
+corner's DCT basis, without transforming the whole plane, and filtering twice
+equals filtering once. ``highfreq_response`` applies it with the fractional
+cut per channel. The signal-to-clutter ratio ``scr`` quantifies how salient a
+small target is against its surroundings before and after such filtering.
 ``scr_filter_sweep`` scores many absolute cuts of one image: it reads and
-checks every cut first, computes one corner of DCT coefficients at the
-largest cut, and rebuilds only the pixels ``scr`` reads for each cut.
+checks every cut first, sums one corner of DCT coefficients at the largest
+cut over bands of image rows, and keeps the low-pass part of the pixels
+``scr`` reads, adding to it only the coefficients each cut adds to the one
+before. Every extent (DCT order and rows, plane extents, cuts) is checked by
+one rule: an integer, numpy ones included, that is not a bool.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import ceil
 
 import numpy as np
 
-from .errors import DegenerateBackgroundError, ShapeError, ValidationError
-from .tensor import BAND_ROWS, DTYPE, as_tensor, check_finite, is_integer
+from .errors import DegenerateBackgroundError, ValidationError
+from .tensor import DTYPE, as_tensor, check_field_types, check_finite, is_integer
 
 FILTER_PLANES = 16  # planes per lowcut_filter group; sets the size of its float64 workspace
+SWEEP_BAND_ROWS = 128  # image rows per scr_filter_sweep corner product; sets the size of its float64 workspace
+
+
+def _check_extents(what: str, extents: tuple, least: int = 0) -> None:
+    """Raise ValidationError unless every extent is an integer >= `least`: numpy ones too, no bools."""
+    if not all(is_integer(e) and e >= least for e in extents):
+        raise ValidationError(f"{what} must be integers >= {least}, got {extents!r}")
+
+
+def dct_matrix(n: int, rows: int | None = None) -> np.ndarray:
+    """The first `rows` rows (default all n) of the orthonormal type-II DCT matrix of order n.
+
+    float64 and read-only. Only the rows asked for are built, and each equals
+    (bitwise) the same row of the full matrix. The 16 most recently used
+    (n, rows) pairs are cached. n must be an integer >= 1 and rows one in
+    [0, n], or ValidationError is raised before the cache is touched.
+    """
+    rows = n if rows is None else rows
+    _check_extents("DCT order and rows", (n, rows))
+    if n < 1 or rows > n:
+        raise ValidationError(f"DCT order must be >= 1 and rows at most the order, got order {n} and rows {rows}")
+    return _dct_rows(int(n), int(rows))
 
 
 @lru_cache(maxsize=16)
-def dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal type-II DCT matrix of order n (float64; the 16 most recently used orders are cached)."""
+def _dct_rows(n: int, rows: int) -> np.ndarray:
+    """dct_matrix's cached body, keyed by checked Python ints."""
     j = np.arange(n, dtype=np.float64)
-    k = j[:, None]
+    k = np.arange(rows, dtype=np.float64)[:, None]
     mat = np.cos(np.pi * (2.0 * j[None, :] + 1.0) * k / (2.0 * n))
     mat *= np.sqrt(2.0 / n)
-    mat[0] *= np.sqrt(0.5)
+    mat[:1] *= np.sqrt(0.5)
     mat.setflags(write=False)
     return mat
 
@@ -45,20 +71,15 @@ def highpass_cut(h: int, w: int, alpha: float) -> tuple:
 
     r counts the rows u with u < alpha*h and s the columns v with v < alpha*w,
     compared on the real-valued products (no rounding): alpha=0.25 on h=10
-    blocks u in {0, 1, 2}. alpha=0 blocks nothing, alpha=1 everything.
+    blocks u in {0, 1, 2}. alpha=0 blocks nothing, alpha=1 everything. The
+    plane extents must be integers >= 1 and alpha a real number (no bool) in
+    [0, 1], or ValidationError is raised.
     """
-    if h < 1 or w < 1:
-        raise ShapeError("plane extents must be >= 1")
-    if not 0.0 <= alpha <= 1.0:
+    _check_extents("plane extents", (h, w), least=1)
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
     # the integers u >= 0 with u < alpha*n number ceil(alpha*n)
     return min(h, ceil(alpha * h)), min(w, ceil(alpha * w))
-
-
-def _check_cut(cut_rows, cut_cols) -> None:
-    """Raise ValidationError unless both cut extents are integers >= 0: numpy ones too, no bools."""
-    if not all(is_integer(e) and e >= 0 for e in (cut_rows, cut_cols)):
-        raise ValidationError(f"cut extents must be integers >= 0, got {(cut_rows, cut_cols)!r}")
 
 
 def lowcut_filter(x, cut_rows: int, cut_cols: int) -> np.ndarray:
@@ -75,12 +96,12 @@ def lowcut_filter(x, cut_rows: int, cut_cols: int) -> np.ndarray:
     group's, not the map's; every plane's result is independent of its group.
     """
     x = as_tensor(x, rank=2) if np.ndim(x) == 2 else as_tensor(x, rank=4)
-    _check_cut(cut_rows, cut_cols)
+    _check_extents("cut extents", (cut_rows, cut_cols))
     h, w = x.shape[-2:]
     r, s = min(cut_rows, h), min(cut_cols, w)
     if r == 0 or s == 0:
         return x
-    d_r, d_s = dct_matrix(h)[:r], dct_matrix(w)[:s]
+    d_r, d_s = dct_matrix(h, r), dct_matrix(w, s)
     planes = x.reshape(-1, h, w)
     out = np.empty(x.shape, DTYPE)
     dest = out.reshape(-1, h, w)
@@ -127,13 +148,16 @@ class ScrWindows:
     neighborhood_extent: int = 80
 
     def __post_init__(self):
+        check_field_types(self)
+        if len(self.target_center) != 2:
+            raise ValidationError(f"target_center must be two ints (row, col), got {self.target_center!r}")
         if self.target_extent <= 0:
             raise ValidationError("target extent must be positive")
         if self.neighborhood_extent <= self.target_extent:
             raise ValidationError("neighbourhood extent must exceed target extent")
 
     def _clip(self, extent: int, h: int, w: int):
-        r0, c0 = (int(v) - extent // 2 for v in self.target_center)
+        r0, c0 = (v - extent // 2 for v in self.target_center)
         return (slice(min(max(r0, 0), h), min(max(r0 + extent, 0), h)),
                 slice(min(max(c0, 0), w), min(max(c0 + extent, 0), w)))
 
@@ -187,12 +211,14 @@ def scr_filter_sweep(image, windows: ScrWindows, cuts) -> list:
     `cuts` is read into a list of pairs and every cut checked before any is
     scored; anything but an iterable of pairs raises ValidationError.
     The sweep then computes one corner of DCT coefficients ``C = D_h[:R] @
-    x @ D_w[:S].T`` at the largest clipped cut (R, S), casting the image to
-    float64 one band of rows at a time, and for cut (r, s) rebuilds only
-    the neighbourhood window ``scr`` reads: ``crop - D_h[:r, rows].T @
-    C[:r, :s] @ D_w[:s, cols]``, in float64 and rounded once. A cut with no
-    rows or no columns makes that product all zeros, so it scores the
-    unfiltered window and does not widen (R, S).
+    x @ D_w[:S].T`` at the largest clipped cut (R, S), summed over bands of
+    `SWEEP_BAND_ROWS` image rows, and keeps the low-pass part of the
+    neighbourhood window ``scr`` reads, ``low = U[:, :r] @ C[:r, :s] @ V[:s]``
+    with ``U = D_h[:, rows].T`` and ``V = D_w[:, cols]``, in float64. A cut
+    that covers the cut before it adds only its new strip of coefficients to
+    ``low``; any other cut starts again from zero. Each window is ``crop -
+    low`` rounded once. A cut with no rows or no columns leaves ``low`` all
+    zeros, so it scores the unfiltered window and does not widen (R, S).
     """
     image = as_tensor(image, rank=2)
     h, w = image.shape
@@ -202,27 +228,34 @@ def scr_filter_sweep(image, windows: ScrWindows, cuts) -> list:
     except (TypeError, ValueError):  # not iterable, or a cut that does not unpack into two
         raise ValidationError("cuts must be an iterable of (cut_rows, cut_cols) pairs") from None
     for cut in cuts:
-        _check_cut(*cut)
+        _check_extents("cut extents", cut)
     big_r = min(h, max((r for r, s in cuts if r and s), default=0))
     big_s = min(w, max((s for r, s in cuts if r and s), default=0))
-    d_h, d_w = dct_matrix(h)[:big_r], dct_matrix(w)[:big_s]
-    half = np.empty((h, big_s))
-    for i in range(0, h, BAND_ROWS):
-        np.matmul(image[i : i + BAND_ROWS], d_w.T, out=half[i : i + BAND_ROWS])
-    corner = d_h @ half
-    del half  # before the per-cut products, which copy corner slices: the peak stays half + corner
+    d_h, d_w = dct_matrix(h, big_r), dct_matrix(w, big_s)
+    corner = np.zeros((big_r, big_s))
+    for i in range(0, h, SWEEP_BAND_ROWS):
+        band = slice(i, i + SWEEP_BAND_ROWS)
+        corner += d_h[:, band] @ (image[band] @ d_w.T)
 
     rows, cols = windows.neighborhood_slice(h, w)
     crop = image[rows, cols]
     # the same windows in crop coordinates clip to the same pixels
-    tr, tc = (int(v) for v in windows.target_center)
+    tr, tc = windows.target_center
     local = replace(windows, target_center=(tr - rows.start, tc - cols.start))
-    d_rows, d_cols = d_h[:, rows], d_w[:, cols]
+    u, v = d_h[:, rows].T, d_w[:, cols]
+    low = np.zeros(crop.shape)
+    pr = ps = 0  # low = U[:, :pr] @ C[:pr, :ps] @ V[:ps]
     out = []
-    for r, s in cuts:
-        low = d_rows[:r].T @ corner[:r, :s] @ d_cols[:s]
-        window = np.subtract(crop, low, out=low).astype(DTYPE)
-        out.append((int(r), int(s), scr(window, local)))
+    for cut_r, cut_s in cuts:
+        r, s = min(cut_r, big_r), min(cut_s, big_s)
+        if r < pr or s < ps:
+            low[...] = 0.0
+            pr = ps = 0
+        low += u[:, pr:r] @ (corner[pr:r, :s] @ v[:s])
+        low += (u[:, :pr] @ corner[:pr, ps:s]) @ v[ps:s]
+        pr, ps = r, s
+        window = (crop - low).astype(DTYPE)
+        out.append((int(cut_r), int(cut_s), scr(window, local)))
     return out
 
 

@@ -2,7 +2,8 @@
 
 Each run is a fresh interpreter, because OpenBLAS reads its thread count once,
 at import. Both runs print sha256 digests of the same outputs: a small
-pyramid forward in each mode and a short SCR sweep.
+pyramid forward in each mode and two short SCR sweeps, one with ascending cuts
+and one with shrinking and repeated ones.
 """
 
 import json
@@ -26,9 +27,12 @@ for mode in ("hsfpn", "fpn_baseline"):
                            filter_levels=(2, 3, 4, 5))
     levels = hsfpn_forward(pyr, init_weights(config))
     out[mode] = hashlib.sha256(b"".join(levels[lv].tobytes() for lv in (2, 3, 4, 5))).hexdigest()
-rows = scr_filter_sweep(blob_scene(256, 256), ScrWindows(target_center=(128, 128)),
-                        [(c, c) for c in range(0, 129, 16)])
+scene, windows = blob_scene(256, 256), ScrWindows(target_center=(128, 128))
+rows = scr_filter_sweep(scene, windows, [(c, c) for c in range(0, 129, 16)])
 out["sweep"] = hashlib.sha256(np.float64([s for _, _, s in rows]).tobytes()).hexdigest()
+# shrinking and repeated cuts: each shrink starts the window again from zero
+rows = scr_filter_sweep(scene, windows, [(96, 96), (40, 64), (40, 64), (8, 8), (0, 0), (64, 24), (128, 128)])
+out["sweep_reset"] = hashlib.sha256(np.float64([s for _, _, s in rows]).tobytes()).hexdigest()
 print(json.dumps(out))
 """
 
@@ -44,5 +48,5 @@ def digests(threads):
 
 def test_outputs_bitwise_equal_at_one_and_two_blas_threads():
     one = digests(1)
-    assert set(one) == {"hsfpn", "fpn_baseline", "sweep"}
+    assert set(one) == {"hsfpn", "fpn_baseline", "sweep", "sweep_reset"}
     assert digests(2) == one

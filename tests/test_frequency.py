@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -281,6 +282,21 @@ class TestScr:
         with pytest.raises(ValidationError):
             ScrWindows(target_center=(5, 5), target_extent=0, neighborhood_extent=10)
 
+    @pytest.mark.parametrize("args", [((1,), 2, 4), ((1, 2, 3), 2, 4), ((1.5, 2), 2, 4), ((True, 2), 2, 4),
+                                      (5, 2, 4), ("12", 2, 4), ((1, 2), 2.0, 4), ((1, 2), True, 4),
+                                      ((1, 2), 2, 4.5), ((1, 2), np.float64(2.0), 4)],
+                             ids=["one", "three", "float-centre", "bool-centre", "scalar-centre",
+                                  "str-centre", "float-extent", "bool-extent", "float-neighbourhood",
+                                  "numpy-float-extent"])
+    def test_window_fields_typed(self, args):
+        with pytest.raises(ValidationError):
+            ScrWindows(*args)
+
+    def test_window_fields_stored_as_python_ints(self):
+        win = ScrWindows([np.int64(3), np.int32(4)], np.int16(2), np.uint8(6))
+        assert win == ScrWindows((3, 4), 2, 6)
+        assert [type(v) for v in (*win.target_center, win.target_extent, win.neighborhood_extent)] == [int] * 4
+
     def test_windows_clamped_at_border(self):
         img = RNG.uniform(size=(40, 40)).astype(np.float32)
         win = ScrWindows(target_center=(2, 2), target_extent=10, neighborhood_extent=20)
@@ -390,7 +406,8 @@ class TestSweepTrend:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * scene.nbytes, f"peak {peak} B is {peak / scene.nbytes:.1f}x the image"
+        # the float64 corner, one band's float64 copy and product: 1.25x
+        assert peak <= 1.4 * scene.nbytes, f"peak {peak} B is {peak / scene.nbytes:.2f}x the image"
 
 
 def _spot_scene(h, w, target):
@@ -400,6 +417,15 @@ def _spot_scene(h, w, target):
     r, c = target
     scene[max(r - 1, 0) : r + 2, max(c - 1, 0) : c + 2] += 1.0
     return scene
+
+
+BENCH_SCENE = blob_scene(512, 512)  # the scene and windows of the scr-sweep benchmark
+BENCH_WINDOWS = ScrWindows(target_center=(256, 256))
+
+
+@functools.cache
+def _bench_scene_scr(cut):
+    return scr(lowcut_filter(BENCH_SCENE, cut, cut), BENCH_WINDOWS)
 
 
 class TestSweepOracle:
@@ -447,6 +473,28 @@ class TestSweepOracle:
         for r, c, value in rows:
             assert value == pytest.approx(scr(lowcut_filter(scene, r, c), win), rel=1e-6), (r, c)
 
+    @pytest.mark.parametrize("order", ["descending", "shuffled"])
+    def test_benchmark_scene_in_any_order(self, order):
+        # a cut that covers the one before adds a strip to the window; any
+        # other starts it again from zero (ascending: the test above)
+        cuts = [(c, c) for c in range(0, 257, 8)]
+        if order == "descending":
+            cuts.reverse()
+        else:
+            np.random.default_rng(7).shuffle(cuts)
+        rows = scr_filter_sweep(BENCH_SCENE, BENCH_WINDOWS, cuts)
+        assert [(r, c) for r, c, _ in rows] == cuts
+        for r, c, value in rows:
+            assert value == pytest.approx(_bench_scene_scr(r), rel=1e-6), (r, c)
+
+    def test_many_small_steps_keep_their_accuracy(self):
+        # 257 cuts, each adding one row and one column of coefficients: rounding
+        # that built up over the updates would show at the later cuts
+        rows = scr_filter_sweep(BENCH_SCENE, BENCH_WINDOWS, [(c, c) for c in range(257)])
+        assert [r for r, _, _ in rows] == list(range(257))
+        for r, c, value in rows[::16]:
+            assert value == pytest.approx(_bench_scene_scr(r), rel=1e-6), (r, c)
+
     def test_negative_cut_mid_sweep_rejected(self, monkeypatch):
         # every cut is checked before any is scored, wherever the bad one sits
         scene = _spot_scene(48, 48, (24, 24))
@@ -463,6 +511,26 @@ class TestSweepOracle:
         for centre in [(-1000, -1000), (24, 100), (100, 24)]:
             with pytest.raises(ValidationError):
                 scr_filter_sweep(scene, ScrWindows(target_center=centre), [(0, 0), (4, 4)])
+
+
+class TestExtentRule:
+    """dct_matrix and highpass_cut check their extents by the rule lowcut_filter's cuts follow."""
+
+    @pytest.mark.parametrize("h, w", [(10.5, 10), (10, 0), (0, 10), (-3, 10), (True, 10), ("10", 10),
+                                      (np.float64(10.0), 10)],
+                             ids=["float", "zero-w", "zero-h", "negative", "bool", "str", "numpy-float"])
+    def test_highpass_cut_rejects_bad_extents(self, h, w):
+        with pytest.raises(ValidationError, match="plane extents must be integers >= 1"):
+            highpass_cut(h, w, 0.25)
+
+    @pytest.mark.parametrize("alpha", ["a", None, True, 1.5, -0.1, float("nan")],
+                             ids=["str", "none", "bool", "above", "below", "nan"])
+    def test_highpass_cut_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValidationError, match=r"alpha must lie in \[0, 1\]"):
+            highpass_cut(10, 10, alpha)
+
+    def test_highpass_cut_accepts_numpy_scalars(self):
+        assert highpass_cut(np.int64(10), np.int32(10), np.float32(0.25)) == (3, 3)
 
 
 class TestCutExtents:
@@ -495,8 +563,47 @@ class TestDctMatrixCache:
     def test_cache_holds_at_most_sixteen_orders(self):
         for n in range(1, 101):
             dct_matrix(n)
-        info = dct_matrix.cache_info()
+            dct_matrix(n, n // 2)
+        info = frequency._dct_rows.cache_info()
         assert info.maxsize == 16 and info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 100, 512])
+    def test_rows_bitwise_equal_to_full_matrix(self, n):
+        full = dct_matrix(n)
+        for rows in sorted({0, 1, n // 3, n - 1, n}):
+            part = dct_matrix(n, rows)
+            assert part.shape == (rows, n) and part.flags.c_contiguous and not part.flags.writeable
+            assert part.tobytes() == full[:rows].tobytes()
+
+    def test_keyed_by_order_and_rows(self):
+        # the default row count is the order itself: one cache entry, not two
+        assert dct_matrix(40) is dct_matrix(40, 40)
+        assert dct_matrix(np.int64(40), np.int32(5)) is dct_matrix(40, 5)
+        assert dct_matrix(40, 5) is not dct_matrix(40, 6)
+
+    @pytest.mark.parametrize("args", [(0,), (-1,), (2.5,), (True,), ("a",), (np.float64(4.0),), (None,),
+                                      (4, 5), (4, -1), (4, 2.0), (0, 0)],
+                             ids=["zero", "negative", "float", "bool", "str", "numpy-float", "none",
+                                  "rows-above-order", "rows-negative", "rows-float", "empty-order"])
+    def test_bad_order_or_rows_rejected_before_the_cache(self, args):
+        before = frequency._dct_rows.cache_info()
+        with pytest.raises(ValidationError):
+            dct_matrix(*args)
+        after = frequency._dct_rows.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_filter_builds_only_the_rows_it_needs(self):
+        # a 64x48 cut on a 1024^2 plane keeps its 64 and 48 DCT rows alive in
+        # the cache, not the 8 MB 1024x1024 float64 matrix
+        plane = RNG.standard_normal((1024, 1024)).astype(np.float32)
+        frequency._dct_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            out = lowcut_filter(plane, 64, 48)
+            kept = tracemalloc.get_traced_memory()[0] - out.nbytes
+        finally:
+            tracemalloc.stop()
+        assert kept <= (64 + 48) * 1024 * 8 + 65536, f"{kept} B stay allocated after the call"
 
 
 class TestFilterPlane:
