@@ -22,10 +22,8 @@ from .pyramid import (
     SDP_LEVELS,
     hsfpn_forward,
     init_weights,
-    load_weights,
     random_pyramid,
     read_pyramid_dir,
-    save_weights,
     write_pyramid_dir,
 )
 from .sdp import SdpParams, block_attention, sdp_forward

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .pyramid import LEVELS, SDP_LEVELS, layer_specs, level_extents
+from .tensor import check_field_types
 
 # layout: (complexity, multiplier, MACs of both products from n, hw = h*w and c)
 _LAYOUTS = {
@@ -29,7 +30,7 @@ REPORT_FORMATS = ("table", "json", "csv")
 
 @dataclass(frozen=True)
 class CostModel:
-    """Block count, block extents, and channel count for an attention layout."""
+    """Block count, block extents, and channel count for an attention layout: positive integers."""
 
     n: int
     h: int
@@ -37,6 +38,7 @@ class CostModel:
     c: int
 
     def __post_init__(self):
+        check_field_types(self)
         if min(self.n, self.h, self.w, self.c) < 1:
             raise ValidationError("all cost-model fields must be positive")
 

@@ -10,7 +10,7 @@ comparisons with identical output convolutions.
 
 import json
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
@@ -20,14 +20,14 @@ from . import io as hio
 from .errors import ShapeError, ValidationError
 from .hfp import HfpParams, hfp_forward, hfp_specs
 from .sdp import SdpParams, sdp_forward, sdp_specs
-from .tensor import ConvLayer, ConvSpec, as_tensor, check_field_types, check_finite, upsample2x
+from .tensor import ConvLayer, ConvSpec, as_tensor, check_field_types, check_finite, is_integer, upsample2x
 
 # Pyramid levels, largest first; each halves the extents of the one before.
 LEVELS = (2, 3, 4, 5)
 # Filtering is applied only on the two highest-resolution levels by default.
 DEFAULT_FILTER_LEVELS = (2, 3)
 SDP_LEVELS = LEVELS[:-1]  # every level but the top fuses with the one above
-MANIFEST = "manifest.json"  # the manifest of every pyramid and weight directory
+MANIFEST = "manifest.json"  # the manifest of every pyramid directory
 
 FUSION_MODES = ("sdp_only", "sdp_plus_add")
 PYRAMID_MODES = ("hsfpn", "fpn_baseline")
@@ -49,6 +49,7 @@ class PyramidConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        object.__setattr__(self, "filter_levels", tuple(sorted(set(self.filter_levels))))
         if self.k < 1:
             raise ValidationError("pooling extent k must be positive")
         if not 0.0 <= self.alpha <= 1.0:
@@ -116,8 +117,8 @@ def layer_specs(config: PyramidConfig) -> dict:
     attention projections `sdp<L>.*` of :func:`hsfpn.sdp.sdp_specs` for
     levels 2..4, then the output convolutions `out<L>.conv`. The names key
     `HsfpnWeights.layers`, and `<field>` names the HfpParams/SdpParams field
-    the layer fills. Init, the HsfpnWeights check, save and cost accounting
-    all walk this table.
+    the layer fills. Init, the HsfpnWeights check and cost accounting all
+    walk this table.
     """
     c, bias = config.channels, config.conv_bias
     hfp = hfp_specs(c, config.groups, bias)
@@ -236,18 +237,27 @@ def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights, timings: dict | 
 def level_extents(base_hw) -> dict:
     """`{level: (h, w)}` of a pyramid whose largest level has extents `base_hw`.
 
-    Both extents must be positive multiples of 2 ** (LEVELS[-1] - LEVELS[0]),
-    so that every level halves the one before exactly.
+    `base_hw` is two integers (see :func:`hsfpn.tensor.is_integer`), both
+    positive multiples of 2 ** (LEVELS[-1] - LEVELS[0]), so that every level
+    halves the one before exactly; else ValidationError.
     """
-    h, w = base_hw
     step = 2 ** (LEVELS[-1] - LEVELS[0])
+    if not (isinstance(base_hw, (tuple, list)) and len(base_hw) == 2 and all(map(is_integer, base_hw))):
+        raise ValidationError(f"base extents must be two integers, got {base_hw!r}")
+    h, w = base_hw
     if h < 1 or w < 1 or h % step or w % step:
         raise ValidationError(f"base extents {tuple(base_hw)} must be positive multiples of {step}")
     return {lv: (h // 2 ** (lv - LEVELS[0]), w // 2 ** (lv - LEVELS[0])) for lv in LEVELS}
 
 
 def random_pyramid(channels: int, base_hw=(64, 64), batch: int = 1, seed: int = 0) -> FeaturePyramid:
-    """Seeded synthetic input pyramid with strict 2x nesting."""
+    """Seeded synthetic input pyramid with strict 2x nesting.
+
+    `channels` and `batch` are positive integers and `seed` a non-negative one.
+    """
+    if not (all(map(is_integer, (channels, batch, seed))) and min(channels, batch) >= 1 and seed >= 0):
+        raise ValidationError(f"channels {channels!r} and batch {batch!r} must be positive integers, "
+                              f"seed {seed!r} a non-negative one")
     rng = np.random.default_rng(seed)
     levels = {}
     for level, extents in level_extents(base_hw).items():
@@ -257,20 +267,8 @@ def random_pyramid(channels: int, base_hw=(64, 64), batch: int = 1, seed: int = 
 
 
 # ---------------------------------------------------------------------------
-# Pyramid directory I/O and weight manifests
+# Pyramid directory I/O
 # ---------------------------------------------------------------------------
-
-def _write_dir(path, tensors: dict, manifest: dict) -> None:
-    """Write `{file name: (label, tensor)}` and manifest.json, checking all before the directory is made."""
-    for label, tensor in tensors.values():
-        check_finite(tensor, label)
-    text = json.dumps(manifest, indent=2) + "\n"
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    for name, (_, tensor) in tensors.items():
-        hio.write_tensor(path / name, tensor)
-    (path / MANIFEST).write_text(text)
-
 
 def level_file(prefix: str, level: int) -> str:
     """The file name of `level` in a pyramid directory: `<prefix><level>.pft`."""
@@ -278,34 +276,20 @@ def level_file(prefix: str, level: int) -> str:
 
 
 def write_pyramid_dir(path, pyr: FeaturePyramid, prefix: str = "p") -> None:
-    """Write level tensors as `<prefix><level>.pft` plus a manifest.json."""
-    tensors, levels = {}, {}
+    """Write level tensors as `<prefix><level>.pft` plus a manifest.json.
+
+    Every level is checked for NaN/Inf before the directory is made.
+    """
+    levels = {}
     for level, tensor in pyr.items():
-        name = level_file(prefix, level)
-        tensors[name] = (f"output level {level}", tensor)
-        levels[str(level)] = {"file": name, "dims": list(tensor.shape)}
-    _write_dir(path, tensors, {"format": "PFT1", "prefix": prefix, "levels": levels})
-
-
-def _read_manifest(path: Path) -> dict:
-    """Parse a manifest.json, which must hold a JSON object."""
-    try:
-        manifest = json.loads(path.read_text())
-    except ValueError as err:  # invalid JSON or not UTF-8
-        raise ValidationError(f"{path}: not valid JSON: {err}") from None
-    if not isinstance(manifest, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
-    return manifest
-
-
-def _from_manifest(cls, entry: dict):
-    """Build dataclass `cls` from the fields of a manifest object; a missing field raises KeyError."""
-    return cls(**{f.name: entry[f.name] for f in fields(cls)})
-
-
-def _malformed(path: Path, what: str, err: Exception) -> ValidationError:
-    detail = f"missing key {err}" if isinstance(err, KeyError) else str(err)
-    return ValidationError(f"{path}: malformed {what}: {detail}")
+        check_finite(tensor, f"output level {level}")
+        levels[str(level)] = {"file": level_file(prefix, level), "dims": list(tensor.shape)}
+    text = json.dumps({"format": "PFT1", "prefix": prefix, "levels": levels}, indent=2) + "\n"
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    for level, tensor in pyr.items():
+        hio.write_tensor(path / level_file(prefix, level), tensor)
+    (path / MANIFEST).write_text(text)
 
 
 def read_pyramid_dir(path, prefix: str = "c") -> FeaturePyramid:
@@ -319,7 +303,12 @@ def read_pyramid_dir(path, prefix: str = "c") -> FeaturePyramid:
     manifest_path = path / MANIFEST
     entries = {}
     if manifest_path.exists():
-        manifest = _read_manifest(manifest_path)
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except ValueError as err:  # invalid JSON or not UTF-8
+            raise ValidationError(f"{manifest_path}: not valid JSON: {err}") from None
+        if not isinstance(manifest, dict):
+            raise ValidationError(f"{manifest_path}: expected a JSON object")
         if manifest.get("prefix", prefix) != prefix:
             raise ValidationError(f"{manifest_path}: files have prefix {manifest['prefix']!r}, "
                                   f"expected {prefix!r}")
@@ -340,70 +329,3 @@ def read_pyramid_dir(path, prefix: str = "c") -> FeaturePyramid:
             )
         levels[level] = tensor
     return FeaturePyramid(levels)
-
-
-def _layer_files(name: str, spec: ConvSpec) -> dict:
-    """`{"weight": "<name>.weight.pft", "bias": "<name>.bias.pft"}`, the bias iff `spec.has_bias`."""
-    return {key: f"{name}.{key}.pft" for key in (("weight", "bias") if spec.has_bias else ("weight",))}
-
-
-def save_weights(path, weights: HsfpnWeights) -> None:
-    """Write every weight as a PFT1 file plus a manifest naming them.
-
-    The manifest schema is documented in the README: a config block plus one
-    entry per layer with the ConvSpec fields and the weight/bias file names.
-    """
-    manifest = {"format": "hsfpn-weights-v1", "config": asdict(weights.config), "layers": {}}
-    tensors = {}
-    for name, layer in weights.layers.items():
-        files = _layer_files(name, layer.spec)
-        manifest["layers"][name] = {**asdict(layer.spec), **files}
-        tensors.update({file: (f"{name} {key}", getattr(layer, key)) for key, file in files.items()})
-    _write_dir(path, tensors, manifest)
-
-
-def load_weights(path) -> HsfpnWeights:
-    """Inverse of :func:`save_weights`.
-
-    A manifest that is not a JSON object, lacks a config field or layer
-    entry, or holds a value of the wrong type raises ValidationError, and so
-    does a layer name the config does not imply or a file name other than
-    :func:`save_weights` derives, before any file is read.
-    Weight and bias files that break the :class:`ConvLayer` contract raise
-    its error, prefixed with the layer name. The layers are checked against
-    the config once, by :class:`HsfpnWeights`.
-    """
-    path = Path(path)
-    manifest_path = path / MANIFEST
-    manifest = _read_manifest(manifest_path)
-    if manifest.get("format") != "hsfpn-weights-v1":
-        raise ValidationError(f"unknown weight manifest format {manifest.get('format')!r}")
-    try:
-        config = _from_manifest(PyramidConfig, manifest["config"])
-        layers = manifest["layers"]
-    except (KeyError, TypeError, ValidationError) as err:
-        raise _malformed(manifest_path, "config", err) from None
-    if not isinstance(layers, dict):
-        raise ValidationError(f"{manifest_path}: 'layers' must be an object")
-    unexpected = sorted(set(layers) - layer_specs(config).keys())
-    if unexpected:
-        raise ValidationError(f"{manifest_path}: layers {unexpected} do not belong to the config")
-
-    specs = {}
-    for name, entry in layers.items():
-        try:
-            specs[name] = _from_manifest(ConvSpec, entry)
-        except (KeyError, TypeError, ValidationError) as err:
-            raise _malformed(manifest_path, f"layer {name!r}", err) from None
-        files = _layer_files(name, specs[name])
-        if {key: entry[key] for key in ("weight", "bias") if key in entry} != files:
-            raise ValidationError(f"{manifest_path}: layer {name!r} must name files {files}")
-
-    def layer(name: str, spec: ConvSpec) -> ConvLayer:
-        arrays = {key: hio.read_tensor(path / file) for key, file in _layer_files(name, spec).items()}
-        try:
-            return ConvLayer(spec, **arrays)
-        except (ShapeError, ValidationError) as err:
-            raise type(err)(f"{name}: {err}") from None
-
-    return HsfpnWeights(config, {name: layer(name, spec) for name, spec in specs.items()})

@@ -22,11 +22,16 @@ def as_tensor(x, rank: int | None = None) -> np.ndarray:
     """Coerce `x` to a C-contiguous float32 array and check its rank.
 
     Rank may be at most 4, interpreted (N, C, H, W); `rank=n` requires
-    exactly n dimensions. Zero-length extents are rejected.
+    exactly n dimensions. Zero-length extents are rejected. A value numpy
+    cannot convert to float32 raises ValidationError.
     """
-    arr = np.ascontiguousarray(x, dtype=DTYPE)
+    try:
+        arr = np.asarray(x, dtype=DTYPE)
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"not convertible to a float32 tensor: {err}") from None
     if arr.ndim == 0:
         raise ShapeError("scalar is not a tensor; rank must be between 1 and 4")
+    arr = np.ascontiguousarray(arr)
     if arr.ndim > 4:
         raise ShapeError(f"rank {arr.ndim} exceeds the supported maximum of 4")
     if rank is not None and arr.ndim != rank:

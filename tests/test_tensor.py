@@ -463,6 +463,11 @@ class TestPurity:
 
 
 class TestAsTensor:
+    @pytest.mark.parametrize("value", [5.0, np.float32(1.5), None, np.array(2.0)])
+    def test_rejects_scalar(self, value):
+        with pytest.raises(ShapeError, match="scalar is not a tensor"):
+            as_tensor(value)
+
     def test_rejects_rank5(self):
         with pytest.raises(ShapeError):
             as_tensor(np.zeros((1, 1, 1, 1, 1), np.float32))
