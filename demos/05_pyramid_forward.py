@@ -5,7 +5,6 @@ Writes an input pyramid and both output pyramids into demo_out/.
 """
 
 import dataclasses
-import json
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +32,8 @@ reloaded = read_pyramid_dir(out_dir / "pyr_in", prefix="c")
 print(f"tensor-file round trip bitwise exact: "
       f"{all(reloaded[lv].tobytes() == pyramid[lv].tobytes() for lv in (2, 3, 4, 5))}\n")
 
-timings = {}
 weights = init_weights(config)
-enriched = hsfpn_forward(pyramid, weights, timings=timings)
+enriched = hsfpn_forward(pyramid, weights)
 
 baseline_weights = init_weights(dataclasses.replace(config, mode="fpn_baseline"))
 baseline = hsfpn_forward(pyramid, baseline_weights)
@@ -50,7 +48,6 @@ for lv in (2, 3, 4, 5):
 again = hsfpn_forward(pyramid, weights)
 print(f"\nrepeat run bitwise identical: "
       f"{all(again[lv].tobytes() == enriched[lv].tobytes() for lv in (2, 3, 4, 5))}")
-print("module timings:", json.dumps({k: round(v, 4) for k, v in timings.items()}))
 
 write_pyramid_dir(out_dir / "pyr_out", enriched, prefix="p")
 print(f"\nwrote {out_dir / 'pyr_in'} and {out_dir / 'pyr_out'}")

@@ -27,9 +27,8 @@ from math import ceil
 import numpy as np
 
 from .errors import DegenerateBackgroundError, ValidationError
-from .tensor import DTYPE, as_tensor, check_field_types, check_finite, is_integer
+from .tensor import DTYPE, as_tensor, check_field_types, check_finite, is_integer, map_plane_groups
 
-FILTER_PLANES = 16  # planes per lowcut_filter group; sets the size of its float64 workspace
 SWEEP_BAND_ROWS = 128  # image rows per scr_filter_sweep corner product; sets the size of its float64 workspace
 
 
@@ -91,8 +90,8 @@ def lowcut_filter(x, cut_rows: int, cut_cols: int) -> np.ndarray:
     x - D_r.T @ (D_r @ x @ D_s.T) @ D_s, evaluated in float64 and rounded once:
     the mask form (transform, zero the corner, invert; the reference in
     ``tests/oracles.py``) without transforming the whole plane. An empty cut
-    returns the input unchanged (bitwise). Planes run `FILTER_PLANES` at a
-    time into one float32 output, so the float64 working memory is one
+    returns the input unchanged (bitwise). Planes run in groups by
+    :func:`hsfpn.tensor.map_plane_groups`, so the float64 working memory is one
     group's, not the map's; every plane's result is independent of its group.
     """
     x = as_tensor(x, rank=2) if np.ndim(x) == 2 else as_tensor(x, rank=4)
@@ -102,16 +101,13 @@ def lowcut_filter(x, cut_rows: int, cut_cols: int) -> np.ndarray:
     if r == 0 or s == 0:
         return x
     d_r, d_s = dct_matrix(h, r), dct_matrix(w, s)
-    planes = x.reshape(-1, h, w)
-    out = np.empty(x.shape, DTYPE)
-    dest = out.reshape(-1, h, w)
-    for p0 in range(0, len(planes), FILTER_PLANES):
-        group = planes[p0 : p0 + FILTER_PLANES]
+
+    def high_pass(group):
         # Corner coefficients D_r @ x @ D_s.T; the W-axis product is one GEMM.
         corner = d_r @ (group.reshape(-1, w) @ d_s.T).reshape(-1, h, s)
         low = ((d_r.T @ corner).reshape(-1, s) @ d_s).reshape(group.shape)
-        dest[p0 : p0 + FILTER_PLANES] = np.subtract(group, low, out=low)
-    return out
+        return np.subtract(group, low, out=low)
+    return map_plane_groups(high_pass, x, h, w)
 
 
 def highfreq_response(c, alpha: float) -> np.ndarray:

@@ -7,6 +7,7 @@ mismatches, and non-finite payloads.
 """
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -26,14 +27,17 @@ def write_tensor(path, x) -> None:
         fh.write(PFT_MAGIC)
         fh.write(struct.pack("<I", x.ndim))
         fh.write(struct.pack(f"<{x.ndim}I", *x.shape))
-        fh.write(x.astype("<f4").tobytes())
+        x.astype("<f4", copy=False).tofile(fh)
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read and validate a PFT1 file."""
-    raw = Path(path).read_bytes()
+    """Read and validate a PFT1 file; the array views the one buffer the file is read into."""
+    with open(path, "rb") as fh:
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        if fh.readinto(raw) != len(raw):
+            raise ValidationError(f"{path}: file changed size while it was read")
     if raw[:4] != PFT_MAGIC:
-        raise ValidationError(f"{path}: bad magic {raw[:4]!r}, expected {PFT_MAGIC!r}")
+        raise ValidationError(f"{path}: bad magic {bytes(raw[:4])!r}, expected {PFT_MAGIC!r}")
     if len(raw) < 8:
         raise ValidationError(f"{path}: truncated header")
     (rank,) = struct.unpack_from("<I", raw, 4)
@@ -53,8 +57,7 @@ def read_tensor(path) -> np.ndarray:
             f"extents {dims} require {4 * count}"
         )
     data = np.frombuffer(raw, dtype="<f4", count=count, offset=header_end)
-    arr = data.reshape(dims).astype(DTYPE)
-    return check_finite(arr, f"{path}")
+    return check_finite(data.reshape(dims).astype(DTYPE, copy=False), f"{path}")
 
 
 # ---------------------------------------------------------------------------

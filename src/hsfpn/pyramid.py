@@ -9,7 +9,6 @@ comparisons with identical output convolutions.
 """
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -194,7 +193,7 @@ def init_weights(config: PyramidConfig) -> HsfpnWeights:
     return HsfpnWeights(config, layers)
 
 
-def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights, timings: dict | None = None) -> FeaturePyramid:
+def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights) -> FeaturePyramid:
     """Top-down pyramid pass; output extents equal input extents at every level.
 
     hsfpn mode: P5 = out_conv(reweight(C5)); for i = 4, 3, 2 the reweighted
@@ -206,31 +205,19 @@ def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights, timings: dict | 
     channels = [c_pyr.channels(lv) for lv in LEVELS]
     if channels != [config.channels] * len(LEVELS):
         raise ShapeError(f"pyramid must have {config.channels} channels at every level; got {channels}")
-    clock = time.perf_counter
-    spent = {"hfp": 0.0, "sdp": 0.0, "output_conv": 0.0, "baseline_fuse": 0.0}
     h5, w5 = c_pyr.extents(LEVELS[-1])
     outputs = {}
     for level in reversed(LEVELS):
         upper = outputs.get(level + 1)
-        t0 = clock()
         if config.mode == "fpn_baseline":
             fused = c_pyr[level] if upper is None else c_pyr[level] + upsample2x(upper)
-            spent["baseline_fuse"] += clock() - t0
         else:
             fused = hfp_forward(c_pyr[level], weights.hfp_params(level))
-            t1 = clock()
-            spent["hfp"] += t1 - t0
             if upper is not None:
                 fused = sdp_forward(fused, upper, weights.sdp_params(level, h5, w5))
                 if config.fusion_mode == "sdp_plus_add":
                     fused += upsample2x(upper)  # fused is sdp_forward's fresh output
-                spent["sdp"] += clock() - t1
-        t0 = clock()
         outputs[level] = weights.out_convs[level](fused)
-        spent["output_conv"] += clock() - t0
-
-    if timings is not None:
-        timings.update(spent)
     return FeaturePyramid(outputs)
 
 
@@ -271,19 +258,22 @@ def random_pyramid(channels: int, base_hw=(64, 64), batch: int = 1, seed: int = 
 # ---------------------------------------------------------------------------
 
 def level_file(prefix: str, level: int) -> str:
-    """The file name of `level` in a pyramid directory: `<prefix><level>.pft`."""
+    """`<prefix><level>.pft`, the file name of `level` in a pyramid directory; `prefix` must be
+    one or more ASCII letters (else ValidationError), so the name cannot leave the directory."""
+    if not (isinstance(prefix, str) and prefix.isascii() and prefix.isalpha()):
+        raise ValidationError(f"prefix must be a non-empty string of ASCII letters, got {prefix!r}")
     return f"{prefix}{level}.pft"
 
 
 def write_pyramid_dir(path, pyr: FeaturePyramid, prefix: str = "p") -> None:
     """Write level tensors as `<prefix><level>.pft` plus a manifest.json.
 
-    Every level is checked for NaN/Inf before the directory is made.
+    The prefix and every level (for NaN/Inf) are checked before the directory is made.
     """
     levels = {}
     for level, tensor in pyr.items():
-        check_finite(tensor, f"output level {level}")
         levels[str(level)] = {"file": level_file(prefix, level), "dims": list(tensor.shape)}
+        check_finite(tensor, f"output level {level}")
     text = json.dumps({"format": "PFT1", "prefix": prefix, "levels": levels}, indent=2) + "\n"
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -295,10 +285,12 @@ def write_pyramid_dir(path, pyr: FeaturePyramid, prefix: str = "p") -> None:
 def read_pyramid_dir(path, prefix: str = "c") -> FeaturePyramid:
     """Read `<prefix><level>.pft` files, validated against the directory manifest.
 
-    A manifest that is not a JSON object, whose `prefix` (if given) is not
-    `prefix`, or whose level entries are not objects naming (if at all)
-    the :func:`level_file` name, raises ValidationError before any level is read.
+    A prefix that :func:`level_file` refuses raises ValidationError before any
+    file is read; a manifest that is not a JSON object, whose `prefix` (if
+    given) is not `prefix`, or whose level entries are not objects naming (if
+    at all) the :func:`level_file` name, before any level is read.
     """
+    names = {level: level_file(prefix, level) for level in LEVELS}
     path = Path(path)
     manifest_path = path / MANIFEST
     entries = {}
@@ -315,7 +307,6 @@ def read_pyramid_dir(path, prefix: str = "c") -> FeaturePyramid:
         entries = manifest.get("levels", {})
         if not isinstance(entries, dict) or not all(isinstance(e, dict) for e in entries.values()):
             raise ValidationError(f"{manifest_path}: 'levels' must map level names to objects")
-    names = {level: level_file(prefix, level) for level in LEVELS}
     for level, name in names.items():
         if entries.get(str(level), {}).get("file", name) != name:
             raise ValidationError(f"{manifest_path}: level {level} must name file {name!r}")

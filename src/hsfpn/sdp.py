@@ -59,22 +59,25 @@ def block_attention(q, k, v, counts=None) -> np.ndarray:
     both the value product and the row sums counts[j] times. Normalisation is
     deferred: exp(s - rowmax(s)) multiplies v and the (hw, D) product is
     divided by the row sums, so the (hw, u) matrix is never divided.
-    Everything runs in float64 and rounds to float32 once.
+    Everything runs in float64 and rounds to float32 once. Blocks go through
+    :func:`hsfpn.tensor.as_tensor`; counts numpy cannot convert raise ValidationError.
     """
-    q = np.asarray(q, dtype=np.float32)
-    k = np.asarray(k, dtype=np.float32)
-    v = np.asarray(v, dtype=np.float32)
+    try:
+        q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    except ShapeError as err:  # e.g. a block without keys
+        raise ShapeError(f"query, key and value blocks: {err}") from None
     if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"expected (hw, C) and (u, C) matrices, got {q.shape} and {k.shape}")
     if v.ndim != 2 or len(v) != len(k):
         raise ShapeError(f"value block {v.shape} does not match {len(k)} keys")
-    if len(k) == 0:
-        raise ShapeError("a block needs at least one key")
     z = q.astype(np.float64) @ k.astype(np.float64).T
     z *= 1.0 / sqrt(q.shape[1])
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
-    counts = np.ones(len(k)) if counts is None else np.asarray(counts, dtype=np.float64)
+    try:
+        counts = np.ones(len(k)) if counts is None else np.asarray(counts, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"key counts are not numbers: {err}") from None
     if counts.shape != v.shape[:1]:
         raise ShapeError(f"counts {counts.shape} do not match {v.shape[0]} keys")
     if not (counts > 0).all():

@@ -15,7 +15,7 @@ from .errors import ShapeError, ValidationError
 
 DTYPE = np.float32
 BAND_ROWS = 16  # output rows per conv2d band; sets the size of its float64 workspace
-POOL_PLANES = 16  # (sample, channel) planes per adaptive_pool group; sets the size of its workspace
+GROUP_PLANES = 16  # planes per map_plane_groups group; sets the size of its callers' workspace
 
 
 def as_tensor(x, rank: int | None = None) -> np.ndarray:
@@ -233,6 +233,16 @@ def conv2d(x, spec: ConvSpec, weight, bias=None) -> np.ndarray:
     return out
 
 
+def map_plane_groups(fn, x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """`fn`, which maps (g, H, W) planes to (g, out_h, out_w), over `x`'s planes
+    `GROUP_PLANES` at a time into one float32 output: the workspace is one group's."""
+    planes = x.reshape(-1, *x.shape[-2:])
+    out = np.empty((len(planes), out_h, out_w), DTYPE)
+    for p0 in range(0, len(planes), GROUP_PLANES):
+        out[p0 : p0 + GROUP_PLANES] = fn(planes[p0 : p0 + GROUP_PLANES])
+    return out.reshape(*x.shape[:-2], out_h, out_w)
+
+
 def adaptive_pool(x, out_h: int, out_w: int, mode: str = "avg") -> np.ndarray:
     """Adaptive average or max pooling to an (out_h, out_w) grid.
 
@@ -241,14 +251,13 @@ def adaptive_pool(x, out_h: int, out_w: int, mode: str = "avg") -> np.ndarray:
     output extents are integers (numpy ones too, no bools; else
     ValidationError) between 1 and the input's (else ShapeError).
 
-    Planes are pooled `POOL_PLANES` at a time into one float32 output, so the
-    working memory is one group's, not the map's. Average pooling is the
+    Planes are pooled in groups by :func:`map_plane_groups`. Average pooling is the
     float64 product P_h @ x @ P_w.T, with 1/len weights in the pooling
     matrices; max pooling gathers each row window, then each column window.
     Every plane's result is independent of the group it runs in.
     """
     x = as_tensor(x, rank=4)
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if mode not in ("avg", "max"):
         raise ValidationError(f"mode must be 'avg' or 'max', got {mode!r}")
     if not (is_integer(out_h) and is_integer(out_w)):
@@ -269,11 +278,7 @@ def adaptive_pool(x, out_h: int, out_w: int, mode: str = "avg") -> np.ndarray:
 
         def pool(group):
             return group[:, row_index, :].max(axis=2)[..., col_index].max(axis=3)
-    planes = x.reshape(-1, h, w)
-    out = np.empty((n * c, out_h, out_w), DTYPE)
-    for p0 in range(0, n * c, POOL_PLANES):
-        out[p0 : p0 + POOL_PLANES] = pool(planes[p0 : p0 + POOL_PLANES])
-    return out.reshape(n, c, out_h, out_w)
+    return map_plane_groups(pool, x, out_h, out_w)
 
 
 def _pool_windows(size: int, out: int):

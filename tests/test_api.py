@@ -22,6 +22,7 @@ from hsfpn import (
     relu,
     sigmoid,
     upsample2x,
+    write_pyramid_dir,
 )
 from hsfpn.pyramid import level_extents
 
@@ -43,6 +44,10 @@ def test_public_exports_pinned():
         "scr_filter_sweep", "sdp_forward", "sigmoid", "spatial_path", "upsample2x", "write_pgm",
         "write_pyramid_dir", "write_tensor",
     ]
+
+
+def write_with_prefix(prefix):
+    return lambda: write_pyramid_dir("d/out", random_pyramid(1, (8, 8)), prefix=prefix)
 
 
 # Calls whose arguments are of a wrong type or shape: each raises ValidationError,
@@ -67,13 +72,25 @@ HOSTILE_CALLS = {
     "random-pyramid-zero-channels": lambda: random_pyramid(0, (8, 8)),
     "random-pyramid-negative-seed": lambda: random_pyramid(2, (8, 8), seed=-1),
     "random-pyramid-float-seed": lambda: random_pyramid(2, (8, 8), seed=1.5),
+    # a level file's prefix is ASCII letters: "../esc" would write d/esc2.pft..d/esc5.pft
+    "write-pyramid-dir-dotdot-prefix": write_with_prefix("../esc"),
+    "write-pyramid-dir-empty-prefix": write_with_prefix(""),
+    "write-pyramid-dir-slash-prefix": write_with_prefix("a/b"),
+    "write-pyramid-dir-int-prefix": write_with_prefix(5),
+    "block-attention-str-query": lambda: block_attention("a", np.ones((2, 3)), np.ones((2, 3))),
+    "block-attention-str-counts": lambda: block_attention(np.ones((4, 3)), np.ones((2, 3)), np.ones((2, 3)),
+                                                          counts=["a", "b"]),
 }
 
 
 @pytest.mark.parametrize("call", HOSTILE_CALLS.values(), ids=HOSTILE_CALLS.keys())
-def test_hostile_call_raises_validation_error(call):
+def test_hostile_call_raises_validation_error(call, tmp_path, monkeypatch):
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
     with pytest.raises(ValidationError):
         call()
+    # nothing is written, inside the working directory or beside it
+    assert [p.name for p in tmp_path.iterdir()] == ["cwd"] and not any((tmp_path / "cwd").iterdir())
 
 
 def test_cost_model_fields_become_python_ints():

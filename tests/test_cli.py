@@ -219,10 +219,10 @@ class TestForward:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(argv + ["-o", str(out_a)]) == 0
         assert main(argv + ["-o", str(out_b)]) == 0
-        for lv in (2, 3, 4, 5):
-            a = read_tensor(out_a / f"p{lv}.pft")
-            b = read_tensor(out_b / f"p{lv}.pft")
-            assert a.tobytes() == b.tobytes()
+        names = sorted(path.name for path in out_a.iterdir())
+        assert names == ["manifest.json", "p2.pft", "p3.pft", "p4.pft", "p5.pft", "report.json"]
+        for name in names:  # the report too: it holds no wall-clock time
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_modes_differ_same_shapes(self, pyramid_dir, tmp_path):
         out_h, out_f = tmp_path / "h", tmp_path / "f"
@@ -241,10 +241,12 @@ class TestForward:
         out = tmp_path / "out"
         assert main(["forward", str(pyramid_dir), "-o", str(out), "--k", "2"]) == 0
         report = json.loads((out / "report.json").read_text())
+        assert list(report) == ["mode", "seed", "alpha", "fusion", "channels", "levels", "added_params"]
         assert report["channels"] == 8
         assert report["levels"]["2"]["shape"] == [1, 8, 32, 32]
-        assert report["levels"]["2"]["l2_norm"] > 0
-        assert set(report["timing_s"]) >= {"hfp", "sdp", "output_conv"}
+        for lv in (2, 3, 4, 5):
+            norm = np.linalg.norm(read_tensor(out / f"p{lv}.pft").astype(np.float64))
+            assert report["levels"][str(lv)]["l2_norm"] == pytest.approx(norm, rel=1e-12, abs=0)
         assert report["added_params"]["total"]["params"] > 0
 
     def test_param_delta_between_modes_matches_analytic_count(self, pyramid_dir, tmp_path):
@@ -553,6 +555,17 @@ class TestReportBytes:
         assert main(list(argv)) == 0
         out = capsys.readouterr().out
         assert sha256(out.encode()) == digest, out
+
+    @pytest.mark.parametrize("flags, digest", [
+        ((), "5a7701a2a742293f898104de0e484bd0631c6ba9787f09bdfd622579cbe12a20"),
+        (("--mode", "fpn"), "0e9188e649fd7b514b5bc949e6d387de091cf72f2614699026c6e6ed3703d88a"),
+        (("--seed", "9", "--alpha", "0.5", "--fusion", "sdp_plus_add"),
+         "e71a6f33dec46e1d26124ed292bfc162a63fc3a9aa37ef48e863f4eafd071d17"),
+    ], ids=["hsfpn", "fpn", "sdp-plus-add"])
+    def test_forward_report_pinned(self, flags, digest, pyramid_dir, tmp_path):
+        assert main(["forward", str(pyramid_dir), "-o", str(tmp_path / "out"), "--k", "2", *flags]) == 0
+        report = (tmp_path / "out" / "report.json").read_bytes()
+        assert sha256(report) == digest, report
 
     def test_scr_sweep_csv_pinned(self, tmp_path):
         write_pgm(tmp_path / "s.pgm", blob_scene(64, 64))

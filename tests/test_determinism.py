@@ -2,8 +2,10 @@
 
 Each run is a fresh interpreter, because OpenBLAS reads its thread count once,
 at import. Both runs print sha256 digests of the same outputs: a small
-pyramid forward in each mode and two short SCR sweeps, one with ascending cuts
-and one with shrinking and repeated ones.
+pyramid forward in each mode, two short SCR sweeps, one with ascending cuts
+and one with shrinking and repeated ones, and every file `hsfpn forward`
+writes, `report.json` included. Level 2 there holds 131,072 values, enough
+for a BLAS-threaded reduction in the report to show.
 """
 
 import json
@@ -15,10 +17,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 DIGESTS = """
-import hashlib, json
+import hashlib, json, tempfile
+from pathlib import Path
 import numpy as np
 from hsfpn import (PyramidConfig, ScrWindows, blob_scene, hsfpn_forward, init_weights,
-                   random_pyramid, scr_filter_sweep)
+                   random_pyramid, scr_filter_sweep, write_pyramid_dir)
+from hsfpn.cli import main
 
 out = {}
 pyr = random_pyramid(32, base_hw=(64, 64), seed=3)
@@ -33,6 +37,11 @@ out["sweep"] = hashlib.sha256(np.float64([s for _, _, s in rows]).tobytes()).hex
 # shrinking and repeated cuts: each shrink starts the window again from zero
 rows = scr_filter_sweep(scene, windows, [(96, 96), (40, 64), (40, 64), (8, 8), (0, 0), (64, 24), (128, 128)])
 out["sweep_reset"] = hashlib.sha256(np.float64([s for _, _, s in rows]).tobytes()).hexdigest()
+with tempfile.TemporaryDirectory() as tmp:
+    write_pyramid_dir(Path(tmp, "in"), pyr, prefix="c")
+    assert main(["forward", str(Path(tmp, "in")), "-o", str(Path(tmp, "out")), "--k", "8", "--seed", "2"]) == 0
+    out["cli_forward"] = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                          for path in sorted(Path(tmp, "out").iterdir())}
 print(json.dumps(out))
 """
 
@@ -48,5 +57,6 @@ def digests(threads):
 
 def test_outputs_bitwise_equal_at_one_and_two_blas_threads():
     one = digests(1)
-    assert set(one) == {"hsfpn", "fpn_baseline", "sweep", "sweep_reset"}
+    assert set(one) == {"hsfpn", "fpn_baseline", "sweep", "sweep_reset", "cli_forward"}
+    assert sorted(one["cli_forward"]) == ["manifest.json", "p2.pft", "p3.pft", "p4.pft", "p5.pft", "report.json"]
     assert digests(2) == one

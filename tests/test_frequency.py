@@ -16,7 +16,7 @@ from hsfpn import (
     scr,
     scr_filter_sweep,
 )
-from hsfpn import frequency
+from hsfpn import frequency, tensor
 
 from oracles import (
     naive_dct2_plane,
@@ -225,16 +225,16 @@ class TestHighfreqResponse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the float32 output plus one group of FILTER_PLANES planes in float64: 2.16x
+        # the float32 output plus one group of GROUP_PLANES planes in float64: 2.16x
         assert peak <= 2.5 * x.nbytes, f"peak {peak} B is {peak / x.nbytes:.2f}x the input"
 
     @pytest.mark.parametrize("planes", [1, 3, 16])
     def test_bitwise_equal_to_one_whole_map_group(self, planes, monkeypatch):
         # 14 planes: no group size above 1 divides them
         x = RNG.standard_normal((2, 7, 40, 24)).astype(np.float32)
-        monkeypatch.setattr(frequency, "FILTER_PLANES", planes)
+        monkeypatch.setattr(tensor, "GROUP_PLANES", planes)
         grouped = lowcut_filter(x, 11, 5)
-        monkeypatch.setattr(frequency, "FILTER_PLANES", 10**6)
+        monkeypatch.setattr(tensor, "GROUP_PLANES", 10**6)
         assert grouped.tobytes() == lowcut_filter(x, 11, 5).tobytes()
 
 

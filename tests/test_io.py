@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,33 @@ class TestPft:
         path.write_bytes(b"PFT1" + struct.pack("<I", 1) + struct.pack("<I", 2) + payload)
         with pytest.raises(ValidationError, match="finite"):
             read_tensor(path)
+
+
+class TestPftMemory:
+    """Neither direction copies the payload: tracemalloc peaks in payload bytes, (1, 64, 256, 256)."""
+
+    @staticmethod
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_read_peak(self, tmp_path):
+        # the buffer the array views plus the finite check's mask: 1.25x (2.25x with an astype copy)
+        x = RNG.standard_normal((1, 64, 256, 256), dtype=np.float32)
+        write_tensor(tmp_path / "x.pft", x)
+        peak = self.peak(lambda: read_tensor(tmp_path / "x.pft"))
+        assert peak <= 1.3 * x.nbytes, f"peak {peak} B is {peak / x.nbytes:.2f}x the payload"
+
+    def test_write_peak(self, tmp_path):
+        # the finite check's mask alone: 0.25x (2.0x with astype and tobytes copies)
+        x = RNG.standard_normal((1, 64, 256, 256), dtype=np.float32)
+        peak = self.peak(lambda: write_tensor(tmp_path / "x.pft", x))
+        assert peak <= 0.3 * x.nbytes, f"peak {peak} B is {peak / x.nbytes:.2f}x the payload"
+        assert read_tensor(tmp_path / "x.pft").tobytes() == x.tobytes()
 
 
 class TestPgm:

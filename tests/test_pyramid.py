@@ -314,20 +314,6 @@ class TestForward:
             tracemalloc.stop()
         assert peak <= 3.6 * pyr[2].nbytes, f"peak {peak} B is {peak / pyr[2].nbytes:.2f}x level 2"
 
-    def test_timings_collected(self):
-        # one key set for every mode; a mode's unused stages read exactly 0
-        for mode, fusion_mode in (("hsfpn", "sdp_only"), ("hsfpn", "sdp_plus_add"),
-                                  ("fpn_baseline", "sdp_only")):
-            weights = init_weights(dataclasses.replace(SMALL, mode=mode, fusion_mode=fusion_mode))
-            timings = {}
-            hsfpn_forward(small_pyramid(), weights, timings=timings)
-            assert set(timings) == {"hfp", "sdp", "output_conv", "baseline_fuse"}
-            assert timings["output_conv"] > 0
-            if mode == "hsfpn":
-                assert timings["hfp"] > 0 and timings["sdp"] > 0 and timings["baseline_fuse"] == 0
-            else:
-                assert timings["baseline_fuse"] > 0 and timings["hfp"] == timings["sdp"] == 0
-
 
 class TestDegenerateCollapse:
     def test_forced_weights_reduce_to_fpn(self):
@@ -462,6 +448,14 @@ class TestPyramidIo:
         write_pyramid_dir(tmp_path / "pyr", small_pyramid(), prefix="p")
         with pytest.raises(ValidationError, match="prefix 'p', expected 'c'"):
             read_pyramid_dir(tmp_path / "pyr", prefix="c")
+
+    @pytest.mark.parametrize("prefix", ["../esc", "", "a/b", "c2", "é", 5, None])
+    def test_bad_prefix_refused_before_any_file_is_read(self, prefix, tmp_path):
+        # the manifest is not JSON: reading it would raise a different error
+        (tmp_path / "pyr").mkdir()
+        (tmp_path / "pyr" / "manifest.json").write_text("{")
+        with pytest.raises(ValidationError, match="prefix must be"):
+            read_pyramid_dir(tmp_path / "pyr", prefix=prefix)
 
     def test_manifest_without_prefix_reads(self, tmp_path):
         pyr = small_pyramid(seed=3)

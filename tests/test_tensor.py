@@ -363,7 +363,7 @@ class TestAdaptivePool:
 
     @pytest.mark.parametrize("mode", ["avg", "max"])
     def test_peak_memory_bounded_by_input(self, mode):
-        # one group of POOL_PLANES planes at a time: avg 0.59x, max 0.30x
+        # one group of GROUP_PLANES planes at a time: avg 0.59x, max 0.30x
         x = randf(1, 64, 128, 128)
         adaptive_pool(x, 16, 16, mode)  # first call outside the measurement
         tracemalloc.start()
@@ -379,9 +379,9 @@ class TestAdaptivePool:
     def test_bitwise_equal_to_one_whole_map_group(self, mode, planes, monkeypatch):
         # 14 planes: no group size above 1 divides them
         x = randf(2, 7, 40, 24)
-        monkeypatch.setattr(tensor, "POOL_PLANES", planes)
+        monkeypatch.setattr(tensor, "GROUP_PLANES", planes)
         grouped = adaptive_pool(x, 6, 5, mode)
-        monkeypatch.setattr(tensor, "POOL_PLANES", 10**6)
+        monkeypatch.setattr(tensor, "GROUP_PLANES", 10**6)
         assert grouped.tobytes() == adaptive_pool(x, 6, 5, mode).tobytes()
 
     @pytest.mark.parametrize("extents", [(2.5, 2), (2, True), (np.float64(2.0), 2), ("2", 2)],
