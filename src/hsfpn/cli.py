@@ -23,7 +23,6 @@ from .io import read_pgm, write_pgm
 from .pyramid import (
     FUSION_MODES,
     LEVELS,
-    MANIFEST,
     PyramidConfig,
     hsfpn_forward,
     init_weights,
@@ -98,7 +97,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cut-step", type=int, default=1)
 
     p = sub.add_parser("forward", help="run a pyramid directory through the network")
-    p.add_argument("input_dir", help="directory with c2.pft..c5.pft and manifest.json")
+    p.add_argument("input_dir", help="directory with c2.pft..c5.pft")
     p.add_argument("-o", "--output-dir", required=True)
     p.add_argument("--mode", choices=["hsfpn", "fpn", "fpn_baseline"], default=PyramidConfig.mode)
     p.add_argument("--seed", type=int, default=PyramidConfig.seed)
@@ -202,8 +201,8 @@ def cmd_scr_sweep(args) -> int:
 def cmd_forward(args) -> int:
     out = Path(args.output_dir)
     report_path = args.report or str(out / "report.json")
-    written = [out / level_file("p", lv) for lv in LEVELS] + [out / MANIFEST]
-    read = [Path(args.input_dir) / name for name in (MANIFEST, *(level_file("c", lv) for lv in LEVELS))]
+    written = [out / level_file("p", lv) for lv in LEVELS]
+    read = [Path(args.input_dir) / level_file("c", lv) for lv in LEVELS]
     _require_dirs(report_path, *written, made=out.resolve(), reads=read)
     pyramid = read_pyramid_dir(args.input_dir, prefix="c")
     channels = pyramid.channels()

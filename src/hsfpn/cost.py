@@ -45,7 +45,7 @@ class CostModel:
 
 def attention_cost(model: CostModel, layout: str) -> int:
     """Multiply-accumulate count of the dominant attention terms (exact integer)."""
-    if layout not in _LAYOUTS:
+    if layout not in ATTENTION_LAYOUTS:  # a tuple: an unhashable layout compares unequal
         raise ValidationError(f"layout must be one of {ATTENTION_LAYOUTS}, got {layout!r}")
     return _LAYOUTS[layout][2](model.n, model.h * model.w, model.c)
 

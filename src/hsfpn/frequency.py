@@ -268,8 +268,9 @@ def blob_scene(
     The blob sits at the image centre; the diagonal ramp plays the role of
     slowly varying clutter. Removing a moderate low-frequency region raises
     the blob's SCR (the ramp goes away), while aggressive cuts start to erode
-    the blob itself and the SCR falls again.
+    the blob itself and the SCR falls again. `height` and `width` are integers >= 1.
     """
+    _check_extents("scene extents", (height, width), least=1)
     rows = np.arange(height, dtype=np.float64)[:, None]
     cols = np.arange(width, dtype=np.float64)[None, :]
     ramp = ramp_amplitude * (rows + cols) / max(height + width - 2, 1)

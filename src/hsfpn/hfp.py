@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .frequency import highfreq_response
-from .tensor import ConvLayer, ConvSpec, adaptive_pool, as_tensor, check_layers, relu, sigmoid
+from .tensor import ConvLayer, ConvSpec, adaptive_pool, as_tensor, check_field_types, check_layers, relu, sigmoid
 
 
 def hfp_specs(channels: int, groups: int = 1, bias: bool = True) -> dict:
@@ -51,6 +51,7 @@ class HfpParams:
     squash: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         if self.k < 1:
             raise ValidationError(f"pooling extent k must be >= 1, got {self.k}")
         if not 0.0 <= self.alpha <= 1.0:

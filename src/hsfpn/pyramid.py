@@ -8,7 +8,6 @@ FPN mode (pixelwise addition, no reweighting or attention) is kept for A/B
 comparisons with identical output convolutions.
 """
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -26,7 +25,6 @@ LEVELS = (2, 3, 4, 5)
 # Filtering is applied only on the two highest-resolution levels by default.
 DEFAULT_FILTER_LEVELS = (2, 3)
 SDP_LEVELS = LEVELS[:-1]  # every level but the top fuses with the one above
-MANIFEST = "manifest.json"  # the manifest of every pyramid directory
 
 FUSION_MODES = ("sdp_only", "sdp_plus_add")
 PYRAMID_MODES = ("hsfpn", "fpn_baseline")
@@ -266,57 +264,23 @@ def level_file(prefix: str, level: int) -> str:
 
 
 def write_pyramid_dir(path, pyr: FeaturePyramid, prefix: str = "p") -> None:
-    """Write level tensors as `<prefix><level>.pft` plus a manifest.json.
+    """Write each level's tensor as the PFT1 file `<prefix><level>.pft` (see :func:`level_file`).
 
     The prefix and every level (for NaN/Inf) are checked before the directory is made.
     """
-    levels = {}
+    names = {level: level_file(prefix, level) for level in LEVELS}
     for level, tensor in pyr.items():
-        levels[str(level)] = {"file": level_file(prefix, level), "dims": list(tensor.shape)}
         check_finite(tensor, f"output level {level}")
-    text = json.dumps({"format": "PFT1", "prefix": prefix, "levels": levels}, indent=2) + "\n"
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     for level, tensor in pyr.items():
-        hio.write_tensor(path / level_file(prefix, level), tensor)
-    (path / MANIFEST).write_text(text)
+        hio.write_tensor(path / names[level], tensor)
 
 
 def read_pyramid_dir(path, prefix: str = "c") -> FeaturePyramid:
-    """Read `<prefix><level>.pft` files, validated against the directory manifest.
+    """The pyramid of the four PFT1 files `<prefix><level>.pft` (see :func:`level_file`) in `path`.
 
     A prefix that :func:`level_file` refuses raises ValidationError before any
-    file is read; a manifest that is not a JSON object, whose `prefix` (if
-    given) is not `prefix`, or whose level entries are not objects naming (if
-    at all) the :func:`level_file` name, before any level is read.
+    file is read. No other file of the directory is opened.
     """
-    names = {level: level_file(prefix, level) for level in LEVELS}
-    path = Path(path)
-    manifest_path = path / MANIFEST
-    entries = {}
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except ValueError as err:  # invalid JSON or not UTF-8
-            raise ValidationError(f"{manifest_path}: not valid JSON: {err}") from None
-        if not isinstance(manifest, dict):
-            raise ValidationError(f"{manifest_path}: expected a JSON object")
-        if manifest.get("prefix", prefix) != prefix:
-            raise ValidationError(f"{manifest_path}: files have prefix {manifest['prefix']!r}, "
-                                  f"expected {prefix!r}")
-        entries = manifest.get("levels", {})
-        if not isinstance(entries, dict) or not all(isinstance(e, dict) for e in entries.values()):
-            raise ValidationError(f"{manifest_path}: 'levels' must map level names to objects")
-    for level, name in names.items():
-        if entries.get(str(level), {}).get("file", name) != name:
-            raise ValidationError(f"{manifest_path}: level {level} must name file {name!r}")
-    levels = {}
-    for level, name in names.items():
-        entry = entries.get(str(level), {})
-        tensor = hio.read_tensor(path / name)
-        if "dims" in entry and list(tensor.shape) != entry["dims"]:
-            raise ValidationError(
-                f"{name}: dims {list(tensor.shape)} disagree with manifest {entry['dims']}"
-            )
-        levels[level] = tensor
-    return FeaturePyramid(levels)
+    return FeaturePyramid({level: hio.read_tensor(Path(path) / level_file(prefix, level)) for level in LEVELS})

@@ -20,7 +20,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor import DTYPE, ConvLayer, ConvSpec, as_tensor, check_layers
+from .tensor import DTYPE, ConvLayer, ConvSpec, as_tensor, check_field_types, check_layers
 
 
 def sdp_specs(channels: int, bias: bool = False) -> dict:
@@ -46,6 +46,7 @@ class SdpParams:
     block_w: int
 
     def __post_init__(self):
+        check_field_types(self)
         check_layers(self, sdp_specs(self.q_conv.spec.in_channels))
         if self.block_h < 1 or self.block_w < 1:
             raise ValidationError("block extents must be >= 1")

@@ -59,8 +59,9 @@ _NUMBERS = {int: numbers.Integral, float: numbers.Real}
 def check_field_types(obj) -> None:
     """Store every field of dataclass `obj` as exactly its annotated type, or raise ValidationError.
 
-    An int is integral and a float real, neither a bool; a bool or str is exactly
-    that type; a tuple is a list or tuple of ints. Numbers become Python scalars.
+    An int is integral and a float real, neither a bool; a bool, a str or any other
+    class is exactly that type; a tuple is a list or tuple of ints. Numbers become
+    Python scalars.
     """
     def convert(value, kind):
         if kind is tuple and isinstance(value, (list, tuple)):

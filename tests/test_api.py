@@ -14,6 +14,7 @@ from hsfpn import (
     ValidationError,
     as_tensor,
     attention_cost,
+    blob_scene,
     block_attention,
     count_params,
     hsfpn_forward,
@@ -27,6 +28,8 @@ from hsfpn import (
 from hsfpn.pyramid import level_extents
 
 SMALL = PyramidConfig(channels=4, alpha=0.25, k=2, groups=2, seed=1)
+HFP = init_weights(SMALL).hfp_params(2)
+SDP = init_weights(SMALL).sdp_params(2, 2, 2)
 
 
 def test_public_exports_pinned():
@@ -80,6 +83,17 @@ HOSTILE_CALLS = {
     "block-attention-str-query": lambda: block_attention("a", np.ones((2, 3)), np.ones((2, 3))),
     "block-attention-str-counts": lambda: block_attention(np.ones((4, 3)), np.ones((2, 3)), np.ones((2, 3)),
                                                           counts=["a", "b"]),
+    # per-level parameters take exactly their field types, as the config does
+    "hfp-params-str-alpha": lambda: dataclasses.replace(HFP, alpha="a"),
+    "hfp-params-str-k": lambda: dataclasses.replace(HFP, k="a"),
+    "hfp-params-float-k": lambda: dataclasses.replace(HFP, k=2.5),
+    "hfp-params-str-squash": lambda: dataclasses.replace(HFP, squash="yes"),
+    "hfp-params-str-layer": lambda: dataclasses.replace(HFP, gap_conv="x"),
+    "sdp-params-str-block": lambda: dataclasses.replace(SDP, block_h="a"),
+    "sdp-params-float-block": lambda: dataclasses.replace(SDP, block_h=2.5),
+    "attention-cost-list-layout": lambda: attention_cost(CostModel(1, 2, 2, 2), []),
+    "blob-scene-zero-height": lambda: blob_scene(0),
+    "blob-scene-str-height": lambda: blob_scene("a"),
 }
 
 

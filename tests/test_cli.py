@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from hsfpn import (FeaturePyramid, PyramidConfig, ScrWindows, blob_scene, count_params, random_pyramid,
-                   read_pgm, read_tensor, scr, write_pgm, write_pyramid_dir, write_tensor)
+                   read_pgm, read_pyramid_dir, read_tensor, scr, write_pgm, write_pyramid_dir, write_tensor)
 from hsfpn.cli import build_parser, main
 from hsfpn.cost import render
+
+from test_pyramid import old_manifest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -220,7 +222,7 @@ class TestForward:
         assert main(argv + ["-o", str(out_a)]) == 0
         assert main(argv + ["-o", str(out_b)]) == 0
         names = sorted(path.name for path in out_a.iterdir())
-        assert names == ["manifest.json", "p2.pft", "p3.pft", "p4.pft", "p5.pft", "report.json"]
+        assert names == ["p2.pft", "p3.pft", "p4.pft", "p5.pft", "report.json"]
         for name in names:  # the report too: it holds no wall-clock time
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
@@ -263,13 +265,15 @@ class TestForward:
         assert added_f == 0
         assert added_h - added_f == expected
 
-    def test_invalid_manifest_config_error(self, pyramid_dir, tmp_path, capsys):
-        (pyramid_dir / "manifest.json").write_text("{not json")
-        code = main(["forward", str(pyramid_dir), "-o", str(tmp_path / "out")])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("hsfpn: config: ") and "manifest.json" in err
-        assert len(err.splitlines()) == 1
+    @pytest.mark.parametrize("manifest", ["parent", "stale", "not-json"])
+    def test_directory_with_a_manifest_runs(self, manifest, pyramid_dir, tmp_path):
+        # a manifest.json that earlier versions wrote beside c2..c5.pft is never opened
+        assert main(["forward", str(pyramid_dir), "-o", str(tmp_path / "a"), "--k", "2"]) == 0
+        pyr = read_pyramid_dir(pyramid_dir, prefix="c")
+        (pyramid_dir / "manifest.json").write_text(old_manifest(manifest, pyr))
+        assert main(["forward", str(pyramid_dir), "-o", str(tmp_path / "b"), "--k", "2"]) == 0
+        files = [{path.name: path.read_bytes() for path in (tmp_path / run).iterdir()} for run in "ab"]
+        assert files[0] == files[1] and len(files[0]) == 5
 
     def test_negative_seed_config_error(self, pyramid_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -432,7 +436,7 @@ class TestOutputsNameOneFile:
         assert capsys.readouterr().err == "hsfpn: usage: two outputs of one run name the same file './x.pgm'\n"
         assert sorted(tmp_path.rglob("*")) == before
 
-    @pytest.mark.parametrize("name", ["p2.pft", "manifest.json"])
+    @pytest.mark.parametrize("name", ["p2.pft", "p5.pft"])
     def test_forward_report_names_an_output_file(self, name, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         write_pyramid_dir("in", random_pyramid(8, base_hw=(16, 16), seed=1), prefix="c")
@@ -449,15 +453,12 @@ def tree_bytes(root: Path) -> dict:
 
 
 class TestForwardKeepsItsInputs:
-    """An output of `forward` that names a file it reads fails before any work and writes nothing."""
+    """`forward` never writes over a file it reads: an output naming one fails before any work."""
 
     @pytest.mark.parametrize("argv", [
-        ("-o", "in"),
-        ("-o", "in/../in"),
         ("-o", "out", "--report", "in/c2.pft"),
-        ("-o", "out", "--report", "in/manifest.json"),
-    ], ids=["output-is-input-dir", "output-resolves-to-input-dir", "report-is-input-level",
-            "report-is-input-manifest"])
+        ("-o", "out", "--report", "in/../in/c5.pft"),
+    ], ids=["report-is-input-level", "report-resolves-to-input-level"])
     def test_writes_nothing(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         write_pyramid_dir("in", random_pyramid(8, base_hw=(16, 16), seed=1), prefix="c")
@@ -468,42 +469,31 @@ class TestForwardKeepsItsInputs:
         assert tree_bytes(tmp_path) == before
 
     def test_second_run_reads_the_inputs(self, tmp_path, monkeypatch):
-        # refused in place, so a later run still reads c2..c5.pft, not earlier outputs
+        # -o naming the input directory puts p2..p5.pft and report.json beside c2..c5.pft,
+        # which stay as they were, so a later run still reads c2..c5.pft
         monkeypatch.chdir(tmp_path)
         write_pyramid_dir("in", random_pyramid(8, base_hw=(16, 16), seed=1), prefix="c")
-        assert main(["forward", "in", "-o", "in", "--k", "2"]) == 1
+        inputs = tree_bytes(tmp_path)
+        outputs = ["p2.pft", "p3.pft", "p4.pft", "p5.pft", "report.json"]
+        for output in ("in", "in/../in"):
+            assert main(["forward", "in", "-o", output, "--k", "2"]) == 0
+            after = tree_bytes(tmp_path)
+            assert {path: after[path] for path in inputs} == inputs
+            assert sorted(path.name for path in after.keys() - inputs.keys()) == outputs
         assert main(["forward", "in", "-o", "out", "--k", "2"]) == 0
-        assert json.loads(Path("in/manifest.json").read_text())["prefix"] == "c"
-
-    @pytest.mark.parametrize("named", ["../out/c2.pft", "ABSOLUTE"], ids=["output-file", "absolute"])
-    def test_manifest_naming_another_file_writes_nothing(self, named, tmp_path, monkeypatch, capsys):
-        # level files are derived: a manifest naming the report path (or any file
-        # outside the directory) is refused, so the run neither reads nor overwrites it
-        monkeypatch.chdir(tmp_path)
-        write_pyramid_dir("in", random_pyramid(8, base_hw=(16, 16), seed=1), prefix="c")
-        Path("out").mkdir()
-        Path("out/c2.pft").write_bytes(Path("in/c2.pft").read_bytes())
-        Path("secret.txt").write_text("TOPSECRET")
-        manifest = json.loads(Path("in/manifest.json").read_text())
-        manifest["levels"]["2"]["file"] = str(tmp_path / "secret.txt") if named == "ABSOLUTE" else named
-        Path("in/manifest.json").write_text(json.dumps(manifest))
-        before = tree_bytes(tmp_path)
-        assert main(["forward", "in", "-o", "out", "--report", "out/c2.pft", "--k", "2"]) == 3
-        err = capsys.readouterr().err
-        assert re.fullmatch(r"hsfpn: config: .*level 2 must name file 'c2.pft'\n", err), err
-        assert "TOPS" not in err
-        assert tree_bytes(tmp_path) == before
+        for name in outputs:
+            assert Path("out", name).read_bytes() == Path("in", name).read_bytes(), name
 
     def test_earlier_output_is_not_read_as_input(self, tmp_path, monkeypatch, capsys):
-        # out/ holds p2..p5.pft under a manifest with prefix "p"; forward reads c2..c5.pft
+        # out/ holds p2..p5.pft; forward reads c2..c5.pft, and out/ has none
         monkeypatch.chdir(tmp_path)
         write_pyramid_dir("in", random_pyramid(8, base_hw=(16, 16), seed=1), prefix="c")
         assert main(["forward", "in", "-o", "out", "--k", "2"]) == 0
         capsys.readouterr()
         before = tree_bytes(tmp_path)
-        assert main(["forward", "out", "-o", "out2", "--k", "2"]) == 3
+        assert main(["forward", "out", "-o", "out2", "--k", "2"]) == 1
         err = capsys.readouterr().err
-        assert re.fullmatch(r"hsfpn: config: .*prefix 'p', expected 'c'\n", err), err
+        assert re.fullmatch(r"hsfpn: usage: .*'out/c2\.pft'\n", err), err
         assert tree_bytes(tmp_path) == before
 
 
