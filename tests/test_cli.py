@@ -455,33 +455,38 @@ def tree_bytes(root: Path) -> dict:
 class TestForwardKeepsItsInputs:
     """`forward` never writes over a file it reads: an output naming one fails before any work."""
 
-    @pytest.mark.parametrize("argv", [
-        ("-o", "out", "--report", "in/c2.pft"),
-        ("-o", "out", "--report", "in/../in/c5.pft"),
-    ], ids=["report-is-input-level", "report-resolves-to-input-level"])
-    def test_writes_nothing(self, argv, tmp_path, monkeypatch, capsys):
+    OUTPUTS = ["p2.pft", "p3.pft", "p4.pft", "p5.pft", "report.json"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (("-o", "in"), 0),
+        (("-o", "in/../in"), 0),
+        (("-o", "out", "--report", "in/c2.pft"), 1),
+        (("-o", "out", "--report", "in/../in/c5.pft"), 1),
+    ], ids=["output-is-input-dir", "output-resolves-to-input-dir", "report-is-input-level",
+            "report-resolves-to-input-level"])
+    def test_writes_nothing(self, argv, code, tmp_path, monkeypatch, capsys):
+        # nothing over an input: -o naming the input directory puts p2..p5.pft and
+        # report.json beside c2..c5.pft, and a report naming an input fails before any work
         monkeypatch.chdir(tmp_path)
         write_pyramid_dir("in", random_pyramid(8, base_hw=(16, 16), seed=1), prefix="c")
         before = tree_bytes(tmp_path)
-        assert main(["forward", "in", *argv]) == 1
-        err = capsys.readouterr().err
-        assert re.fullmatch(r"hsfpn: usage: output '.*' names a file the run reads\n", err), err
-        assert tree_bytes(tmp_path) == before
+        assert main(["forward", "in", "--k", "2", *argv]) == code
+        after = tree_bytes(tmp_path)
+        assert {path: after[path] for path in before} == before
+        if code:
+            err = capsys.readouterr().err
+            assert re.fullmatch(r"hsfpn: usage: output '.*' names a file the run reads\n", err), err
+            assert after == before
+        else:
+            assert sorted(path.name for path in after.keys() - before.keys()) == self.OUTPUTS
 
     def test_second_run_reads_the_inputs(self, tmp_path, monkeypatch):
-        # -o naming the input directory puts p2..p5.pft and report.json beside c2..c5.pft,
-        # which stay as they were, so a later run still reads c2..c5.pft
+        # c2..c5.pft are left as they were by -o in, so a later run reads them and gives the same outputs
         monkeypatch.chdir(tmp_path)
         write_pyramid_dir("in", random_pyramid(8, base_hw=(16, 16), seed=1), prefix="c")
-        inputs = tree_bytes(tmp_path)
-        outputs = ["p2.pft", "p3.pft", "p4.pft", "p5.pft", "report.json"]
-        for output in ("in", "in/../in"):
-            assert main(["forward", "in", "-o", output, "--k", "2"]) == 0
-            after = tree_bytes(tmp_path)
-            assert {path: after[path] for path in inputs} == inputs
-            assert sorted(path.name for path in after.keys() - inputs.keys()) == outputs
+        assert main(["forward", "in", "-o", "in", "--k", "2"]) == 0
         assert main(["forward", "in", "-o", "out", "--k", "2"]) == 0
-        for name in outputs:
+        for name in self.OUTPUTS:
             assert Path("out", name).read_bytes() == Path("in", name).read_bytes(), name
 
     def test_earlier_output_is_not_read_as_input(self, tmp_path, monkeypatch, capsys):
