@@ -116,7 +116,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("params", help="added parameter/MAC accounting per module")
     p.add_argument("--channels", type=int, default=PyramidConfig.channels)
-    p.add_argument("--k", type=int, default=PyramidConfig.k)
     _add_groups_flag(p)
     p.add_argument("--base-h", type=int, default=200, help="level-2 height")
     p.add_argument("--base-w", type=int, default=200, help="level-2 width")
@@ -245,8 +244,7 @@ def cmd_cost(args) -> int:
 
 
 def cmd_params(args) -> int:
-    config = PyramidConfig(channels=args.channels, k=args.k, groups=_groups(args, args.channels),
-                           conv_bias=args.bias)
+    config = PyramidConfig(channels=args.channels, groups=_groups(args, args.channels), conv_bias=args.bias)
     report = count_params(config, (args.base_h, args.base_w), with_cp=not args.no_cp,
                           with_sp=not args.no_sp, with_sdp=not args.no_sdp)
     _print_report(args.format, report.to_dict(), report.rows())

@@ -20,8 +20,16 @@ PFT_MAGIC = b"PFT1"
 MAX_RANK = 4
 
 
+def check_path(path):
+    """`path` if it is a str or os.PathLike, else ValidationError: an int would open a file descriptor."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValidationError(f"a path must be a str or os.PathLike, got {type(path).__name__}")
+    return path
+
+
 def write_tensor(path, x) -> None:
     """Serialise a tensor to a PFT1 file; NaN/Inf are refused before any byte is written."""
+    check_path(path)
     x = check_finite(as_tensor(x), f"{path}")
     with open(path, "wb") as fh:
         fh.write(PFT_MAGIC)
@@ -32,7 +40,7 @@ def write_tensor(path, x) -> None:
 
 def read_tensor(path) -> np.ndarray:
     """Read and validate a PFT1 file; the array views the one buffer the file is read into."""
-    with open(path, "rb") as fh:
+    with open(check_path(path), "rb") as fh:
         raw = bytearray(os.fstat(fh.fileno()).st_size)
         if fh.readinto(raw) != len(raw):
             raise ValidationError(f"{path}: file changed size while it was read")
@@ -95,7 +103,7 @@ def _header_int(raw: bytes, pos: int, what: str):
 
 def read_pgm(path) -> np.ndarray:
     """Read an 8-bit binary PGM into a float32 (H, W) image scaled to [0, 1]; a byte above maxval is an error."""
-    raw = Path(path).read_bytes()
+    raw = Path(check_path(path)).read_bytes()
     if raw[:2] != b"P5":
         raise PgmParseError(f"expected magic 'P5', got {raw[:2]!r}", 0)
     pos = 2
@@ -125,6 +133,7 @@ def read_pgm(path) -> np.ndarray:
 
 def write_pgm(path, image) -> None:
     """Write a float image as 8-bit PGM, clamped to [0, 1]; NaN/Inf are refused before any byte is written."""
+    check_path(path)
     image = check_finite(as_tensor(image, rank=2), f"{path}")
     quantised = np.rint(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
     h, w = quantised.shape

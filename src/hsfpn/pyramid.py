@@ -41,7 +41,6 @@ class PyramidConfig:
     seed: int = 0
     filter_levels: tuple = DEFAULT_FILTER_LEVELS
     conv_bias: bool = True
-    sdp_bias: bool = False
     squash: bool = False
 
     def __post_init__(self):
@@ -119,7 +118,7 @@ def layer_specs(config: PyramidConfig) -> dict:
     """
     c, bias = config.channels, config.conv_bias
     hfp = hfp_specs(c, config.groups, bias)
-    sdp = sdp_specs(c, config.sdp_bias)
+    sdp = sdp_specs(c)
     specs = {f"hfp{lv}.{role}": spec for lv in LEVELS for role, spec in hfp.items()}
     specs.update({f"sdp{lv}.{role}": spec for lv in SDP_LEVELS for role, spec in sdp.items()})
     specs.update({f"out{lv}.conv": ConvSpec(c, c, kernel=3, has_bias=bias) for lv in LEVELS})
@@ -266,12 +265,13 @@ def level_file(prefix: str, level: int) -> str:
 def write_pyramid_dir(path, pyr: FeaturePyramid, prefix: str = "p") -> None:
     """Write each level's tensor as the PFT1 file `<prefix><level>.pft` (see :func:`level_file`).
 
-    The prefix and every level (for NaN/Inf) are checked before the directory is made.
+    The path (see :func:`hsfpn.io.check_path`), the prefix and every level (for NaN/Inf)
+    are checked before the directory is made.
     """
     names = {level: level_file(prefix, level) for level in LEVELS}
     for level, tensor in pyr.items():
         check_finite(tensor, f"output level {level}")
-    path = Path(path)
+    path = Path(hio.check_path(path))
     path.mkdir(parents=True, exist_ok=True)
     for level, tensor in pyr.items():
         hio.write_tensor(path / names[level], tensor)
@@ -280,7 +280,9 @@ def write_pyramid_dir(path, pyr: FeaturePyramid, prefix: str = "p") -> None:
 def read_pyramid_dir(path, prefix: str = "c") -> FeaturePyramid:
     """The pyramid of the four PFT1 files `<prefix><level>.pft` (see :func:`level_file`) in `path`.
 
-    A prefix that :func:`level_file` refuses raises ValidationError before any
-    file is read. No other file of the directory is opened.
+    A path that :func:`hsfpn.io.check_path` refuses, or a prefix that
+    :func:`level_file` refuses, raises ValidationError before any file is
+    read. No other file of the directory is opened.
     """
-    return FeaturePyramid({level: hio.read_tensor(Path(path) / level_file(prefix, level)) for level in LEVELS})
+    path = Path(hio.check_path(path))
+    return FeaturePyramid({level: hio.read_tensor(path / level_file(prefix, level)) for level in LEVELS})

@@ -23,9 +23,9 @@ from .errors import ShapeError, ValidationError
 from .tensor import DTYPE, ConvLayer, ConvSpec, as_tensor, check_field_types, check_layers
 
 
-def sdp_specs(channels: int, bias: bool = False) -> dict:
-    """The ConvSpec of each SdpParams layer role, in draw order."""
-    spec = ConvSpec(channels, channels, kernel=1, has_bias=bias)
+def sdp_specs(channels: int) -> dict:
+    """The ConvSpec of each SdpParams layer role, in draw order: bias-free 1x1 projections."""
+    spec = ConvSpec(channels, channels, kernel=1, has_bias=False)
     return {"q_conv": spec, "k_conv": spec, "v_conv": spec}
 
 
@@ -34,7 +34,7 @@ class SdpParams:
     """Projection weights and block extents for one pyramid level.
 
     q_conv / k_conv / v_conv are 1x1 convolutions preserving the channel
-    count (bias-free by default). Block extents equal the top pyramid level's
+    count (bias-free in the weight table). Block extents equal the top pyramid level's
     spatial extents; :meth:`hsfpn.pyramid.HsfpnWeights.sdp_params` takes them
     from the input at forward time.
     """

@@ -18,20 +18,25 @@ BAND_ROWS = 16  # output rows per conv2d band; sets the size of its float64 work
 GROUP_PLANES = 16  # planes per map_plane_groups group; sets the size of its callers' workspace
 
 
+def _as_float32(x) -> np.ndarray:
+    """`x` as a C-contiguous float32 array, copied only if it is not one; a value numpy
+    cannot convert raises ValidationError."""
+    try:
+        return np.asarray(x, dtype=DTYPE, order="C")
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"not convertible to a float32 tensor: {err}") from None
+
+
 def as_tensor(x, rank: int | None = None) -> np.ndarray:
     """Coerce `x` to a C-contiguous float32 array and check its rank.
 
     Rank may be at most 4, interpreted (N, C, H, W); `rank=n` requires
     exactly n dimensions. Zero-length extents are rejected. A value numpy
-    cannot convert to float32 raises ValidationError.
+    cannot convert to float32 raises ValidationError (:func:`_as_float32`).
     """
-    try:
-        arr = np.asarray(x, dtype=DTYPE)
-    except (TypeError, ValueError) as err:
-        raise ValidationError(f"not convertible to a float32 tensor: {err}") from None
+    arr = _as_float32(x)
     if arr.ndim == 0:
         raise ShapeError("scalar is not a tensor; rank must be between 1 and 4")
-    arr = np.ascontiguousarray(arr)
     if arr.ndim > 4:
         raise ShapeError(f"rank {arr.ndim} exceeds the supported maximum of 4")
     if rank is not None and arr.ndim != rank:
@@ -130,7 +135,9 @@ class ConvLayer:
 
     The weight has exactly `spec.weight_shape` (else ShapeError); a bias of
     shape (out_channels,) is given iff `spec.has_bias`, and both are finite
-    (else ValidationError). Both are stored C-contiguous float32, copied only if not.
+    (else ValidationError). Both convert as :func:`as_tensor` converts, to
+    C-contiguous float32, copied only if they are not; a value numpy cannot
+    convert raises ValidationError.
     """
 
     spec: ConvSpec
@@ -138,11 +145,11 @@ class ConvLayer:
     bias: np.ndarray | None = None
 
     def __post_init__(self):
-        weight = np.ascontiguousarray(self.weight, dtype=DTYPE)
+        weight = _as_float32(self.weight)
         if weight.shape != self.spec.weight_shape:
             raise ShapeError(f"weight dims {weight.shape} do not match {self.spec.weight_shape}")
         object.__setattr__(self, "weight", check_finite(weight, "convolution weight"))
-        bias = None if self.bias is None else np.ascontiguousarray(self.bias, dtype=DTYPE)
+        bias = None if self.bias is None else _as_float32(self.bias)
         want = (self.spec.out_channels,) if self.spec.has_bias else None  # None: no bias
         if (got := getattr(bias, "shape", None)) != want:
             raise ValidationError(f"bias dims {got} do not match {want} (a bias iff has_bias)")
@@ -259,7 +266,7 @@ def adaptive_pool(x, out_h: int, out_w: int, mode: str = "avg") -> np.ndarray:
     """
     x = as_tensor(x, rank=4)
     h, w = x.shape[2:]
-    if mode not in ("avg", "max"):
+    if not isinstance(mode, str) or mode not in ("avg", "max"):
         raise ValidationError(f"mode must be 'avg' or 'max', got {mode!r}")
     if not (is_integer(out_h) and is_integer(out_w)):
         raise ValidationError(f"output extents must be integers, got {(out_h, out_w)!r}")

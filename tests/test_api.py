@@ -8,14 +8,17 @@ import pytest
 
 import hsfpn
 from hsfpn import (
+    ConvSpec,
     CostModel,
     FeaturePyramid,
     PyramidConfig,
     ValidationError,
+    adaptive_pool,
     as_tensor,
     attention_cost,
     blob_scene,
     block_attention,
+    conv2d,
     count_params,
     hsfpn_forward,
     init_weights,
@@ -92,6 +95,13 @@ HOSTILE_CALLS = {
     "sdp-params-str-block": lambda: dataclasses.replace(SDP, block_h="a"),
     "sdp-params-float-block": lambda: dataclasses.replace(SDP, block_h=2.5),
     "attention-cost-list-layout": lambda: attention_cost(CostModel(1, 2, 2, 2), []),
+    # a choice is a str: an array of choices is not one
+    "attention-cost-array-layout": lambda: attention_cost(CostModel(1, 2, 2, 2), np.array(["sdp", "vit"])),
+    "adaptive-pool-array-mode": lambda: adaptive_pool(np.ones((1, 1, 4, 4)), 2, 2, np.array(["avg", "max"])),
+    # a layer's arrays convert as as_tensor converts
+    "conv2d-str-weight": lambda: conv2d(np.ones((1, 2, 3, 3)), ConvSpec(2, 2), "a"),
+    "conv2d-str-bias": lambda: conv2d(np.ones((1, 2, 3, 3)), ConvSpec(2, 2), np.ones((2, 2, 1, 1)), "a"),
+    "conv2d-object-weight": lambda: conv2d(np.ones((1, 2, 3, 3)), ConvSpec(2, 2), object()),
     "blob-scene-zero-height": lambda: blob_scene(0),
     "blob-scene-str-height": lambda: blob_scene("a"),
 }

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,8 +14,10 @@ import pytest
 
 from hsfpn import (FeaturePyramid, PyramidConfig, ScrWindows, blob_scene, count_params, random_pyramid,
                    read_pgm, read_pyramid_dir, read_tensor, scr, write_pgm, write_pyramid_dir, write_tensor)
+from hsfpn import cli
 from hsfpn.cli import build_parser, main
 from hsfpn.cost import render
+from hsfpn.pyramid import LEVELS, level_file
 
 from test_pyramid import old_manifest
 
@@ -372,8 +375,7 @@ class TestParams:
         assert lines[-1] == "total,all,3015680,53309025536"
 
     def test_table_format(self, capsys):
-        assert main(["params", "--channels", "32", "--groups", "4", "--k", "4",
-                     "--base-h", "64", "--base-w", "64"]) == 0
+        assert main(["params", "--channels", "32", "--groups", "4", "--base-h", "64", "--base-w", "64"]) == 0
         out = capsys.readouterr().out
         assert "hfp_fuse" in out and "total" in out
 
@@ -387,6 +389,12 @@ class TestParams:
         config = PyramidConfig(channels=24, groups=8)
         assert capsys.readouterr().out == render(count_params(config, (200, 200)).rows(), "table") + "\n"
 
+    def test_k_is_not_a_params_flag(self, capsys):
+        # the pooling extent enters no parameter or MAC count; it is a forward flag only
+        assert main(["params", "--k", "4"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("hsfpn: usage:"), err
+
     def test_invalid_groups_config_error(self, pyramid_dir, tmp_path, capsys):
         for argv in (["params", "--channels", "30", "--groups", "16"],
                      ["params", "--groups", "0"],
@@ -396,6 +404,67 @@ class TestParams:
             err = capsys.readouterr().err
             assert err.startswith("hsfpn: config:"), argv
             assert len(err.splitlines()) == 1, argv
+
+
+# The non-default argv tokens each flag of forward and params is tried with. Path flags
+# and --format only choose where and how a result is written, so they have no row.
+SETTING_FLAGS = {
+    "forward": {"--mode": ["--mode", "fpn"], "--seed": ["--seed", "3"], "--alpha": ["--alpha", "0.5"],
+                "--k": ["--k", "2"], "--groups": ["--groups", "2"], "--fusion": ["--fusion", "sdp_plus_add"]},
+    "params": {"--channels": ["--channels", "64"], "--groups": ["--groups", "2"], "--base-h": ["--base-h", "64"],
+               "--base-w": ["--base-w", "64"], "--bias": ["--no-bias"], "--no-cp": ["--no-cp"],
+               "--no-sp": ["--no-sp"], "--no-sdp": ["--no-sdp"]},
+}
+# PyramidConfig fields no flag sets yet: ROADMAP items 2 (squash) and 7 (filter_levels)
+PENDING_FIELDS = {"squash", "filter_levels"}
+
+
+class TestEverySettingCounts:
+    """Each setting of forward and params changes a result: every flag in SETTING_FLAGS
+    changes the level files forward writes or the report params prints, and every
+    PyramidConfig field is set by one of those flags or is in PENDING_FIELDS."""
+
+    @pytest.fixture()
+    def run(self, tmp_path, capsys, monkeypatch):
+        """`run(command, tokens)`: the bytes the command computes, and the config it built."""
+        write_pyramid_dir(tmp_path / "in", random_pyramid(4, base_hw=(16, 16), seed=2), prefix="c")
+        built = []
+
+        class Recorded(PyramidConfig):
+            def __post_init__(self):
+                super().__post_init__()
+                built.append(self)
+
+        monkeypatch.setattr(cli, "PyramidConfig", Recorded)
+
+        def run(command, tokens):
+            out = tmp_path / f"out{len(built)}"
+            argv = [command, str(tmp_path / "in"), "-o", str(out)] if command == "forward" else [command]
+            assert main(argv + tokens) == 0, tokens
+            printed = capsys.readouterr().out.encode()
+            written = b"".join((out / level_file("p", lv)).read_bytes() for lv in LEVELS) if out.exists() else b""
+            return printed + written, built[-1]
+        return run
+
+    @pytest.mark.parametrize("command", sorted(SETTING_FLAGS))
+    def test_every_flag_has_a_row(self, command):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {next(o for o in action.option_strings if o.startswith("--"))
+                 for action in subparsers.choices[command]._actions if action.option_strings}
+        assert flags - {"--help", "--format", *PATH_FLAGS} == set(SETTING_FLAGS[command])
+
+    def test_every_flag_changes_the_result_and_every_field_is_set(self, run):
+        set_fields = set()
+        for command, rows in SETTING_FLAGS.items():
+            default, default_config = run(command, [])
+            for flag, tokens in rows.items():
+                result, config = run(command, tokens)
+                assert result != default, (command, flag)
+                set_fields |= {f.name for f in dataclasses.fields(PyramidConfig)
+                               if getattr(config, f.name) != getattr(default_config, f.name)}
+        assert set_fields | PENDING_FIELDS == {f.name for f in dataclasses.fields(PyramidConfig)}
+        assert not set_fields & PENDING_FIELDS
 
 
 class TestOutputPathIsDirectory:
@@ -661,7 +730,7 @@ class TestHostileFlags:
                 ("--alpha", "0.25"), ("--k", "4"), ("--groups", "8"), ("--fusion", "sdp_plus_add"),
                 ("--report", str(tmp_path / "r.json"))]),
             (["cost"], [("--n", "4"), ("--h", "8"), ("--w", "8"), ("--c", "16"), ("--format", "json")]),
-            (["params"], [("--channels", "32"), ("--k", "4"), ("--groups", "4"), ("--base-h", "64"),
+            (["params"], [("--channels", "32"), ("--groups", "4"), ("--base-h", "64"),
                           ("--base-w", "64"), ("--no-bias", None), ("--no-cp", None), ("--format", "csv")]),
         ]
 

@@ -1,10 +1,12 @@
+import os
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hsfpn import PgmParseError, ShapeError, ValidationError, read_pgm, read_tensor, write_pgm, write_tensor
+from hsfpn import (PgmParseError, ShapeError, ValidationError, random_pyramid, read_pgm, read_pyramid_dir,
+                   read_tensor, write_pgm, write_pyramid_dir, write_tensor)
 
 RNG = np.random.default_rng(7)
 
@@ -238,3 +240,32 @@ class TestHostileInput:
         raw = path.read_bytes()
         assert raw[:4] == b"PFT1" and len(raw) == 20 + 4 * 24
         self.run(tmp_path / "m.pft", read_tensor, raw, PFT_FIELDS, PFT_TOKENS)
+
+
+PYRAMID = random_pyramid(1, (8, 8))
+# Every call that takes a path, given a file descriptor instead (the argument `fd`).
+PATH_CALLS = {
+    "write-tensor": lambda fd: write_tensor(fd, np.ones(3, np.float32)),
+    "read-tensor": read_tensor,
+    "write-pgm": lambda fd: write_pgm(fd, np.ones((2, 2), np.float32)),
+    "read-pgm": read_pgm,
+    "write-pyramid-dir": lambda fd: write_pyramid_dir(fd, PYRAMID),
+    "read-pyramid-dir": read_pyramid_dir,
+}
+
+
+@pytest.mark.parametrize("call", PATH_CALLS.values(), ids=PATH_CALLS.keys())
+def test_int_path_is_refused_not_opened_as_a_descriptor(call, tmp_path):
+    # a path is a str or os.PathLike; an int would name an open file (True is fd 1, stdout)
+    path = tmp_path / "fd-target"
+    fd = os.open(path, os.O_RDWR | os.O_CREAT)
+    try:
+        with pytest.raises(ValidationError, match="path must be a str or os.PathLike"):
+            call(fd)
+        os.fstat(fd)  # still open: the call did not close it
+    finally:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
+    assert path.read_bytes() == b""

@@ -284,12 +284,13 @@ class TestConvLayerContract:
         (dataclasses.replace(BIASED, has_bias=False), GOOD_WEIGHT, GOOD_BIAS, ValidationError),
         (BIASED, GOOD_WEIGHT, np.zeros(3, np.float32), ValidationError),
         (BIASED, GOOD_WEIGHT, GOOD_BIAS[:, None], ValidationError),
+        (ConvSpec(4, 1), np.ones((1, 4, 1, 1), np.float32), np.float32(5), ValidationError),
         (BIASED, with_nonfinite(GOOD_WEIGHT, np.nan), GOOD_BIAS, ValidationError),
         (BIASED, with_nonfinite(GOOD_WEIGHT, -np.inf), GOOD_BIAS, ValidationError),
         (BIASED, GOOD_WEIGHT, with_nonfinite(GOOD_BIAS, np.nan), ValidationError),
         (BIASED, GOOD_WEIGHT, with_nonfinite(GOOD_BIAS, np.inf), ValidationError),
     ], ids=["weight-dims", "flat-weight", "bias-missing", "bias-on-bias-free-spec", "bias-length",
-            "bias-rank-2", "weight-nan", "weight-inf", "bias-nan", "bias-inf"])
+            "bias-rank-2", "scalar-bias", "weight-nan", "weight-inf", "bias-nan", "bias-inf"])
     def test_bad_arrays_rejected_at_construction(self, spec, weight, bias, error):
         with pytest.raises(error):
             ConvLayer(spec, weight, bias)
