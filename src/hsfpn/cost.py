@@ -13,9 +13,8 @@ uniform factor of two, so the pairwise ratios match the multipliers exactly.
 
 from dataclasses import dataclass, field
 
-from .errors import ValidationError
 from .pyramid import LEVELS, SDP_LEVELS, layer_specs, level_extents
-from .tensor import check_field_types
+from .tensor import check_choice, check_field_types, check_integers
 
 # layout: (complexity, multiplier, MACs of both products from n, hw = h*w and c)
 _LAYOUTS = {
@@ -39,14 +38,12 @@ class CostModel:
 
     def __post_init__(self):
         check_field_types(self)
-        if min(self.n, self.h, self.w, self.c) < 1:
-            raise ValidationError("all cost-model fields must be positive")
+        check_integers("cost-model fields", self.n, self.h, self.w, self.c, least=1)
 
 
 def attention_cost(model: CostModel, layout: str) -> int:
     """Multiply-accumulate count of the dominant attention terms (exact integer)."""
-    if not isinstance(layout, str) or layout not in ATTENTION_LAYOUTS:
-        raise ValidationError(f"layout must be one of {ATTENTION_LAYOUTS}, got {layout!r}")
+    check_choice("layout", layout, ATTENTION_LAYOUTS)
     return _LAYOUTS[layout][2](model.n, model.h * model.w, model.c)
 
 
@@ -150,8 +147,10 @@ def count_params(config, base_hw, with_cp: bool = True, with_sp: bool = True,
     n*(hw)^2*c calculus. The 3x3 fuse convolution belongs to the reweighting
     module as a whole and is counted whenever the channel or spatial path is
     enabled. With every module disabled the report is empty (zero added
-    parameters).
+    parameters). The three switches are exactly bools, as a bool field is.
     """
+    for name, flag in (("with_cp", with_cp), ("with_sp", with_sp), ("with_sdp", with_sdp)):
+        check_choice(name, flag, (False, True))
     report = OpCostReport()
     extents = level_extents(base_hw)
     enabled = {"cp": with_cp, "sp": with_sp, "hfp_fuse": with_cp or with_sp, "sdp": with_sdp}

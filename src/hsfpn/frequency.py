@@ -19,7 +19,6 @@ before. Every extent (DCT order and rows, plane extents, cuts) is checked by
 one rule: an integer, numpy ones included, that is not a bool.
 """
 
-import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import ceil
@@ -27,15 +26,9 @@ from math import ceil
 import numpy as np
 
 from .errors import DegenerateBackgroundError, ValidationError
-from .tensor import DTYPE, as_tensor, check_field_types, check_finite, is_integer, map_plane_groups
+from .tensor import DTYPE, as_tensor, check_field_types, check_finite, check_integers, check_real, map_plane_groups
 
 SWEEP_BAND_ROWS = 128  # image rows per scr_filter_sweep corner product; sets the size of its float64 workspace
-
-
-def _check_extents(what: str, extents: tuple, least: int = 0) -> None:
-    """Raise ValidationError unless every extent is an integer >= `least`: numpy ones too, no bools."""
-    if not all(is_integer(e) and e >= least for e in extents):
-        raise ValidationError(f"{what} must be integers >= {least}, got {extents!r}")
 
 
 def dct_matrix(n: int, rows: int | None = None) -> np.ndarray:
@@ -47,7 +40,7 @@ def dct_matrix(n: int, rows: int | None = None) -> np.ndarray:
     [0, n], or ValidationError is raised before the cache is touched.
     """
     rows = n if rows is None else rows
-    _check_extents("DCT order and rows", (n, rows))
+    check_integers("DCT order and rows", n, rows)
     if n < 1 or rows > n:
         raise ValidationError(f"DCT order must be >= 1 and rows at most the order, got order {n} and rows {rows}")
     return _dct_rows(int(n), int(rows))
@@ -74,9 +67,8 @@ def highpass_cut(h: int, w: int, alpha: float) -> tuple:
     plane extents must be integers >= 1 and alpha a real number (no bool) in
     [0, 1], or ValidationError is raised.
     """
-    _check_extents("plane extents", (h, w), least=1)
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
+    check_integers("plane extents", h, w, least=1)
+    check_real("alpha", alpha, 0.0, 1.0)
     # the integers u >= 0 with u < alpha*n number ceil(alpha*n)
     return min(h, ceil(alpha * h)), min(w, ceil(alpha * w))
 
@@ -95,7 +87,7 @@ def lowcut_filter(x, cut_rows: int, cut_cols: int) -> np.ndarray:
     group's, not the map's; every plane's result is independent of its group.
     """
     x = as_tensor(x, rank=2) if np.ndim(x) == 2 else as_tensor(x, rank=4)
-    _check_extents("cut extents", (cut_rows, cut_cols))
+    check_integers("cut extents", cut_rows, cut_cols)
     h, w = x.shape[-2:]
     r, s = min(cut_rows, h), min(cut_cols, w)
     if r == 0 or s == 0:
@@ -147,8 +139,7 @@ class ScrWindows:
         check_field_types(self)
         if len(self.target_center) != 2:
             raise ValidationError(f"target_center must be two ints (row, col), got {self.target_center!r}")
-        if self.target_extent <= 0:
-            raise ValidationError("target extent must be positive")
+        check_integers("target extent", self.target_extent, least=1)
         if self.neighborhood_extent <= self.target_extent:
             raise ValidationError("neighbourhood extent must exceed target extent")
 
@@ -224,7 +215,7 @@ def scr_filter_sweep(image, windows: ScrWindows, cuts) -> list:
     except (TypeError, ValueError):  # not iterable, or a cut that does not unpack into two
         raise ValidationError("cuts must be an iterable of (cut_rows, cut_cols) pairs") from None
     for cut in cuts:
-        _check_extents("cut extents", cut)
+        check_integers("cut extents", *cut)
     big_r = min(h, max((r for r, s in cuts if r and s), default=0))
     big_s = min(w, max((s for r, s in cuts if r and s), default=0))
     d_h, d_w = dct_matrix(h, big_r), dct_matrix(w, big_s)
@@ -268,9 +259,14 @@ def blob_scene(
     The blob sits at the image centre; the diagonal ramp plays the role of
     slowly varying clutter. Removing a moderate low-frequency region raises
     the blob's SCR (the ramp goes away), while aggressive cuts start to erode
-    the blob itself and the SCR falls again. `height` and `width` are integers >= 1.
+    the blob itself and the SCR falls again. `height` and `width` are integers >= 1,
+    `blob_sigma` a finite real > 0 and the other three finite reals (see
+    :func:`hsfpn.tensor.check_real`); else ValidationError.
     """
-    _check_extents("scene extents", (height, width), least=1)
+    check_integers("scene extents", height, width, least=1)
+    for name, value in (("background", background), ("amplitude", amplitude), ("ramp_amplitude", ramp_amplitude)):
+        check_real(name, value)
+    check_real("blob_sigma", blob_sigma, 0.0, open_low=True)
     rows = np.arange(height, dtype=np.float64)[:, None]
     cols = np.arange(width, dtype=np.float64)[None, :]
     ramp = ramp_amplitude * (rows + cols) / max(height + width - 2, 1)

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .frequency import highfreq_response
-from .tensor import ConvLayer, ConvSpec, adaptive_pool, as_tensor, check_field_types, check_layers, relu, sigmoid
+from .tensor import (ConvLayer, ConvSpec, adaptive_pool, as_tensor, check_field_types, check_integers, check_layers,
+                     check_real, relu, sigmoid)
 
 
 def hfp_specs(channels: int, groups: int = 1, bias: bool = True) -> dict:
@@ -52,10 +52,8 @@ class HfpParams:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.k < 1:
-            raise ValidationError(f"pooling extent k must be >= 1, got {self.k}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
+        check_integers("pooling extent k", self.k, least=1)
+        check_real("alpha", self.alpha, 0.0, 1.0)
         check_layers(self, hfp_specs(self.gap_conv.spec.in_channels))
 
 

@@ -18,7 +18,8 @@ from . import io as hio
 from .errors import ShapeError, ValidationError
 from .hfp import HfpParams, hfp_forward, hfp_specs
 from .sdp import SdpParams, sdp_forward, sdp_specs
-from .tensor import ConvLayer, ConvSpec, as_tensor, check_field_types, check_finite, is_integer, upsample2x
+from .tensor import (ConvLayer, ConvSpec, as_tensor, check_choice, check_field_types, check_finite, check_integers,
+                     check_real, upsample2x)
 
 # Pyramid levels, largest first; each halves the extents of the one before.
 LEVELS = (2, 3, 4, 5)
@@ -46,16 +47,11 @@ class PyramidConfig:
     def __post_init__(self):
         check_field_types(self)
         object.__setattr__(self, "filter_levels", tuple(sorted(set(self.filter_levels))))
-        if self.k < 1:
-            raise ValidationError("pooling extent k must be positive")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.fusion_mode not in FUSION_MODES:
-            raise ValidationError(f"fusion_mode must be one of {FUSION_MODES}")
-        if self.mode not in PYRAMID_MODES:
-            raise ValidationError(f"mode must be one of {PYRAMID_MODES}")
+        check_integers("pooling extent k", self.k, least=1)
+        check_real("alpha", self.alpha, 0.0, 1.0)
+        check_integers("seed", self.seed)
+        check_choice("fusion_mode", self.fusion_mode, FUSION_MODES)
+        check_choice("mode", self.mode, PYRAMID_MODES)
         for level in self.filter_levels:
             if level not in LEVELS:
                 raise ValidationError(f"unknown filter level {level}")
@@ -221,15 +217,16 @@ def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights) -> FeaturePyrami
 def level_extents(base_hw) -> dict:
     """`{level: (h, w)}` of a pyramid whose largest level has extents `base_hw`.
 
-    `base_hw` is two integers (see :func:`hsfpn.tensor.is_integer`), both
-    positive multiples of 2 ** (LEVELS[-1] - LEVELS[0]), so that every level
+    `base_hw` is two integers >= 1 (see :func:`hsfpn.tensor.check_integers`),
+    both multiples of 2 ** (LEVELS[-1] - LEVELS[0]), so that every level
     halves the one before exactly; else ValidationError.
     """
     step = 2 ** (LEVELS[-1] - LEVELS[0])
-    if not (isinstance(base_hw, (tuple, list)) and len(base_hw) == 2 and all(map(is_integer, base_hw))):
+    if not (isinstance(base_hw, (tuple, list)) and len(base_hw) == 2):
         raise ValidationError(f"base extents must be two integers, got {base_hw!r}")
+    check_integers("base extents", *base_hw, least=1)
     h, w = base_hw
-    if h < 1 or w < 1 or h % step or w % step:
+    if h % step or w % step:
         raise ValidationError(f"base extents {tuple(base_hw)} must be positive multiples of {step}")
     return {lv: (h // 2 ** (lv - LEVELS[0]), w // 2 ** (lv - LEVELS[0])) for lv in LEVELS}
 
@@ -239,14 +236,11 @@ def random_pyramid(channels: int, base_hw=(64, 64), batch: int = 1, seed: int = 
 
     `channels` and `batch` are positive integers and `seed` a non-negative one.
     """
-    if not (all(map(is_integer, (channels, batch, seed))) and min(channels, batch) >= 1 and seed >= 0):
-        raise ValidationError(f"channels {channels!r} and batch {batch!r} must be positive integers, "
-                              f"seed {seed!r} a non-negative one")
+    check_integers("channels and batch", channels, batch, least=1)
+    check_integers("seed", seed)
     rng = np.random.default_rng(seed)
-    levels = {}
-    for level, extents in level_extents(base_hw).items():
-        arr = rng.standard_normal((batch, channels, *extents)).astype(np.float32)
-        levels[level] = check_finite(arr, f"level {level}")
+    levels = {level: rng.standard_normal((batch, channels, *extents)).astype(np.float32)
+              for level, extents in level_extents(base_hw).items()}
     return FeaturePyramid(levels)
 
 
@@ -265,10 +259,12 @@ def level_file(prefix: str, level: int) -> str:
 def write_pyramid_dir(path, pyr: FeaturePyramid, prefix: str = "p") -> None:
     """Write each level's tensor as the PFT1 file `<prefix><level>.pft` (see :func:`level_file`).
 
-    The path (see :func:`hsfpn.io.check_path`), the prefix and every level (for NaN/Inf)
-    are checked before the directory is made.
+    The prefix, the levels (a mapping other than a FeaturePyramid is taken through one, so
+    levels that do not nest raise ShapeError), every level's values (for NaN/Inf) and the
+    path (see :func:`hsfpn.io.check_path`) are checked before the directory is made.
     """
     names = {level: level_file(prefix, level) for level in LEVELS}
+    pyr = pyr if isinstance(pyr, FeaturePyramid) else FeaturePyramid(pyr)
     for level, tensor in pyr.items():
         check_finite(tensor, f"output level {level}")
     path = Path(hio.check_path(path))

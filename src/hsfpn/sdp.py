@@ -20,7 +20,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor import DTYPE, ConvLayer, ConvSpec, as_tensor, check_field_types, check_layers
+from .tensor import DTYPE, ConvLayer, ConvSpec, as_tensor, check_field_types, check_integers, check_layers
 
 
 def sdp_specs(channels: int) -> dict:
@@ -48,8 +48,7 @@ class SdpParams:
     def __post_init__(self):
         check_field_types(self)
         check_layers(self, sdp_specs(self.q_conv.spec.in_channels))
-        if self.block_h < 1 or self.block_w < 1:
-            raise ValidationError("block extents must be >= 1")
+        check_integers("block extents", self.block_h, self.block_w, least=1)
 
 
 def block_attention(q, k, v, counts=None) -> np.ndarray:

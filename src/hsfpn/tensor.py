@@ -6,6 +6,7 @@ stay within ~1e-5 of a naive double-precision evaluation. All operations are
 pure functions: the same inputs produce bitwise-identical outputs.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, fields
 
@@ -53,12 +54,9 @@ def check_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
     return x
 
 
-def is_integer(value) -> bool:
-    """True for a Python or numpy integer, False for a bool or anything else: the rule for extents."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-_NUMBERS = {int: numbers.Integral, float: numbers.Real}
+def _is_number(value, kind) -> bool:
+    """True for a Python or numpy number of `kind` (int: integral, float: real), never a bool."""
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real}[kind]) and not isinstance(value, bool)
 
 
 def check_field_types(obj) -> None:
@@ -71,7 +69,7 @@ def check_field_types(obj) -> None:
     def convert(value, kind):
         if kind is tuple and isinstance(value, (list, tuple)):
             return tuple(convert(v, int) for v in value)
-        if kind in _NUMBERS and isinstance(value, _NUMBERS[kind]) and not isinstance(value, bool):
+        if kind in (int, float) and _is_number(value, kind):
             return kind(value)
         if type(value) is kind:
             return value
@@ -83,6 +81,31 @@ def check_field_types(obj) -> None:
             object.__setattr__(obj, f.name, convert(value, f.type))
         except (ValueError, OverflowError):  # OverflowError: an int too large for a float
             raise ValidationError(f"{f.name}: {value!r} is not a valid {f.type.__name__}") from None
+
+
+def check_integers(what: str, *values, least: int = 0, error=ValidationError) -> None:
+    """Raise ValidationError unless every value is an integer (see _is_number), `error` unless each is >= `least`."""
+    one = len(values) == 1
+    message = f"{what} must be {'an integer' if one else 'integers'} >= {least}, got {values[0] if one else values!r}"
+    if not all(_is_number(v, int) for v in values):
+        raise ValidationError(message)
+    if min(values) < least:
+        raise error(message)
+
+
+def check_real(what: str, value, low: float = -math.inf, high: float = math.inf, open_low: bool = False) -> None:
+    """Raise ValidationError unless `value` is a finite real number (see _is_number) in [low, high],
+    or in (low, high] if `open_low`."""
+    if not (_is_number(value, float) and abs(value) < math.inf and value <= high
+            and (low < value if open_low else low <= value)):
+        interval = f"{'(' if open_low or low == -math.inf else '['}{low:g}, {high:g}{')' if high == math.inf else ']'}"
+        raise ValidationError(f"{what} must lie in {interval}, got {value!r}")
+
+
+def check_choice(what: str, value, choices: tuple) -> None:
+    """Raise ValidationError unless `value` is one of `choices` and of their type (a str, or a bool)."""
+    if not (isinstance(value, type(choices[0])) and value in choices):
+        raise ValidationError(f"{what} must be one of {choices}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +124,7 @@ class ConvSpec:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ValidationError("channel counts must be positive")
+        check_integers("channel counts", self.in_channels, self.out_channels, least=1)
         if self.kernel not in (1, 3):
             raise ValidationError(f"kernel must be 1 or 3, got {self.kernel}")
         if self.groups < 1 or self.in_channels % self.groups or self.out_channels % self.groups:
@@ -266,12 +288,8 @@ def adaptive_pool(x, out_h: int, out_w: int, mode: str = "avg") -> np.ndarray:
     """
     x = as_tensor(x, rank=4)
     h, w = x.shape[2:]
-    if not isinstance(mode, str) or mode not in ("avg", "max"):
-        raise ValidationError(f"mode must be 'avg' or 'max', got {mode!r}")
-    if not (is_integer(out_h) and is_integer(out_w)):
-        raise ValidationError(f"output extents must be integers, got {(out_h, out_w)!r}")
-    if out_h < 1 or out_w < 1:
-        raise ShapeError("output extents must be >= 1")
+    check_choice("mode", mode, ("avg", "max"))
+    check_integers("output extents", out_h, out_w, least=1, error=ShapeError)
     if out_h > h or out_w > w:
         raise ShapeError(f"output extents ({out_h}, {out_w}) exceed input ({h}, {w})")
 

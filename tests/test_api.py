@@ -1,7 +1,9 @@
 """The package's public surface: its exported names, and package errors on hostile arguments."""
 
 import dataclasses
+import functools
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from hsfpn import (
     CostModel,
     FeaturePyramid,
     PyramidConfig,
+    ScrWindows,
+    ShapeError,
     ValidationError,
     adaptive_pool,
     as_tensor,
@@ -20,10 +24,15 @@ from hsfpn import (
     block_attention,
     conv2d,
     count_params,
+    dct_matrix,
+    highfreq_response,
+    highpass_cut,
     hsfpn_forward,
     init_weights,
+    lowcut_filter,
     random_pyramid,
     relu,
+    scr_filter_sweep,
     sigmoid,
     upsample2x,
     write_pyramid_dir,
@@ -104,6 +113,18 @@ HOSTILE_CALLS = {
     "conv2d-object-weight": lambda: conv2d(np.ones((1, 2, 3, 3)), ConvSpec(2, 2), object()),
     "blob-scene-zero-height": lambda: blob_scene(0),
     "blob-scene-str-height": lambda: blob_scene("a"),
+    # the scene's reals are finite, and its blob width positive: zero would divide by zero
+    "blob-scene-str-background": lambda: blob_scene(8, 8, background="a"),
+    "blob-scene-none-amplitude": lambda: blob_scene(8, 8, amplitude=None),
+    "blob-scene-list-ramp": lambda: blob_scene(8, 8, ramp_amplitude=[0.2]),
+    "blob-scene-nan-background": lambda: blob_scene(8, 8, background=float("nan")),
+    "blob-scene-inf-ramp": lambda: blob_scene(8, 8, ramp_amplitude=float("inf")),
+    "blob-scene-zero-sigma": lambda: blob_scene(8, 8, blob_sigma=0),
+    "blob-scene-negative-sigma": lambda: blob_scene(8, 8, blob_sigma=-2.5),
+    # a module switch is exactly a bool, as a bool field is: "no" would count the module
+    "count-params-str-switch": lambda: count_params(SMALL, (8, 8), with_cp="no"),
+    "count-params-int-switch": lambda: count_params(SMALL, (8, 8), with_sp=1),
+    "count-params-none-switch": lambda: count_params(SMALL, (8, 8), with_sdp=None),
 }
 
 
@@ -138,3 +159,88 @@ class TestNonFinitePassesThrough:
         q[0, 0] = np.nan
         out = block_attention(q, np.ones((2, 3), np.float32), np.ones((2, 3), np.float32))
         assert np.isnan(out[0]).all() and (out[1:] == 1).all()
+
+
+def keyword_calls(fn, names, **fixed):
+    """`{name: call}`: each call passes its one value to `fn` as keyword `name`, beside `fixed`."""
+    return {name: (lambda v, name=name: fn(**{**fixed, name: v})) for name in names}
+
+
+# Every scalar argument of the exports (integer, real, bool or choice), as a
+# call of one hostile value: `{export: {argument: call(value)}}`. A tuple
+# argument (a base, a cut, a centre, the filter levels) is fed at its first
+# element. Sizes that exceed memory (`dct_matrix(10**30, 0)`,
+# `blob_scene(10**30)`) are out of scope: numpy refuses them itself.
+X = np.ones((1, 1, 8, 8), np.float32)
+SCENE = blob_scene(16, 16)
+WINDOWS = ScrWindows((8, 8), 2, 6)
+SCALAR_ARGS = {
+    "ConvSpec": keyword_calls(ConvSpec, ("in_channels", "out_channels", "kernel", "groups", "has_bias"),
+                              in_channels=2, out_channels=2),
+    "CostModel": keyword_calls(CostModel, "nhwc", n=1, h=2, w=2, c=2),
+    "attention_cost": {"layout": lambda v: attention_cost(CostModel(1, 2, 2, 2), v)},
+    "count_params": {
+        "base_hw": lambda v: count_params(SMALL, (v, 8)),
+        **keyword_calls(functools.partial(count_params, SMALL, (8, 8)), ("with_cp", "with_sp", "with_sdp")),
+    },
+    "dct_matrix": keyword_calls(dct_matrix, ("n", "rows"), n=4, rows=2),
+    "highfreq_response": {"alpha": lambda v: highfreq_response(X, v)},
+    "highpass_cut": keyword_calls(highpass_cut, ("h", "w", "alpha"), h=4, w=4, alpha=0.25),
+    "lowcut_filter": keyword_calls(functools.partial(lowcut_filter, X), ("cut_rows", "cut_cols"),
+                                   cut_rows=2, cut_cols=2),
+    "scr_filter_sweep": {"cuts": lambda v: scr_filter_sweep(SCENE, WINDOWS, [(v, 2)])},
+    "ScrWindows": {
+        "target_center": lambda v: ScrWindows((v, 8), 2, 6),
+        **keyword_calls(functools.partial(ScrWindows, (8, 8)), ("target_extent", "neighborhood_extent"),
+                        target_extent=2, neighborhood_extent=6),
+    },
+    "blob_scene": keyword_calls(blob_scene, ("height", "width", "background", "amplitude", "blob_sigma",
+                                             "ramp_amplitude"), height=8, width=8),
+    "HfpParams": keyword_calls(functools.partial(dataclasses.replace, HFP), ("k", "alpha", "squash")),
+    "SdpParams": keyword_calls(functools.partial(dataclasses.replace, SDP), ("block_h", "block_w")),
+    "PyramidConfig": {
+        **keyword_calls(functools.partial(dataclasses.replace, SMALL), ("channels", "alpha", "k", "groups",
+                        "fusion_mode", "mode", "seed", "conv_bias", "squash")),
+        "filter_levels": lambda v: dataclasses.replace(SMALL, filter_levels=(v,)),
+    },
+    "random_pyramid": {
+        "base_hw": lambda v: random_pyramid(1, (v, 8)),
+        **keyword_calls(random_pyramid, ("channels", "batch", "seed"), channels=1, base_hw=(8, 8)),
+    },
+    "adaptive_pool": keyword_calls(functools.partial(adaptive_pool, X), ("out_h", "out_w", "mode"),
+                                   out_h=2, out_w=2),
+    "as_tensor": {"rank": lambda v: as_tensor(X, rank=v)},
+}
+# exports whose arguments are arrays, paths, a level-file prefix or parameter objects only
+NO_SCALAR_ARGS = {
+    "ConvLayer", "FeaturePyramid", "HsfpnWeights", "OpCostReport", "block_attention", "channel_path", "conv2d",
+    "cost_rows", "hfp_forward", "hsfpn_forward", "init_weights", "read_pgm", "read_pyramid_dir", "read_tensor",
+    "relu", "scr", "sdp_forward", "sigmoid", "spatial_path", "upsample2x", "write_pgm", "write_pyramid_dir",
+    "write_tensor",
+}
+HOSTILE_SCALARS = {
+    "float": 1.5, "bool": True, "negative": -1, "zero": 0, "nan": float("nan"), "inf": float("inf"),
+    "-inf": -float("inf"), "numpy-int": np.int64(3), "numpy-float": np.float64(2.5), "str": "a", "none": None,
+    "list": [1],
+}
+
+
+def test_every_export_with_scalar_arguments_is_in_the_table():
+    callables = {name for name, value in vars(hsfpn).items()
+                 if not name.startswith("_") and callable(value)
+                 and not (isinstance(value, type) and issubclass(value, Exception))}
+    assert not SCALAR_ARGS.keys() & NO_SCALAR_ARGS
+    assert sorted(SCALAR_ARGS.keys() | NO_SCALAR_ARGS) == sorted(callables)
+
+
+@pytest.mark.parametrize("value", HOSTILE_SCALARS.values(), ids=HOSTILE_SCALARS.keys())
+@pytest.mark.parametrize("call", [call for args in SCALAR_ARGS.values() for call in args.values()],
+                         ids=[f"{export}.{arg}" for export, args in SCALAR_ARGS.items() for arg in args])
+def test_hostile_scalar_raises_only_package_errors(call, value, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(value)
+        except (ShapeError, ValidationError):
+            pass

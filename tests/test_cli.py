@@ -282,7 +282,7 @@ class TestForward:
         out = tmp_path / "out"
         assert main(["forward", str(pyramid_dir), "-o", str(out), "--seed", "-1"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("hsfpn: config: seed must be >= 0")
+        assert err.startswith("hsfpn: config: seed must be an integer >= 0")
         assert len(err.splitlines()) == 1
         assert not out.exists()
 

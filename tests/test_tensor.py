@@ -391,6 +391,11 @@ class TestAdaptivePool:
         with pytest.raises(ValidationError, match="output extents must be integers"):
             adaptive_pool(randf(1, 2, 8, 8), *extents)
 
+    @pytest.mark.parametrize("extents", [(0, 2), (2, -1)], ids=["zero", "negative"])
+    def test_extents_below_one_are_shape_errors(self, extents):
+        with pytest.raises(ShapeError, match="output extents must be integers >= 1"):
+            adaptive_pool(randf(1, 2, 8, 8), *extents)
+
     def test_numpy_integer_extents_accepted(self):
         x = randf(1, 2, 8, 8)
         for mode in ("avg", "max"):
