@@ -7,6 +7,7 @@ machine-parseable line ``hsfpn: <category>: <message>`` on standard error.
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -270,10 +271,15 @@ _FAILURES = (
 )
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser `main` reads flags with: built on the first call, then reused by the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         with np.errstate(all="ignore"):  # overflow ends in a non-finite check, not a warning
             return _COMMANDS[args.command](args)
     except Exception as err:

@@ -171,18 +171,25 @@ def scr(image, windows: ScrWindows) -> float:
     trs, tcs = windows.target_slice(h, w)
     nrs, ncs = windows.neighborhood_slice(h, w)
 
-    # the target window lies inside the neighbourhood window (see ScrWindows)
+    # the target window lies inside the neighbourhood window (see ScrWindows), so the
+    # annulus in row-major order is the rows above it, the pixels beside it row by
+    # row, then the rows below it
     hood = image[nrs, ncs]
-    annulus = np.ones(hood.shape, dtype=bool)
-    r0, c0 = nrs.start, ncs.start
-    annulus[trs.start - r0 : trs.stop - r0, tcs.start - c0 : tcs.stop - c0] = False
-    background = hood[annulus].astype(np.float64)
-    if background.size == 0:
+    top, bottom = trs.start - nrs.start, trs.stop - nrs.start
+    left, right = tcs.start - ncs.start, tcs.stop - ncs.start
+    beside = np.concatenate((hood[top:bottom, :left], hood[top:bottom, right:]), axis=1)
+    background = np.concatenate((hood[:top].ravel(), beside.ravel(), hood[bottom:].ravel()), dtype=np.float64)
+    n = background.size
+    if n == 0:
         raise ValidationError("neighbourhood window adds no pixels beyond the target window")
 
-    mu_t = image[trs, tcs].astype(np.float64).mean()
-    mu_b = background.mean()
-    sigma_b = background.std()
+    # mean() and std() (ddof=0) step by step, through the same reductions in the same order
+    target = image[trs, tcs].astype(np.float64)
+    mu_t = np.add.reduce(target, axis=None) / target.size
+    mu_b = np.add.reduce(background) / n
+    background -= mu_b  # now the squared deviations, in place
+    np.square(background, out=background)
+    sigma_b = np.sqrt(np.add.reduce(background) / n)
     if sigma_b < 1e-9:
         raise DegenerateBackgroundError(
             f"background standard deviation {sigma_b:.3e} is below 1e-9"
@@ -261,7 +268,8 @@ def blob_scene(
     the blob's SCR (the ramp goes away), while aggressive cuts start to erode
     the blob itself and the SCR falls again. `height` and `width` are integers >= 1,
     `blob_sigma` a finite real > 0 and the other three finite reals (see
-    :func:`hsfpn.tensor.check_real`); else ValidationError.
+    :func:`hsfpn.tensor.check_real`); else ValidationError. A scene whose
+    arithmetic leaves float32 range raises ValidationError too.
     """
     check_integers("scene extents", height, width, least=1)
     for name, value in (("background", background), ("amplitude", amplitude), ("ramp_amplitude", ramp_amplitude)):
@@ -269,8 +277,10 @@ def blob_scene(
     check_real("blob_sigma", blob_sigma, 0.0, open_low=True)
     rows = np.arange(height, dtype=np.float64)[:, None]
     cols = np.arange(width, dtype=np.float64)[None, :]
-    ramp = ramp_amplitude * (rows + cols) / max(height + width - 2, 1)
     cr, cc = height // 2, width // 2
-    blob = amplitude * np.exp(-((rows - cr) ** 2 + (cols - cc) ** 2) / (2.0 * blob_sigma ** 2))
-    scene = background + ramp + blob
-    return check_finite(scene.astype(DTYPE), "blob scene")
+    # in numpy, so a magnitude that leaves float range ends in check_finite, not an exception or a warning
+    with np.errstate(all="ignore"):
+        ramp = ramp_amplitude * (rows + cols) / max(height + width - 2, 1)
+        blob = amplitude * np.exp(-((rows - cr) ** 2 + (cols - cc) ** 2) / (2.0 * np.float64(blob_sigma) ** 2))
+        scene = (background + ramp + blob).astype(DTYPE)
+    return check_finite(scene, "blob scene")

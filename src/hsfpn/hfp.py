@@ -12,7 +12,7 @@ import numpy as np
 
 from .frequency import highfreq_response
 from .tensor import (ConvLayer, ConvSpec, adaptive_pool, as_tensor, check_field_types, check_integers, check_layers,
-                     check_real, relu, sigmoid)
+                     check_real, check_type, relu, sigmoid)
 
 
 def hfp_specs(channels: int, groups: int = 1, bias: bool = True) -> dict:
@@ -66,6 +66,7 @@ def channel_path(f, params: HfpParams) -> np.ndarray:
     back to C channels. k is `params.k` capped at the extents of `f`, so a map
     smaller than k (a small top level) pools to its own extents.
     """
+    check_type("params", params, HfpParams)
     f = as_tensor(f, rank=4)
     k = min(params.k, *f.shape[2:])
     scores = []
@@ -78,6 +79,7 @@ def channel_path(f, params: HfpParams) -> np.ndarray:
 
 def spatial_path(f, params: HfpParams) -> np.ndarray:
     """Per-pixel mask u_sp with dims (N, 1, H, W): a 1x1 convolution of `f` to one channel."""
+    check_type("params", params, HfpParams)
     u_sp = params.spatial_conv(f)
     return sigmoid(u_sp) if params.squash else u_sp
 
@@ -92,6 +94,7 @@ def hfp_forward(c, params: HfpParams) -> np.ndarray:
     it, and the second product is added into the first, so fuse_conv runs
     with only its input map alive beside `c`.
     """
+    check_type("params", params, HfpParams)
     c = as_tensor(c, rank=4)
     f = highfreq_response(c, params.alpha)
     u_cp = channel_path(f, params)

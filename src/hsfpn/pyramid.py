@@ -8,6 +8,7 @@ FPN mode (pixelwise addition, no reweighting or attention) is kept for A/B
 comparisons with identical output convolutions.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -19,7 +20,7 @@ from .errors import ShapeError, ValidationError
 from .hfp import HfpParams, hfp_forward, hfp_specs
 from .sdp import SdpParams, sdp_forward, sdp_specs
 from .tensor import (ConvLayer, ConvSpec, as_tensor, check_choice, check_field_types, check_finite, check_integers,
-                     check_real, upsample2x)
+                     check_real, check_type, upsample2x)
 
 # Pyramid levels, largest first; each halves the extents of the one before.
 LEVELS = (2, 3, 4, 5)
@@ -62,11 +63,13 @@ class FeaturePyramid:
     """Mapping of level -> (N, C_level, H, W) tensor with strict 2x nesting.
 
     Levels share N; C_level may differ per level and ``channels(level)`` reads it.
+    `levels` is a mapping (else ValidationError) with exactly the keys 2..5 (else ShapeError).
     """
 
-    def __init__(self, levels: dict):
-        if sorted(levels) != list(LEVELS):
-            raise ShapeError(f"pyramid needs levels {LEVELS}, got {sorted(levels)}")
+    def __init__(self, levels: Mapping):
+        check_type("pyramid levels", levels, Mapping)
+        if set(levels) != set(LEVELS):  # a set: keys of mixed types compare without a TypeError
+            raise ShapeError(f"pyramid needs levels {LEVELS}, got {list(levels)}")
         tensors = {lv: as_tensor(levels[lv], rank=4) for lv in LEVELS}
         n = tensors[LEVELS[0]].shape[0]
         for lv in LEVELS:

@@ -20,7 +20,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor import DTYPE, ConvLayer, ConvSpec, as_tensor, check_field_types, check_integers, check_layers
+from .tensor import DTYPE, ConvLayer, ConvSpec, as_tensor, check_field_types, check_integers, check_layers, check_type
 
 
 def sdp_specs(channels: int) -> dict:
@@ -113,6 +113,7 @@ def sdp_forward(c_low, p_up, params: SdpParams) -> np.ndarray:
     projected query map becomes the output, and c_low is neither copied nor
     changed.
     """
+    check_type("params", params, SdpParams)
     c_low = as_tensor(c_low, rank=4)
     p_up = as_tensor(p_up, rank=4)
     n_, c, h, w = c_low.shape

@@ -59,6 +59,14 @@ def _is_number(value, kind) -> bool:
     return isinstance(value, {int: numbers.Integral, float: numbers.Real}[kind]) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """True for a real that converts to a finite float; an int too large for a float is not one."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def check_field_types(obj) -> None:
     """Store every field of dataclass `obj` as exactly its annotated type, or raise ValidationError.
 
@@ -94,9 +102,9 @@ def check_integers(what: str, *values, least: int = 0, error=ValidationError) ->
 
 
 def check_real(what: str, value, low: float = -math.inf, high: float = math.inf, open_low: bool = False) -> None:
-    """Raise ValidationError unless `value` is a finite real number (see _is_number) in [low, high],
-    or in (low, high] if `open_low`."""
-    if not (_is_number(value, float) and abs(value) < math.inf and value <= high
+    """Raise ValidationError unless `value` is a real number (see _is_number) that converts to a finite
+    float, in [low, high], or in (low, high] if `open_low`."""
+    if not (_is_number(value, float) and _is_finite(value) and value <= high
             and (low < value if open_low else low <= value)):
         interval = f"{'(' if open_low or low == -math.inf else '['}{low:g}, {high:g}{')' if high == math.inf else ']'}"
         raise ValidationError(f"{what} must lie in {interval}, got {value!r}")
@@ -106,6 +114,12 @@ def check_choice(what: str, value, choices: tuple) -> None:
     """Raise ValidationError unless `value` is one of `choices` and of their type (a str, or a bool)."""
     if not (isinstance(value, type(choices[0])) and value in choices):
         raise ValidationError(f"{what} must be one of {choices}, got {value!r}")
+
+
+def check_type(what: str, value, kind: type) -> None:
+    """Raise ValidationError unless `value` is an instance of `kind`."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)

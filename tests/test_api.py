@@ -22,18 +22,22 @@ from hsfpn import (
     attention_cost,
     blob_scene,
     block_attention,
+    channel_path,
     conv2d,
     count_params,
     dct_matrix,
     highfreq_response,
     highpass_cut,
+    hfp_forward,
     hsfpn_forward,
     init_weights,
     lowcut_filter,
     random_pyramid,
     relu,
     scr_filter_sweep,
+    sdp_forward,
     sigmoid,
+    spatial_path,
     upsample2x,
     write_pyramid_dir,
 )
@@ -42,6 +46,7 @@ from hsfpn.pyramid import level_extents
 SMALL = PyramidConfig(channels=4, alpha=0.25, k=2, groups=2, seed=1)
 HFP = init_weights(SMALL).hfp_params(2)
 SDP = init_weights(SMALL).sdp_params(2, 2, 2)
+FEATURE = np.ones((1, 4, 4, 4), np.float32)  # a map of SMALL's channel count
 
 
 def test_public_exports_pinned():
@@ -65,8 +70,9 @@ def write_with_prefix(prefix):
     return lambda: write_pyramid_dir("d/out", random_pyramid(1, (8, 8)), prefix=prefix)
 
 
-# Calls whose arguments are of a wrong type or shape: each raises ValidationError,
-# not a bare numpy or Python error, and none returns a value of the wrong type.
+# Calls whose arguments are of a wrong type or shape: each raises ValidationError (the
+# rows of SHAPE_ERROR_CALLS ShapeError), not a bare numpy or Python error, and none
+# returns a value of the wrong type.
 HOSTILE_CALLS = {
     "cost-model-str": lambda: CostModel(n="3", h=2, w=2, c=2),
     "cost-model-float": lambda: CostModel(n=1.5, h=2, w=2, c=2),
@@ -92,6 +98,16 @@ HOSTILE_CALLS = {
     "write-pyramid-dir-empty-prefix": write_with_prefix(""),
     "write-pyramid-dir-slash-prefix": write_with_prefix("a/b"),
     "write-pyramid-dir-int-prefix": write_with_prefix(5),
+    # a pyramid is a mapping of levels; keys of mixed types are compared, not sorted
+    "feature-pyramid-int": lambda: FeaturePyramid(5),
+    "feature-pyramid-none": lambda: FeaturePyramid(None),
+    "feature-pyramid-mixed-keys": lambda: FeaturePyramid({"a": np.ones((1, 1, 2, 2)), 2: np.ones((1, 1, 2, 2))}),
+    "write-pyramid-dir-int-levels": lambda: write_pyramid_dir("d/out", 5),
+    # a parameter object of the wrong kind, as HsfpnWeights.sdp_params gives for hfp_forward
+    "hfp-forward-sdp-params": lambda: hfp_forward(FEATURE, SDP),
+    "channel-path-sdp-params": lambda: channel_path(FEATURE, SDP),
+    "spatial-path-sdp-params": lambda: spatial_path(FEATURE, SDP),
+    "sdp-forward-hfp-params": lambda: sdp_forward(FEATURE, FEATURE[:, :, :2, :2], HFP),
     "block-attention-str-query": lambda: block_attention("a", np.ones((2, 3)), np.ones((2, 3))),
     "block-attention-str-counts": lambda: block_attention(np.ones((4, 3)), np.ones((2, 3)), np.ones((2, 3)),
                                                           counts=["a", "b"]),
@@ -121,6 +137,10 @@ HOSTILE_CALLS = {
     "blob-scene-inf-ramp": lambda: blob_scene(8, 8, ramp_amplitude=float("inf")),
     "blob-scene-zero-sigma": lambda: blob_scene(8, 8, blob_sigma=0),
     "blob-scene-negative-sigma": lambda: blob_scene(8, 8, blob_sigma=-2.5),
+    # magnitudes whose arithmetic leaves float range end in the scene's finiteness check
+    "blob-scene-tiny-sigma": lambda: blob_scene(8, 8, blob_sigma=1e-200),
+    "blob-scene-huge-background": lambda: blob_scene(8, 8, background=1e39),
+    "blob-scene-int-beyond-float": lambda: blob_scene(8, 8, amplitude=10**400),
     # a module switch is exactly a bool, as a bool field is: "no" would count the module
     "count-params-str-switch": lambda: count_params(SMALL, (8, 8), with_cp="no"),
     "count-params-int-switch": lambda: count_params(SMALL, (8, 8), with_sp=1),
@@ -128,12 +148,16 @@ HOSTILE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("call", HOSTILE_CALLS.values(), ids=HOSTILE_CALLS.keys())
-def test_hostile_call_raises_validation_error(call, tmp_path, monkeypatch):
+# The rows of HOSTILE_CALLS whose arguments are of the right type but the wrong shape.
+SHAPE_ERROR_CALLS = {"feature-pyramid-mixed-keys"}
+
+
+@pytest.mark.parametrize("name", HOSTILE_CALLS)
+def test_hostile_call_raises_validation_error(name, tmp_path, monkeypatch):
     (tmp_path / "cwd").mkdir()
     monkeypatch.chdir(tmp_path / "cwd")
-    with pytest.raises(ValidationError):
-        call()
+    with pytest.raises(ShapeError if name in SHAPE_ERROR_CALLS else ValidationError):
+        HOSTILE_CALLS[name]()
     # nothing is written, inside the working directory or beside it
     assert [p.name for p in tmp_path.iterdir()] == ["cwd"] and not any((tmp_path / "cwd").iterdir())
 

@@ -673,6 +673,47 @@ class TestUsage:
                      "--alpha", "1.5"]) == 3
 
 
+class TestOneParserPerProcess:
+    """`main` builds its parser on its first call and reuses it; `build_parser` builds a new one per call."""
+
+    @pytest.fixture()
+    def fresh(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_built_once_across_two_calls(self, fresh, monkeypatch, capsys):
+        built = []
+
+        def counted():
+            built.append(build_parser())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        assert main(["cost", "--n", "4", "--h", "2", "--w", "2", "--c", "8"]) == 0
+        assert main(["params", "--channels", "32"]) == 0
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_usage_error_leaves_nothing_for_the_next_call(self, fresh, tmp_path, capsys):
+        write_pgm(tmp_path / "s.pgm", blob_scene(64, 64))
+        csv = tmp_path / "s.csv"
+        valid = ["scr-sweep", str(tmp_path / "s.pgm"), "-o", str(csv), "--target-center", "32,32",
+                 "--cut-max", "32"]
+        assert main(valid) == 0
+        alone = csv.read_bytes()
+        csv.unlink()
+        cli._parser.cache_clear()
+        # every flag the valid call leaves at its default is set here, before the bad value
+        assert main(valid[:4] + ["--target-center", "9,9", "--target-size", "4", "--neighborhood-size", "9",
+                                 "--cut-max", "8", "--cut-step", "2", "--cut-step", "x"]) == 1
+        assert not csv.exists()
+        assert main(valid) == 0
+        assert csv.read_bytes() == alone
+
+
 # Exit code of each stderr category, as the README's exit-code table gives it.
 EXIT_OF = {"usage": 1, "io": 1, "degenerate": 2, "parse": 3, "config": 3}
 # Negative, zero, huge, float, non-numeric and empty stand-ins for a flag's value.

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,17 @@ from oracles import (
 )
 
 RNG = np.random.default_rng(99)
+
+
+def mask_reference_scr(img, win):
+    """SCR with the background taken by a boolean mask over the whole image, through mean() and std()."""
+    trs, tcs = win.target_slice(*img.shape)
+    nrs, ncs = win.neighborhood_slice(*img.shape)
+    ann = np.zeros(img.shape, bool)
+    ann[nrs, ncs] = True
+    ann[trs, tcs] = False
+    bg = img[ann].astype(np.float64)
+    return float(abs(img[trs, tcs].astype(np.float64).mean() - bg.mean()) / bg.std())
 
 
 def dct_coeffs(x):
@@ -340,14 +352,21 @@ class TestScr:
         # the same background pixels in the same order as a mask over the whole image
         img = RNG.uniform(size=(100, 100)).astype(np.float32)
         win = ScrWindows(target_center=centre, target_extent=20, neighborhood_extent=50)
-        trs, tcs = win.target_slice(100, 100)
-        nrs, ncs = win.neighborhood_slice(100, 100)
-        ann = np.zeros(img.shape, bool)
-        ann[nrs, ncs] = True
-        ann[trs, tcs] = False
-        bg = img[ann].astype(np.float64)
-        expected = float(abs(img[trs, tcs].astype(np.float64).mean() - bg.mean()) / bg.std())
-        assert scr(img, win) == expected
+        assert scr(img, win) == mask_reference_scr(img, win)
+
+    @pytest.mark.parametrize("shape, centre, target, hood", [
+        ((101, 77), (50, 38), 7, 21),
+        ((31, 29), (15, 14), 7, 8),  # the target is flush with the bottom and right of the neighbourhood
+        ((64, 64), (2, 3), 9, 15),  # both windows clipped at the top and left
+        ((64, 63), (62, 61), 10, 13),  # both windows clipped at the bottom and right
+        ((40, 40), (20, 20), 38, 41),  # a one-pixel ring
+        ((10, 60), (5, 30), 11, 31),  # no rows above or below the target
+    ], ids=["odd", "one-wider", "flush-top-left", "flush-bottom-right", "ring", "sides-only"])
+    def test_matches_mask_reference_at_odd_extents_and_edges(self, shape, centre, target, hood):
+        # values spanning 1e-6..1e3, so a changed summation order would show in the last bits
+        img = (10.0 ** np.random.default_rng(sum(shape)).uniform(-6, 3, size=shape)).astype(np.float32)
+        win = ScrWindows(target_center=centre, target_extent=target, neighborhood_extent=hood)
+        assert scr(img, win) == mask_reference_scr(img, win)
 
     def test_peak_memory_reads_only_the_neighbourhood(self):
         img = RNG.uniform(size=(2048, 2048)).astype(np.float32)
@@ -426,6 +445,17 @@ BENCH_WINDOWS = ScrWindows(target_center=(256, 256))
 @functools.cache
 def _bench_scene_scr(cut):
     return scr(lowcut_filter(BENCH_SCENE, cut, cut), BENCH_WINDOWS)
+
+
+class TestBlobScene:
+    def test_default_scene_pinned(self):
+        digest = hashlib.sha256(blob_scene().tobytes()).hexdigest()
+        assert digest == "da39303646df76575336ad160027cde04d72727fecd0cd5408c05e721061c8b3"
+
+    def test_blob_wider_than_float_range_is_flat(self):
+        # blob_sigma ** 2 overflows to inf, so the blob adds `amplitude` everywhere, without a warning
+        scene = blob_scene(8, 8, blob_sigma=1e200)
+        assert scene.min() == pytest.approx(0.8) and np.ptp(scene) == pytest.approx(0.2)
 
 
 class TestSweepOracle:
