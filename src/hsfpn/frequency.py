@@ -187,7 +187,7 @@ def scr(image, windows: ScrWindows) -> float:
     target = image[trs, tcs].astype(np.float64)
     mu_t = np.add.reduce(target, axis=None) / target.size
     mu_b = np.add.reduce(background) / n
-    background -= mu_b  # now the squared deviations, in place
+    background -= mu_b  # the buffer is reused for the squared deviations
     np.square(background, out=background)
     sigma_b = np.sqrt(np.add.reduce(background) / n)
     if sigma_b < 1e-9:

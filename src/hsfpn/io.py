@@ -127,7 +127,7 @@ def read_pgm(path) -> np.ndarray:
     pixels = np.frombuffer(raw, dtype=np.uint8, count=need, offset=pos)
     if maxval < 255 and (above := pixels > maxval).any():  # a uint8 never exceeds 255
         raise PgmParseError(f"raster byte above maxval={maxval}", pos + int(above.argmax()))
-    return (pixels.astype(DTYPE) / DTYPE(maxval)).reshape(height, width)  # bytes over 1..255: always finite
+    return (pixels.astype(DTYPE) / DTYPE(maxval)).reshape(height, width)  # a byte over a maxval in 1..255 is finite
 
 
 def write_pgm(path, image) -> None:
