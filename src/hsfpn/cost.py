@@ -13,8 +13,8 @@ uniform factor of two, so the pairwise ratios match the multipliers exactly.
 
 from dataclasses import dataclass, field
 
-from .pyramid import LEVELS, SDP_LEVELS, layer_specs, level_extents
-from .tensor import check_choice, check_field_types, check_integers
+from .pyramid import LEVELS, SDP_LEVELS, PyramidConfig, level_extents, module_specs
+from .tensor import check_choice, check_field_types, check_integers, check_type
 
 # layout: (complexity, multiplier, MACs of both products from n, hw = h*w and c)
 _LAYOUTS = {
@@ -43,6 +43,7 @@ class CostModel:
 
 def attention_cost(model: CostModel, layout: str) -> int:
     """Multiply-accumulate count of the dominant attention terms (exact integer)."""
+    check_type("model", model, CostModel)
     check_choice("layout", layout, ATTENTION_LAYOUTS)
     return _LAYOUTS[layout][2](model.n, model.h * model.w, model.c)
 
@@ -122,8 +123,9 @@ class OpCostReport:
         return rows + [("total", "all", str(self.total.params), str(self.total.macs))]
 
 
-# Report row of each pyramid layer role (see :func:`hsfpn.pyramid.layer_specs`).
-# The channel path's convolutions act on pooled (N, C, 1, 1) vectors.
+# Report row of each HFP and SDP layer role (see :func:`hsfpn.pyramid.module_specs`);
+# the output convolutions exist in a plain FPN too, so they have none. The
+# channel path's convolutions act on pooled (N, C, 1, 1) vectors.
 _ROW = {
     "gap_conv": "cp",
     "gmp_conv": "cp",
@@ -149,21 +151,21 @@ def count_params(config, base_hw, with_cp: bool = True, with_sp: bool = True,
     enabled. With every module disabled the report is empty (zero added
     parameters). The three switches are exactly bools, as a bool field is.
     """
+    check_type("config", config, PyramidConfig)
     for name, flag in (("with_cp", with_cp), ("with_sp", with_sp), ("with_sdp", with_sdp)):
         check_choice(name, flag, (False, True))
     report = OpCostReport()
     extents = level_extents(base_hw)
     enabled = {"cp": with_cp, "sp": with_sp, "hfp_fuse": with_cp or with_sp, "sdp": with_sdp}
-    for name, spec in layer_specs(config).items():
-        group, role = name.split(".")  # "<module><level>.<role>"
-        row = _ROW.get(role)  # output convolutions exist in a plain FPN too
-        if row is None or not enabled[row]:
-            continue
-        # keys and values are projected from the upper level's map
-        level = int(group[-1])
-        at = level + 1 if role in ("k_conv", "v_conv") else level
-        hw = (1, 1) if row == "cp" else extents[at]
-        report.add(level, row, spec.param_count, spec.macs(*hw))
+    specs = module_specs(config)
+    for level, roles in [*specs["hfp"].items(), *specs["sdp"].items()]:  # in layer_specs order
+        for role, spec in roles.items():
+            row = _ROW[role]
+            if enabled[row]:
+                # keys and values are projected from the upper level's map
+                at = level + 1 if role in ("k_conv", "v_conv") else level
+                hw = (1, 1) if row == "cp" else extents[at]
+                report.add(level, row, spec.param_count, spec.macs(*hw))
     if with_sdp:
         h5, w5 = extents[LEVELS[-1]]
         for level in SDP_LEVELS:  # blocks have the top level's extents

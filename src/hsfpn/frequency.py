@@ -26,7 +26,8 @@ from math import ceil
 import numpy as np
 
 from .errors import DegenerateBackgroundError, ValidationError
-from .tensor import DTYPE, as_tensor, check_field_types, check_finite, check_integers, check_real, map_plane_groups
+from .tensor import (DTYPE, as_tensor, check_field_types, check_finite, check_integers, check_real, check_type,
+                     map_plane_groups)
 
 SWEEP_BAND_ROWS = 128  # image rows per scr_filter_sweep corner product; sets the size of its float64 workspace
 
@@ -166,6 +167,7 @@ def scr(image, windows: ScrWindows) -> float:
     value (ddof=0). A numerically constant background raises
     :class:`DegenerateBackgroundError`. Only the neighbourhood window is read.
     """
+    check_type("windows", windows, ScrWindows)
     image = as_tensor(image, rank=2)
     h, w = image.shape
     trs, tcs = windows.target_slice(h, w)
@@ -214,6 +216,7 @@ def scr_filter_sweep(image, windows: ScrWindows, cuts) -> list:
     low`` rounded once. A cut with no rows or no columns leaves ``low`` all
     zeros, so it scores the unfiltered window and does not widen (R, S).
     """
+    check_type("windows", windows, ScrWindows)
     image = as_tensor(image, rank=2)
     h, w = image.shape
     windows.target_slice(h, w)  # an off-image target fails before any cut is read

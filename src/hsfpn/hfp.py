@@ -37,8 +37,8 @@ class HfpParams:
     fuse_conv is the 3x3 output convolution (C -> C). `alpha` is the low-cut
     fraction of the filter (0 leaves the input unfiltered). `squash`
     optionally passes both attention signals through a sigmoid before they
-    are used. :meth:`hsfpn.pyramid.HsfpnWeights.hfp_params` builds it from
-    the weight table and the config.
+    are used. :class:`hsfpn.pyramid.HsfpnWeights` holds one per level, resolved
+    from the weight table and the config when the weights are built.
     """
 
     k: int

@@ -104,24 +104,23 @@ class FeaturePyramid:
         return tuple(self._levels[level].shape[2:])
 
 
-def layer_specs(config: PyramidConfig) -> dict:
-    """Every convolution of the network as `{name: ConvSpec}`, in draw order.
-
-    Names are `<module><level>.<field>`: per level 2..5 the reweighting
-    convolutions `hfp<L>.*` of :func:`hsfpn.hfp.hfp_specs`, then the
-    attention projections `sdp<L>.*` of :func:`hsfpn.sdp.sdp_specs` for
-    levels 2..4, then the output convolutions `out<L>.conv`. The names key
-    `HsfpnWeights.layers`, and `<field>` names the HfpParams/SdpParams field
-    the layer fills. Init, the HsfpnWeights check and cost accounting all
-    walk this table.
+def module_specs(config: PyramidConfig) -> dict:
+    """`{module: {level: {role: ConvSpec}}}` of every convolution, in draw order: per level 2..5
+    the reweighting module `hfp` (:func:`hsfpn.hfp.hfp_specs`), per level 2..4 the attention
+    projections `sdp` (:func:`hsfpn.sdp.sdp_specs`), per level 2..5 the output convolution `out`
+    (role `conv`). A role names the HfpParams/SdpParams field its layer fills.
     """
     c, bias = config.channels, config.conv_bias
-    hfp = hfp_specs(c, config.groups, bias)
-    sdp = sdp_specs(c)
-    specs = {f"hfp{lv}.{role}": spec for lv in LEVELS for role, spec in hfp.items()}
-    specs.update({f"sdp{lv}.{role}": spec for lv in SDP_LEVELS for role, spec in sdp.items()})
-    specs.update({f"out{lv}.conv": ConvSpec(c, c, kernel=3, has_bias=bias) for lv in LEVELS})
-    return specs
+    out = {"conv": ConvSpec(c, c, kernel=3, has_bias=bias)}
+    return {"hfp": dict.fromkeys(LEVELS, hfp_specs(c, config.groups, bias)),
+            "sdp": dict.fromkeys(SDP_LEVELS, sdp_specs(c)), "out": dict.fromkeys(LEVELS, out)}
+
+
+def layer_specs(config: PyramidConfig) -> dict:
+    """`{name: ConvSpec}` of :func:`module_specs`, in its order, named `<module><level>.<role>` (say
+    `hfp2.gap_conv`): the one place a layer name is made. The names key `HsfpnWeights.layers`."""
+    return {f"{module}{lv}.{role}": spec for module, levels in module_specs(config).items()
+            for lv, roles in levels.items() for role, spec in roles.items()}
 
 
 @dataclass(frozen=True)
@@ -130,20 +129,22 @@ class HsfpnWeights:
 
     Checked once, where built: each layer's spec must equal the one
     `layer_specs(config)` gives its name. A missing, extra or mismatched
-    layer raises ValidationError naming it.
-    `layers` is read-only, in `layer_specs` order; each level's HFP and SDP
-    parameters are built from it by :meth:`hfp_params` and :meth:`sdp_params`.
+    layer raises ValidationError naming it. `layers` is read-only, in
+    `layer_specs` order. Each level's HFP module, SDP projections and output
+    convolution are resolved from it then, and the accessors return them.
     """
 
     config: PyramidConfig
     layers: MappingProxyType
 
     def __post_init__(self):
-        layers = dict(self.layers)
+        check_type("config", self.config, PyramidConfig)
+        check_type("layers", self.layers, Mapping)
+        config, layers = self.config, dict(self.layers)
         for name, layer in layers.items():
             if not isinstance(layer, ConvLayer):
                 raise ValidationError(f"{name}: expected a ConvLayer, got {type(layer).__name__}")
-        specs = layer_specs(self.config)
+        specs = layer_specs(config)
         missing, extra = sorted(specs.keys() - layers.keys()), sorted(layers.keys() - specs.keys(), key=str)
         if missing or extra:
             raise ValidationError(f"missing layers {missing}, layers not of the config {extra}")
@@ -151,26 +152,38 @@ class HsfpnWeights:
             if layers[name].spec != spec:
                 raise ValidationError(f"{name}: spec {layers[name].spec} disagrees with config {spec}")
         object.__setattr__(self, "layers", MappingProxyType({name: layers[name] for name in specs}))
+        table = iter(self.layers.values())  # layer_specs order walks module_specs role by role: split it back
+        hfp, sdp, out = ({lv: {role: next(table) for role in roles} for lv, roles in levels.items()}
+                         for levels in module_specs(config).values())
+        object.__setattr__(self, "_hfp", {
+            lv: HfpParams(k=config.k, alpha=config.alpha if lv in config.filter_levels else 0.0,
+                          squash=config.squash, **roles) for lv, roles in hfp.items()})
+        object.__setattr__(self, "_sdp", sdp)
+        object.__setattr__(self, "_out", MappingProxyType({lv: roles["conv"] for lv, roles in out.items()}))
 
-    def _roles(self, module: str, level: int) -> dict:
-        """`{role: layer}` of the layers named `<module><level>.<role>`."""
-        prefix = f"{module}{level}."
-        return {name.removeprefix(prefix): layer for name, layer in self.layers.items() if name.startswith(prefix)}
+    @staticmethod
+    def _at(modules: dict, level):
+        """`modules[level]`; a level that is no integer (numpy ones too) or has no module raises ValidationError."""
+        check_integers("level", level)
+        if level not in modules:
+            raise ValidationError(f"no module at level {level}; the levels are {tuple(modules)}")
+        return modules[level]
 
     def hfp_params(self, level: int) -> HfpParams:
-        """The reweighting module of `level`: `config.alpha` at `config.filter_levels`, 0 elsewhere."""
-        config = self.config
-        alpha = config.alpha if level in config.filter_levels else 0.0
-        return HfpParams(k=config.k, alpha=alpha, squash=config.squash, **self._roles("hfp", level))
+        """The reweighting module of `level` (one of LEVELS): `config.alpha` at `config.filter_levels`, 0 elsewhere."""
+        return self._at(self._hfp, level)
 
     def sdp_params(self, level: int, block_h: int, block_w: int) -> SdpParams:
-        """The cross-attention of `level` over blocks of `block_h` x `block_w` pixels."""
-        return SdpParams(block_h=block_h, block_w=block_w, **self._roles("sdp", level))
+        """The cross-attention of `level` (one of SDP_LEVELS) over blocks of `block_h` x `block_w` pixels.
+
+        Each call wraps the level's projections in a new SdpParams, which checks the block extents.
+        """
+        return SdpParams(block_h=block_h, block_w=block_w, **self._at(self._sdp, level))
 
     @property
     def out_convs(self) -> MappingProxyType:
         """`{level: ConvLayer}` of the output convolutions, read-only."""
-        return MappingProxyType({lv: self.layers[f"out{lv}.conv"] for lv in LEVELS})
+        return self._out
 
 
 def init_weights(config: PyramidConfig) -> HsfpnWeights:
@@ -179,6 +192,7 @@ def init_weights(config: PyramidConfig) -> HsfpnWeights:
     Layers are drawn in :func:`layer_specs` order, so a seed pins every
     weight bitwise.
     """
+    check_type("config", config, PyramidConfig)
     rng = np.random.default_rng(config.seed)
     layers = {}
     for name, spec in layer_specs(config).items():
@@ -197,6 +211,8 @@ def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights) -> FeaturePyrami
     addition) and passed through the level's output convolution.
     fpn_baseline mode: P5 = out_conv(C5), P_i = out_conv(C_i + up(P_{i+1})).
     """
+    check_type("pyramid", c_pyr, FeaturePyramid)
+    check_type("weights", weights, HsfpnWeights)
     config = weights.config
     channels = [c_pyr.channels(lv) for lv in LEVELS]
     if channels != [config.channels] * len(LEVELS):

@@ -181,6 +181,7 @@ class ConvLayer:
     bias: np.ndarray | None = None
 
     def __post_init__(self):
+        check_type("spec", self.spec, ConvSpec)
         weight = _as_float32(self.weight)
         if weight.shape != self.spec.weight_shape:
             raise ShapeError(f"weight dims {weight.shape} do not match {self.spec.weight_shape}")
@@ -235,6 +236,7 @@ def conv2d(x, spec: ConvSpec, weight, bias=None) -> np.ndarray:
     """
     x = as_tensor(x, rank=4)
     n, c, h, w = x.shape
+    check_type("spec", spec, ConvSpec)
     if c != spec.in_channels:
         raise ShapeError(f"input has {c} channels, spec expects {spec.in_channels}")
     layer = ConvLayer(spec, weight, bias)

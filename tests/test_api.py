@@ -10,9 +10,11 @@ import pytest
 
 import hsfpn
 from hsfpn import (
+    ConvLayer,
     ConvSpec,
     CostModel,
     FeaturePyramid,
+    HsfpnWeights,
     PyramidConfig,
     ScrWindows,
     ShapeError,
@@ -24,6 +26,7 @@ from hsfpn import (
     block_attention,
     channel_path,
     conv2d,
+    cost_rows,
     count_params,
     dct_matrix,
     highfreq_response,
@@ -34,6 +37,7 @@ from hsfpn import (
     lowcut_filter,
     random_pyramid,
     relu,
+    scr,
     scr_filter_sweep,
     sdp_forward,
     sigmoid,
@@ -44,9 +48,11 @@ from hsfpn import (
 from hsfpn.pyramid import level_extents
 
 SMALL = PyramidConfig(channels=4, alpha=0.25, k=2, groups=2, seed=1)
-HFP = init_weights(SMALL).hfp_params(2)
-SDP = init_weights(SMALL).sdp_params(2, 2, 2)
+WEIGHTS = init_weights(SMALL)
+HFP = WEIGHTS.hfp_params(2)
+SDP = WEIGHTS.sdp_params(2, 2, 2)
 FEATURE = np.ones((1, 4, 4, 4), np.float32)  # a map of SMALL's channel count
+PYRAMID = random_pyramid(4, (8, 8))  # a pyramid of SMALL's channel count
 
 
 def test_public_exports_pinned():
@@ -145,6 +151,25 @@ HOSTILE_CALLS = {
     "count-params-str-switch": lambda: count_params(SMALL, (8, 8), with_cp="no"),
     "count-params-int-switch": lambda: count_params(SMALL, (8, 8), with_sp=1),
     "count-params-none-switch": lambda: count_params(SMALL, (8, 8), with_sdp=None),
+    # a package object is of its class where it enters, so a wrong one fails before any attribute is read
+    "hsfpn-forward-dict-pyramid": lambda: hsfpn_forward({2: FEATURE}, WEIGHTS),
+    "hsfpn-forward-config-for-weights": lambda: hsfpn_forward(PYRAMID, WEIGHTS.config),
+    "count-params-none-config": lambda: count_params(None, (8, 8)),
+    "init-weights-none-config": lambda: init_weights(None),
+    "hsfpn-weights-none-config": lambda: HsfpnWeights(None, {}),
+    "hsfpn-weights-none-layers": lambda: HsfpnWeights(SMALL, None),
+    "conv-layer-none-spec": lambda: ConvLayer(None, np.ones((2, 2, 1, 1))),
+    "conv2d-none-spec": lambda: conv2d(np.ones((1, 2, 3, 3)), None, np.ones((2, 2, 1, 1))),
+    "scr-none-windows": lambda: scr(SCENE, None),
+    "scr-filter-sweep-none-windows": lambda: scr_filter_sweep(SCENE, None, [(2, 2)]),
+    "attention-cost-none-model": lambda: attention_cost(None, "sdp"),
+    "cost-rows-none-model": lambda: cost_rows(None),
+    # a level is an integer with a module: "2" would give level 2's layers with alpha 0
+    "hfp-params-unknown-level": lambda: WEIGHTS.hfp_params(9),
+    "hfp-params-str-level": lambda: WEIGHTS.hfp_params("2"),
+    "hfp-params-float-level": lambda: WEIGHTS.hfp_params(2.0),
+    "sdp-params-top-level": lambda: WEIGHTS.sdp_params(5, 2, 2),
+    "sdp-params-negative-level": lambda: WEIGHTS.sdp_params(-1, 2, 2),
 }
 
 
@@ -268,3 +293,65 @@ def test_hostile_scalar_raises_only_package_errors(call, value, tmp_path, monkey
             call(value)
         except (ShapeError, ValidationError):
             pass
+
+
+# Every argument of the exports that takes an object of the package (a spec, a
+# config, a model, windows, weights, per-level parameters, a layer or a
+# pyramid), as a call of one hostile object: `{export: {argument: call(value)}}`.
+OBJECT_ARGS = {
+    "ConvLayer": {"spec": lambda v: ConvLayer(v, np.ones((2, 2, 1, 1)))},
+    "conv2d": {"spec": lambda v: conv2d(np.ones((1, 2, 3, 3)), v, np.ones((2, 2, 1, 1)))},
+    "FeaturePyramid": {"levels": FeaturePyramid},
+    "HsfpnWeights": {"config": lambda v: HsfpnWeights(v, WEIGHTS.layers),
+                     "layers": lambda v: HsfpnWeights(SMALL, v)},
+    "init_weights": {"config": init_weights},
+    "hsfpn_forward": {"c_pyr": lambda v: hsfpn_forward(v, WEIGHTS),
+                      "weights": lambda v: hsfpn_forward(PYRAMID, v)},
+    "write_pyramid_dir": {"pyr": lambda v: write_pyramid_dir("d/out", v)},
+    "count_params": {"config": lambda v: count_params(v, (8, 8))},
+    "attention_cost": {"model": lambda v: attention_cost(v, "sdp")},
+    "cost_rows": {"model": cost_rows},
+    "scr": {"windows": lambda v: scr(SCENE, v)},
+    "scr_filter_sweep": {"windows": lambda v: scr_filter_sweep(SCENE, v, [(2, 2)])},
+    "hfp_forward": {"params": lambda v: hfp_forward(FEATURE, v)},
+    "channel_path": {"params": lambda v: channel_path(FEATURE, v)},
+    "spatial_path": {"params": lambda v: spatial_path(FEATURE, v)},
+    "sdp_forward": {"params": lambda v: sdp_forward(FEATURE, FEATURE[:, :, :2, :2], v)},
+    "HfpParams": keyword_calls(functools.partial(dataclasses.replace, HFP),
+                               ("gap_conv", "gmp_conv", "merge_conv", "spatial_conv", "fuse_conv")),
+    "SdpParams": keyword_calls(functools.partial(dataclasses.replace, SDP), ("q_conv", "k_conv", "v_conv")),
+}
+# exports whose arguments are arrays, scalars, paths or plain containers only
+NO_OBJECT_ARGS = {
+    "ConvSpec", "CostModel", "OpCostReport", "PyramidConfig", "ScrWindows", "adaptive_pool", "as_tensor",
+    "blob_scene", "block_attention", "dct_matrix", "highfreq_response", "highpass_cut", "lowcut_filter",
+    "random_pyramid", "read_pgm", "read_pyramid_dir", "read_tensor", "relu", "sigmoid", "upsample2x",
+    "write_pgm", "write_tensor",
+}
+# Each argument meets at least one parameter object of another class: SDP where
+# anything but SdpParams is due, WINDOWS where ScrWindows is.
+HOSTILE_OBJECTS = {"none": None, "object": object(), "dict": {}, "sdp-params": SDP, "scr-windows": WINDOWS}
+OBJECT_CALLS = {f"{export}.{arg}": call for export, args in OBJECT_ARGS.items() for arg, call in args.items()}
+# the pairs whose object is of the argument's own class
+OWN_CLASS = {("sdp_forward.params", "sdp-params"), ("scr.windows", "scr-windows"),
+             ("scr_filter_sweep.windows", "scr-windows")}
+
+
+def test_every_export_with_object_arguments_is_in_the_table():
+    callables = {name for name, value in vars(hsfpn).items()
+                 if not name.startswith("_") and callable(value)
+                 and not (isinstance(value, type) and issubclass(value, Exception))}
+    assert not OBJECT_ARGS.keys() & NO_OBJECT_ARGS
+    assert sorted(OBJECT_ARGS.keys() | NO_OBJECT_ARGS) == sorted(callables)
+
+
+@pytest.mark.parametrize("arg, value", [(arg, value) for arg in OBJECT_CALLS for value in HOSTILE_OBJECTS
+                                         if (arg, value) not in OWN_CLASS])
+def test_hostile_object_raises_a_package_error(arg, value, tmp_path, monkeypatch):
+    # an object of another class is refused, never used: only ShapeError or ValidationError escapes
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((ShapeError, ValidationError)):
+            OBJECT_CALLS[arg](HOSTILE_OBJECTS[value])
+    assert not any(tmp_path.iterdir())

@@ -11,8 +11,10 @@ from hsfpn import (
     ConvSpec,
     CostModel,
     FeaturePyramid,
+    HfpParams,
     HsfpnWeights,
     PyramidConfig,
+    SdpParams,
     ShapeError,
     ValidationError,
     attention_cost,
@@ -215,6 +217,35 @@ class TestWeightTable:
             assert (p.block_h, p.block_w) == (3, 5)
             for role in ("q_conv", "k_conv", "v_conv"):
                 assert getattr(p, role) is weights.layers[f"sdp{lv}.{role}"]
+
+    def test_level_modules_resolved_once(self):
+        weights = init_weights(SMALL)
+        for lv in (2, 3, 4, 5):
+            assert weights.hfp_params(lv) is weights.hfp_params(lv)
+        assert weights.hfp_params(np.int64(3)) is weights.hfp_params(3)
+        assert weights.out_convs is weights.out_convs
+        assert weights.sdp_params(np.int64(4), 2, 2) == weights.sdp_params(4, 2, 2)
+
+    def test_replaced_config_resolves_the_modules_again(self):
+        weights = init_weights(SMALL)
+        replaced = dataclasses.replace(weights, config=dataclasses.replace(SMALL, filter_levels=(3,)))
+        assert [replaced.hfp_params(lv).alpha for lv in (2, 3, 4, 5)] == [0.0, SMALL.alpha, 0.0, 0.0]
+        assert [weights.hfp_params(lv).alpha for lv in (2, 3, 4, 5)] == [SMALL.alpha, SMALL.alpha, 0.0, 0.0]
+
+    def test_mid_scale_forward_builds_only_the_sdp_params(self, monkeypatch):
+        # the benchmark's hsfpn-mid pass: the HFP modules exist once the weights do, so a
+        # forward builds one SdpParams per fused level (each checks its projections against
+        # one ConvSpec) and one checked ConvLayer per convolution it runs
+        config = PyramidConfig(channels=64, alpha=0.25, k=16, groups=16, seed=0, filter_levels=(2, 3))
+        weights, pyr = init_weights(config), random_pyramid(64, (128, 128), seed=1)
+        built = dict.fromkeys(["HfpParams", "SdpParams", "ConvSpec", "ConvLayer"], 0)
+        for cls in (HfpParams, SdpParams, ConvSpec, ConvLayer):
+            def counted(obj, post_init=cls.__post_init__, name=cls.__name__):
+                built[name] += 1
+                post_init(obj)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        hsfpn_forward(pyr, weights)
+        assert built == {"HfpParams": 0, "SdpParams": 3, "ConvSpec": 3, "ConvLayer": 33}
 
     def test_rebuilt_weights_save_load_forward_bitwise(self):
         # layers built by hand, given in reverse order: stored in layer_specs
