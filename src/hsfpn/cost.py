@@ -90,12 +90,27 @@ class OpCostReport:
 
     MACs cover the convolution and attention products for one sample at the
     configured resolution; pooling, activations, and bias additions are left
-    out as non-dominant.
+    out as non-dominant. `per_level` maps integer levels to `{module name:
+    LayerCost}` dicts, and `add` takes an integer level, a module name and
+    two integer counts; anything else raises ValidationError, so the totals
+    and the sorted rows always compute.
     """
 
     per_level: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        check_type("per_level", self.per_level, dict)
+        for level, mods in self.per_level.items():
+            check_integers("level", level)
+            check_type(f"level {level}'s modules", mods, dict)
+            for module, cost in mods.items():
+                check_type("module", module, str)
+                check_type(f"level {level} {module} cost", cost, LayerCost)
+
     def add(self, level: int, module: str, params: int, macs: int):
+        check_integers("level", level)
+        check_type("module", module, str)
+        check_integers("params and macs", params, macs)
         mods = self.per_level.setdefault(level, {})
         mods[module] = mods.get(module, LayerCost()) + LayerCost(params, macs)
 

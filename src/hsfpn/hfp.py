@@ -91,8 +91,9 @@ def hfp_forward(c, params: HfpParams) -> np.ndarray:
     the raw input `c` (u_cp over space, u_sp over channels), the two Hadamard
     products are summed pixel by pixel, and fuse_conv produces the output.
     Dims are preserved. The filtered map is dropped once both paths have read
-    it, and the second product is added into the first, so fuse_conv runs
-    with only its input map alive beside `c`.
+    it, the second product is added into the first, and both weights are
+    dropped once applied, so fuse_conv runs with only its input map alive
+    beside `c`.
     """
     check_type("params", params, HfpParams)
     c = as_tensor(c, rank=4)
@@ -102,4 +103,5 @@ def hfp_forward(c, params: HfpParams) -> np.ndarray:
     del f
     t = u_cp * c
     t += u_sp * c
+    del u_cp, u_sp
     return params.fuse_conv(t)

@@ -59,11 +59,20 @@ class PyramidConfig:
         layer_specs(self)  # channels and groups are valid iff every layer they imply is
 
 
+def _at_level(table: Mapping, level):
+    """`table[level]`; a level that is no integer (numpy ones too) or not a key of `table` raises ValidationError."""
+    check_integers("level", level)
+    if level not in table:
+        raise ValidationError(f"level {level} is not one of {tuple(table)}")
+    return table[level]
+
+
 class FeaturePyramid:
     """Mapping of level -> (N, C_level, H, W) tensor with strict 2x nesting.
 
     Levels share N; C_level may differ per level and ``channels(level)`` reads it.
     `levels` is a mapping (else ValidationError) with exactly the keys 2..5 (else ShapeError).
+    A lookup at any other level, or at a level that is no integer, raises ValidationError.
     """
 
     def __init__(self, levels: Mapping):
@@ -85,7 +94,7 @@ class FeaturePyramid:
         self._levels = tensors
 
     def __getitem__(self, level: int) -> np.ndarray:
-        return self._levels[level]
+        return _at_level(self._levels, level)
 
     def __iter__(self):
         return iter(LEVELS)
@@ -98,10 +107,10 @@ class FeaturePyramid:
         return self._levels[LEVELS[0]].shape[0]
 
     def channels(self, level: int = LEVELS[0]) -> int:
-        return self._levels[level].shape[1]
+        return _at_level(self._levels, level).shape[1]
 
     def extents(self, level: int) -> tuple:
-        return tuple(self._levels[level].shape[2:])
+        return tuple(_at_level(self._levels, level).shape[2:])
 
 
 def module_specs(config: PyramidConfig) -> dict:
@@ -161,24 +170,16 @@ class HsfpnWeights:
         object.__setattr__(self, "_sdp", sdp)
         object.__setattr__(self, "_out", MappingProxyType({lv: roles["conv"] for lv, roles in out.items()}))
 
-    @staticmethod
-    def _at(modules: dict, level):
-        """`modules[level]`; a level that is no integer (numpy ones too) or has no module raises ValidationError."""
-        check_integers("level", level)
-        if level not in modules:
-            raise ValidationError(f"no module at level {level}; the levels are {tuple(modules)}")
-        return modules[level]
-
     def hfp_params(self, level: int) -> HfpParams:
         """The reweighting module of `level` (one of LEVELS): `config.alpha` at `config.filter_levels`, 0 elsewhere."""
-        return self._at(self._hfp, level)
+        return _at_level(self._hfp, level)
 
     def sdp_params(self, level: int, block_h: int, block_w: int) -> SdpParams:
         """The cross-attention of `level` (one of SDP_LEVELS) over blocks of `block_h` x `block_w` pixels.
 
         Each call wraps the level's projections in a new SdpParams, which checks the block extents.
         """
-        return SdpParams(block_h=block_h, block_w=block_w, **self._at(self._sdp, level))
+        return SdpParams(block_h=block_h, block_w=block_w, **_at_level(self._sdp, level))
 
     @property
     def out_convs(self) -> MappingProxyType:
@@ -210,6 +211,7 @@ def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights) -> FeaturePyrami
     C_i is fused with P_{i+1} by cross-attention (plus an optional upsampled
     addition) and passed through the level's output convolution.
     fpn_baseline mode: P5 = out_conv(C5), P_i = out_conv(C_i + up(P_{i+1})).
+    Each level's fused map is freed before the next level runs.
     """
     check_type("pyramid", c_pyr, FeaturePyramid)
     check_type("weights", weights, HsfpnWeights)
@@ -230,6 +232,7 @@ def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights) -> FeaturePyrami
                 if config.fusion_mode == "sdp_plus_add":
                     fused += upsample2x(upper)  # fused is sdp_forward's fresh output
         outputs[level] = weights.out_convs[level](fused)
+        del fused, upper  # the next level runs beside the outputs only
     return FeaturePyramid(outputs)
 
 

@@ -15,6 +15,7 @@ from hsfpn import (
     CostModel,
     FeaturePyramid,
     HsfpnWeights,
+    OpCostReport,
     PyramidConfig,
     ScrWindows,
     ShapeError,
@@ -170,6 +171,20 @@ HOSTILE_CALLS = {
     "hfp-params-float-level": lambda: WEIGHTS.hfp_params(2.0),
     "sdp-params-top-level": lambda: WEIGHTS.sdp_params(5, 2, 2),
     "sdp-params-negative-level": lambda: WEIGHTS.sdp_params(-1, 2, 2),
+    # a pyramid looks its levels up by the same rule
+    "feature-pyramid-unknown-level": lambda: PYRAMID[9],
+    "feature-pyramid-str-level": lambda: PYRAMID["2"],
+    "feature-pyramid-float-level": lambda: PYRAMID[2.0],
+    "feature-pyramid-channels-unknown-level": lambda: PYRAMID.channels(9),
+    "feature-pyramid-extents-unknown-level": lambda: PYRAMID.extents(9),
+    # a cost report keys integer levels and module names, so its total and sorted rows compute
+    "op-cost-report-none": lambda: OpCostReport(None),
+    "op-cost-report-str-level-key": lambda: OpCostReport({"x": {}}),
+    "op-cost-report-int-module-key": lambda: OpCostReport({2: {3: None}}),
+    "op-cost-report-plain-cost": lambda: OpCostReport({2: {"cp": (1, 1)}}),
+    "op-cost-report-add-str-level": lambda: OpCostReport().add("x", "cp", 1, 1),
+    "op-cost-report-add-int-module": lambda: OpCostReport().add(2, 3, 1, 1),
+    "op-cost-report-add-str-count": lambda: OpCostReport().add(2, "cp", "1", 1),
 }
 
 

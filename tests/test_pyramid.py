@@ -72,6 +72,21 @@ def zeroed(layer):
     return ConvLayer(layer.spec, np.zeros_like(layer.weight), bias)
 
 
+def forward_peak(config, base_hw):
+    """The tracemalloc peak of one `hsfpn_forward` at `config` on seed-1 inputs with level 2 at
+    `base_hw`, after a first call outside the measurement, and the bytes of level 2's input."""
+    weights = init_weights(config)
+    pyr = random_pyramid(config.channels, base_hw=base_hw, seed=1)
+    hsfpn_forward(pyr, weights)
+    tracemalloc.start()
+    try:
+        hsfpn_forward(pyr, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, pyr[2].nbytes
+
+
 class TestFeaturePyramid:
     def test_missing_level(self):
         levels = {lv: np.zeros((1, 2, 16 >> (lv - 2), 16 >> (lv - 2)), np.float32) for lv in (2, 3, 4)}
@@ -98,6 +113,11 @@ class TestFeaturePyramid:
         pyr = small_pyramid()
         assert pyr.extents(2) == (16, 16) and pyr.extents(5) == (2, 2)
         assert [pyr.channels(lv) for lv in (2, 3, 4, 5)] == [4] * 4 and pyr.channels() == 4
+
+    def test_numpy_integer_levels_accepted(self):
+        pyr = small_pyramid()
+        assert pyr[np.int64(3)] is pyr[3]
+        assert pyr.channels(np.int32(4)) == 4 and pyr.extents(np.uint8(5)) == (2, 2)
 
 
 class TestInitWeights:
@@ -349,19 +369,21 @@ class TestForward:
             assert not np.shares_memory(out[lv], pyr[lv]), lv
 
     def test_peak_memory_bounded_by_level_2_input(self):
-        # mid scale: 64 channels, level 2 at 128x128; measured 3.49x, set by the level-2
-        # fuse conv's input, output and band workspace beside the outputs
+        # mid scale: 64 channels, level 2 at 128x128; measured 3.22x, set by the level-2 HFP fuse conv
+        # and output conv alike: one conv's input, output and band workspace beside the outputs of levels 3..5
         config = PyramidConfig(channels=64, alpha=0.25, k=16, groups=16, seed=0)
-        weights = init_weights(config)
-        pyr = random_pyramid(64, base_hw=(128, 128), seed=1)
-        hsfpn_forward(pyr, weights)  # first call outside the measurement
-        tracemalloc.start()
-        try:
-            hsfpn_forward(pyr, weights)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.6 * pyr[2].nbytes, f"peak {peak} B is {peak / pyr[2].nbytes:.2f}x level 2"
+        peak, level_2 = forward_peak(config, (128, 128))
+        assert peak <= 3.3 * level_2, f"peak {peak} B is {peak / level_2:.2f}x level 2"
+
+    @pytest.mark.parametrize("fusion_mode", ["sdp_only", "sdp_plus_add"])
+    @pytest.mark.parametrize("channels, base", [(64, 128), (256, 64)])
+    def test_peak_memory_at_the_fpn_baseline(self, channels, base, fusion_mode):
+        # HFP and SDP add compute, not memory: each level's fused map is freed before the next
+        # level runs, so the peak is the level-2 3x3 conv's, as in FPN (measured 1.0002x and 1.0001x)
+        config = PyramidConfig(channels=channels, alpha=0.25, k=16, groups=16, fusion_mode=fusion_mode, seed=0)
+        peak, _ = forward_peak(config, (base, base))
+        fpn, _ = forward_peak(dataclasses.replace(config, mode="fpn_baseline"), (base, base))
+        assert peak <= 1.02 * fpn, f"hsfpn peak {peak} B is {peak / fpn:.4f}x FPN's {fpn} B"
 
 
 SATURATION = PyramidConfig(channels=8, k=4, groups=4, seed=0)  # squash at its default
@@ -538,6 +560,13 @@ class TestCountParams:
         report.add(3, "sdp", 5, 0)
         assert report.per_level[2]["sdp"] == LayerCost(7, 30)
         assert report.module_total("sdp") == LayerCost(12, 30)
+
+    def test_built_from_a_table_of_counts(self):
+        per_level = {np.int64(3): {"sdp": LayerCost(5, 0)}, 2: {"sdp": LayerCost(7, 30), "cp": LayerCost(1, 2)}}
+        report = OpCostReport(per_level)
+        assert report.per_level is per_level
+        assert report.total == LayerCost(13, 32)
+        assert report.rows()[1:3] == [("2", "cp", "1", "2"), ("2", "sdp", "7", "30")]
 
     def test_absent_module_totals_zero(self):
         report = count_params(PyramidConfig(channels=256), base_hw=(200, 200))
