@@ -205,7 +205,7 @@ def cmd_forward(args) -> int:
     read = [Path(args.input_dir) / level_file("c", lv) for lv in LEVELS]
     _require_dirs(report_path, *written, made=out.resolve(), reads=read)
     pyramid = read_pyramid_dir(args.input_dir, prefix="c")
-    channels = pyramid.channels()
+    channels = pyramid.channels
     mode = "fpn_baseline" if args.mode == "fpn" else args.mode
     config = PyramidConfig(channels=channels, alpha=args.alpha, k=args.k, groups=_groups(args, channels),
                            fusion_mode=args.fusion, mode=mode, seed=args.seed)

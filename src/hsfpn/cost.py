@@ -86,33 +86,16 @@ class LayerCost:
 
 @dataclass
 class OpCostReport:
-    """Per-level, per-module parameter and MAC counts with totals.
+    """Per-level, per-module parameter and MAC counts with totals, as :func:`count_params` builds them.
 
     MACs cover the convolution and attention products for one sample at the
     configured resolution; pooling, activations, and bias additions are left
     out as non-dominant. `per_level` maps integer levels to `{module name:
-    LayerCost}` dicts, and `add` takes an integer level, a module name and
-    two integer counts; anything else raises ValidationError, so the totals
-    and the sorted rows always compute.
+    LayerCost}` dicts. A report is built empty and only `count_params` fills
+    it, so it takes no argument and has no method that changes it.
     """
 
-    per_level: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        check_type("per_level", self.per_level, dict)
-        for level, mods in self.per_level.items():
-            check_integers("level", level)
-            check_type(f"level {level}'s modules", mods, dict)
-            for module, cost in mods.items():
-                check_type("module", module, str)
-                check_type(f"level {level} {module} cost", cost, LayerCost)
-
-    def add(self, level: int, module: str, params: int, macs: int):
-        check_integers("level", level)
-        check_type("module", module, str)
-        check_integers("params and macs", params, macs)
-        mods = self.per_level.setdefault(level, {})
-        mods[module] = mods.get(module, LayerCost()) + LayerCost(params, macs)
+    per_level: dict = field(default_factory=dict, init=False)
 
     def module_total(self, module: str) -> LayerCost:
         return sum((mods.get(module, LayerCost()) for mods in self.per_level.values()), LayerCost())
@@ -170,6 +153,11 @@ def count_params(config, base_hw, with_cp: bool = True, with_sp: bool = True,
     for name, flag in (("with_cp", with_cp), ("with_sp", with_sp), ("with_sdp", with_sdp)):
         check_choice(name, flag, (False, True))
     report = OpCostReport()
+
+    def add(level, row, params, macs):
+        mods = report.per_level.setdefault(level, {})
+        mods[row] = mods.get(row, LayerCost()) + LayerCost(params, macs)
+
     extents = level_extents(base_hw)
     enabled = {"cp": with_cp, "sp": with_sp, "hfp_fuse": with_cp or with_sp, "sdp": with_sdp}
     specs = module_specs(config)
@@ -180,11 +168,11 @@ def count_params(config, base_hw, with_cp: bool = True, with_sp: bool = True,
                 # keys and values are projected from the upper level's map
                 at = level + 1 if role in ("k_conv", "v_conv") else level
                 hw = (1, 1) if row == "cp" else extents[at]
-                report.add(level, row, spec.param_count, spec.macs(*hw))
+                add(level, row, spec.param_count, spec.macs(*hw))
     if with_sdp:
         h5, w5 = extents[LEVELS[-1]]
         for level in SDP_LEVELS:  # blocks have the top level's extents
             h, w = extents[level]
             model = CostModel(n=(h // h5) * (w // w5), h=h5, w=w5, c=config.channels)
-            report.add(level, "sdp", 0, attention_cost(model, "sdp"))
+            add(level, "sdp", 0, attention_cost(model, "sdp"))
     return report

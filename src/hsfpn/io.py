@@ -14,10 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PgmParseError, ShapeError, ValidationError
-from .tensor import DTYPE, as_tensor, check_finite
+from .tensor import DTYPE, MAX_RANK, as_tensor, check_finite
 
 PFT_MAGIC = b"PFT1"
-MAX_RANK = 4
 
 
 def check_path(path):

@@ -68,10 +68,10 @@ def _at_level(table: Mapping, level):
 
 
 class FeaturePyramid:
-    """Mapping of level -> (N, C_level, H, W) tensor with strict 2x nesting.
+    """Mapping of level -> (N, C, H, W) tensor: one (N, C) at every level, with strict 2x nesting.
 
-    Levels share N; C_level may differ per level and ``channels(level)`` reads it.
-    `levels` is a mapping (else ValidationError) with exactly the keys 2..5 (else ShapeError).
+    `levels` is a mapping (else ValidationError) with exactly the keys 2..5 whose tensors
+    share N and C and nest (else ShapeError); ``channels`` reads the shared C.
     A lookup at any other level, or at a level that is no integer, raises ValidationError.
     """
 
@@ -80,10 +80,9 @@ class FeaturePyramid:
         if set(levels) != set(LEVELS):  # a set: keys of mixed types compare without a TypeError
             raise ShapeError(f"pyramid needs levels {LEVELS}, got {list(levels)}")
         tensors = {lv: as_tensor(levels[lv], rank=4) for lv in LEVELS}
-        n = tensors[LEVELS[0]].shape[0]
-        for lv in LEVELS:
-            if tensors[lv].shape[0] != n:
-                raise ShapeError("pyramid levels disagree on batch extent")
+        n_c = [tensors[lv].shape[:2] for lv in LEVELS]
+        if len(set(n_c)) > 1:
+            raise ShapeError(f"pyramid levels {LEVELS} must share one (N, C), got {n_c}")
         for lv in LEVELS[:-1]:
             h, w = tensors[lv].shape[2:]
             hn, wn = tensors[lv + 1].shape[2:]
@@ -106,8 +105,9 @@ class FeaturePyramid:
     def batch(self) -> int:
         return self._levels[LEVELS[0]].shape[0]
 
-    def channels(self, level: int = LEVELS[0]) -> int:
-        return _at_level(self._levels, level).shape[1]
+    @property
+    def channels(self) -> int:
+        return self._levels[LEVELS[0]].shape[1]
 
     def extents(self, level: int) -> tuple:
         return tuple(_at_level(self._levels, level).shape[2:])
@@ -216,9 +216,8 @@ def hsfpn_forward(c_pyr: FeaturePyramid, weights: HsfpnWeights) -> FeaturePyrami
     check_type("pyramid", c_pyr, FeaturePyramid)
     check_type("weights", weights, HsfpnWeights)
     config = weights.config
-    channels = [c_pyr.channels(lv) for lv in LEVELS]
-    if channels != [config.channels] * len(LEVELS):
-        raise ShapeError(f"pyramid must have {config.channels} channels at every level; got {channels}")
+    if c_pyr.channels != config.channels:
+        raise ShapeError(f"pyramid has {c_pyr.channels} channels, the weights {config.channels}")
     h5, w5 = c_pyr.extents(LEVELS[-1])
     outputs = {}
     for level in reversed(LEVELS):
@@ -281,12 +280,12 @@ def level_file(prefix: str, level: int) -> str:
 def write_pyramid_dir(path, pyr: FeaturePyramid, prefix: str = "p") -> None:
     """Write each level's tensor as the PFT1 file `<prefix><level>.pft` (see :func:`level_file`).
 
-    The prefix, the levels (a mapping other than a FeaturePyramid is taken through one, so
-    levels that do not nest raise ShapeError), every level's values (for NaN/Inf) and the
-    path (see :func:`hsfpn.io.check_path`) are checked before the directory is made.
+    The prefix, the pyramid (a FeaturePyramid, else ValidationError), every level's values
+    (for NaN/Inf) and the path (see :func:`hsfpn.io.check_path`) are checked before the
+    directory is made.
     """
     names = {level: level_file(prefix, level) for level in LEVELS}
-    pyr = pyr if isinstance(pyr, FeaturePyramid) else FeaturePyramid(pyr)
+    check_type("pyramid", pyr, FeaturePyramid)
     for level, tensor in pyr.items():
         check_finite(tensor, f"output level {level}")
     path = Path(hio.check_path(path))

@@ -20,7 +20,8 @@ from math import sqrt
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor import DTYPE, ConvLayer, ConvSpec, as_tensor, check_field_types, check_integers, check_layers, check_type
+from .tensor import (DTYPE, ConvLayer, ConvSpec, as_real, as_tensor, check_field_types, check_integers, check_layers,
+                     check_type)
 
 
 def sdp_specs(channels: int) -> dict:
@@ -60,7 +61,8 @@ def block_attention(q, k, v, counts=None) -> np.ndarray:
     deferred: exp(s - rowmax(s)) multiplies v and the (hw, D) product is
     divided by the row sums, so the (hw, u) matrix is never divided.
     Everything runs in float64 and rounds to float32 once. Blocks go through
-    :func:`hsfpn.tensor.as_tensor`; counts numpy cannot convert raise ValidationError.
+    :func:`hsfpn.tensor.as_tensor` and counts through :func:`hsfpn.tensor.as_real`,
+    so complex values, or values numpy cannot convert, raise ValidationError.
     """
     try:
         q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
@@ -74,10 +76,7 @@ def block_attention(q, k, v, counts=None) -> np.ndarray:
     z *= 1.0 / sqrt(q.shape[1])
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
-    try:
-        counts = np.ones(len(k)) if counts is None else np.asarray(counts, dtype=np.float64)
-    except (TypeError, ValueError) as err:
-        raise ValidationError(f"key counts are not numbers: {err}") from None
+    counts = np.ones(len(k)) if counts is None else as_real(counts, np.float64)
     if counts.shape != v.shape[:1]:
         raise ShapeError(f"counts {counts.shape} do not match {v.shape[0]} keys")
     if not (counts > 0).all():

@@ -17,29 +17,32 @@ from .errors import ShapeError, ValidationError
 DTYPE = np.float32
 BAND_ROWS = 16  # output rows per conv2d band; sets the size of its float64 workspace
 GROUP_PLANES = 16  # planes per map_plane_groups group; sets the size of its callers' workspace
+MAX_RANK = 4  # (N, C, H, W)
 
 
-def _as_float32(x) -> np.ndarray:
-    """`x` as a C-contiguous float32 array, copied only if it is not one; a value numpy
-    cannot convert raises ValidationError."""
+def as_real(x, dtype) -> np.ndarray:
+    """`x` as a C-contiguous array of `dtype`, copied only if it is not one; a complex value
+    (numpy would drop its imaginary part) or one numpy cannot convert raises ValidationError."""
     try:
-        return np.asarray(x, dtype=DTYPE, order="C")
+        if not np.iscomplexobj(x):
+            return np.asarray(x, dtype=dtype, order="C")
     except (TypeError, ValueError) as err:
-        raise ValidationError(f"not convertible to a float32 tensor: {err}") from None
+        raise ValidationError(f"not convertible to {np.dtype(dtype)} values: {err}") from None
+    raise ValidationError(f"complex values do not convert to {np.dtype(dtype)} values")
 
 
 def as_tensor(x, rank: int | None = None) -> np.ndarray:
     """Coerce `x` to a C-contiguous float32 array and check its rank.
 
-    Rank may be at most 4, interpreted (N, C, H, W); `rank=n` requires
-    exactly n dimensions. Zero-length extents are rejected. A value numpy
-    cannot convert to float32 raises ValidationError (:func:`_as_float32`).
+    Rank may be at most MAX_RANK, interpreted (N, C, H, W); `rank=n` requires
+    exactly n dimensions. Zero-length extents are rejected. A complex value,
+    or one numpy cannot convert to float32, raises ValidationError (:func:`as_real`).
     """
-    arr = _as_float32(x)
+    arr = as_real(x, DTYPE)
     if arr.ndim == 0:
-        raise ShapeError("scalar is not a tensor; rank must be between 1 and 4")
-    if arr.ndim > 4:
-        raise ShapeError(f"rank {arr.ndim} exceeds the supported maximum of 4")
+        raise ShapeError(f"scalar is not a tensor; rank must be between 1 and {MAX_RANK}")
+    if arr.ndim > MAX_RANK:
+        raise ShapeError(f"rank {arr.ndim} exceeds the supported maximum of {MAX_RANK}")
     if rank is not None and arr.ndim != rank:
         raise ShapeError(f"expected a rank-{rank} tensor, got rank {arr.ndim}")
     if min(arr.shape) < 1:
@@ -182,11 +185,11 @@ class ConvLayer:
 
     def __post_init__(self):
         check_type("spec", self.spec, ConvSpec)
-        weight = _as_float32(self.weight)
+        weight = as_real(self.weight, DTYPE)
         if weight.shape != self.spec.weight_shape:
             raise ShapeError(f"weight dims {weight.shape} do not match {self.spec.weight_shape}")
         object.__setattr__(self, "weight", check_finite(weight, "convolution weight"))
-        bias = None if self.bias is None else _as_float32(self.bias)
+        bias = None if self.bias is None else as_real(self.bias, DTYPE)
         want = (self.spec.out_channels,) if self.spec.has_bias else None  # None: no bias
         if (got := getattr(bias, "shape", None)) != want:
             raise ValidationError(f"bias dims {got} do not match {want} (a bias iff has_bias)")

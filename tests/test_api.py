@@ -15,7 +15,6 @@ from hsfpn import (
     CostModel,
     FeaturePyramid,
     HsfpnWeights,
-    OpCostReport,
     PyramidConfig,
     ScrWindows,
     ShapeError,
@@ -86,6 +85,11 @@ HOSTILE_CALLS = {
     "cost-model-bool": lambda: CostModel(n=True, h=2, w=2, c=2),
     "as-tensor-str-element": lambda: as_tensor([[1, "a"]]),
     "as-tensor-object": lambda: as_tensor(object()),
+    # a complex value would lose its imaginary part: refused, not cast
+    "as-tensor-complex": lambda: as_tensor(np.ones((2, 2), np.complex64)),
+    "conv-layer-complex-weight": lambda: ConvLayer(ConvSpec(2, 2), np.full((2, 2, 1, 1), 1 + 1j)),
+    "block-attention-complex-counts": lambda: block_attention(np.ones((4, 3)), np.ones((2, 3)), np.ones((2, 3)),
+                                                              counts=np.full(2, 1 + 1j)),
     "sigmoid-str": lambda: sigmoid("a"),
     "relu-str": lambda: relu("a"),
     "upsample2x-str": lambda: upsample2x("a"),
@@ -110,6 +114,9 @@ HOSTILE_CALLS = {
     "feature-pyramid-none": lambda: FeaturePyramid(None),
     "feature-pyramid-mixed-keys": lambda: FeaturePyramid({"a": np.ones((1, 1, 2, 2)), 2: np.ones((1, 1, 2, 2))}),
     "write-pyramid-dir-int-levels": lambda: write_pyramid_dir("d/out", 5),
+    # a pyramid has one (N, C) at every level, and only a FeaturePyramid is written
+    "feature-pyramid-mixed-channels": lambda: FeaturePyramid({**dict(PYRAMID.items()), 4: np.ones((1, 2, 2, 2))}),
+    "write-pyramid-dir-dict-levels": lambda: write_pyramid_dir("d/out", dict(PYRAMID.items())),
     # a parameter object of the wrong kind, as HsfpnWeights.sdp_params gives for hfp_forward
     "hfp-forward-sdp-params": lambda: hfp_forward(FEATURE, SDP),
     "channel-path-sdp-params": lambda: channel_path(FEATURE, SDP),
@@ -175,21 +182,12 @@ HOSTILE_CALLS = {
     "feature-pyramid-unknown-level": lambda: PYRAMID[9],
     "feature-pyramid-str-level": lambda: PYRAMID["2"],
     "feature-pyramid-float-level": lambda: PYRAMID[2.0],
-    "feature-pyramid-channels-unknown-level": lambda: PYRAMID.channels(9),
     "feature-pyramid-extents-unknown-level": lambda: PYRAMID.extents(9),
-    # a cost report keys integer levels and module names, so its total and sorted rows compute
-    "op-cost-report-none": lambda: OpCostReport(None),
-    "op-cost-report-str-level-key": lambda: OpCostReport({"x": {}}),
-    "op-cost-report-int-module-key": lambda: OpCostReport({2: {3: None}}),
-    "op-cost-report-plain-cost": lambda: OpCostReport({2: {"cp": (1, 1)}}),
-    "op-cost-report-add-str-level": lambda: OpCostReport().add("x", "cp", 1, 1),
-    "op-cost-report-add-int-module": lambda: OpCostReport().add(2, 3, 1, 1),
-    "op-cost-report-add-str-count": lambda: OpCostReport().add(2, "cp", "1", 1),
 }
 
 
 # The rows of HOSTILE_CALLS whose arguments are of the right type but the wrong shape.
-SHAPE_ERROR_CALLS = {"feature-pyramid-mixed-keys"}
+SHAPE_ERROR_CALLS = {"feature-pyramid-mixed-keys", "feature-pyramid-mixed-channels"}
 
 
 @pytest.mark.parametrize("name", HOSTILE_CALLS)

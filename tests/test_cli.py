@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsfpn import (FeaturePyramid, PyramidConfig, ScrWindows, blob_scene, count_params, random_pyramid,
+from hsfpn import (PyramidConfig, ScrWindows, blob_scene, count_params, random_pyramid,
                    read_pgm, read_pyramid_dir, read_tensor, scr, write_pgm, write_pyramid_dir, write_tensor)
 from hsfpn import cli
 from hsfpn.cli import build_parser, main
@@ -287,13 +287,12 @@ class TestForward:
         assert not out.exists()
 
     def test_levels_disagreeing_on_channels_config_error(self, tmp_path, capsys):
-        levels = dict(random_pyramid(8, base_hw=(32, 32), seed=4).items())
-        levels[4] = np.zeros((1, 6, 8, 8), np.float32)
-        write_pyramid_dir(tmp_path / "in", FeaturePyramid(levels), prefix="c")
+        write_pyramid_dir(tmp_path / "in", random_pyramid(8, base_hw=(32, 32), seed=4), prefix="c")
+        write_tensor(tmp_path / "in" / "c4.pft", np.zeros((1, 6, 8, 8), np.float32))
         assert main(["forward", str(tmp_path / "in"), "-o", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("hsfpn: config: pyramid must have 8 channels at every level")
-        assert len(err.splitlines()) == 1
+        assert err.startswith("hsfpn: config: pyramid levels (2, 3, 4, 5) must share one (N, C), got [(1, 8)")
+        assert len(err.splitlines()) == 1 and not (tmp_path / "out").exists()
 
     def test_overflow_ends_in_one_line_and_no_output(self, pyramid_dir, tmp_path):
         # finite inputs near the float32 limit overflow inside the network; run

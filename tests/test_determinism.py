@@ -1,11 +1,13 @@
-"""Outputs do not depend on the BLAS thread count.
+"""Outputs do not depend on the BLAS thread count, nor the pyramid outputs on the BLAS kernels.
 
 Each run is a fresh interpreter, because OpenBLAS reads its thread count once,
 at import. Both runs print sha256 digests of the same outputs: a small
 pyramid forward in each mode, two short SCR sweeps, one with ascending cuts
 and one with shrinking and repeated ones, and every file `hsfpn forward`
 writes, `report.json` included. Level 2 there holds 131,072 values, enough
-for a BLAS-threaded reduction in the report to show.
+for a BLAS-threaded reduction in the report to show. Under an OpenBLAS built
+with DYNAMIC_ARCH, `OPENBLAS_CORETYPE` picks the kernels at import, so a run
+with the oldest x86-64 kernels (Prescott) is compared with the native one.
 """
 
 import json
@@ -13,6 +15,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -46,8 +51,8 @@ print(json.dumps(out))
 """
 
 
-def digests(threads):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+def digests(threads, **blas_env):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads), **blas_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", DIGESTS], env=env, capture_output=True, text=True,
                           timeout=60)
@@ -60,3 +65,25 @@ def test_outputs_bitwise_equal_at_one_and_two_blas_threads():
     assert set(one) == {"hsfpn", "fpn_baseline", "sweep", "sweep_reset", "cli_forward"}
     assert sorted(one["cli_forward"]) == ["p2.pft", "p3.pft", "p4.pft", "p5.pft", "report.json"]
     assert digests(2) == one
+
+
+def dynamic_arch_openblas() -> bool:
+    """True when numpy reports an OpenBLAS built with DYNAMIC_ARCH, whose kernels OPENBLAS_CORETYPE selects."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config and takes no mode
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not dynamic_arch_openblas(), reason="numpy reports no DYNAMIC_ARCH OpenBLAS, so "
+                    "OPENBLAS_CORETYPE selects no kernels")
+def test_pyramid_outputs_bitwise_equal_across_blas_core_types():
+    # The SCR sweeps are left out. Measured against native SkylakeX kernels:
+    # Haswell matched every key; under Prescott, Sandybridge and Nehalem
+    # `sweep` and `sweep_reset` differed in 7 of 16 raw float64 SCRs, by at
+    # most 2e-9 relative, and in one `%.9g` value of the CSV (cut 112).
+    native, prescott = digests(1), digests(1, OPENBLAS_CORETYPE="Prescott")
+    for key in ("sweep", "sweep_reset"):
+        del native[key], prescott[key]
+    assert prescott == native

@@ -112,12 +112,12 @@ class TestFeaturePyramid:
     def test_extents_and_channels(self):
         pyr = small_pyramid()
         assert pyr.extents(2) == (16, 16) and pyr.extents(5) == (2, 2)
-        assert [pyr.channels(lv) for lv in (2, 3, 4, 5)] == [4] * 4 and pyr.channels() == 4
+        assert pyr.channels == 4
 
     def test_numpy_integer_levels_accepted(self):
         pyr = small_pyramid()
         assert pyr[np.int64(3)] is pyr[3]
-        assert pyr.channels(np.int32(4)) == 4 and pyr.extents(np.uint8(5)) == (2, 2)
+        assert pyr.channels == 4 and pyr.extents(np.int32(4)) == (4, 4) and pyr.extents(np.uint8(5)) == (2, 2)
 
 
 class TestInitWeights:
@@ -553,20 +553,11 @@ class TestCountParams:
         assert "level,module,params,macs" in render(report.rows(), "csv")
         assert "hfp_fuse" in render(report.rows(), "table")
 
-    def test_repeated_add_accumulates(self):
-        report = OpCostReport()
-        report.add(2, "sdp", 3, 10)
-        report.add(2, "sdp", 4, 20)
-        report.add(3, "sdp", 5, 0)
-        assert report.per_level[2]["sdp"] == LayerCost(7, 30)
-        assert report.module_total("sdp") == LayerCost(12, 30)
-
-    def test_built_from_a_table_of_counts(self):
-        per_level = {np.int64(3): {"sdp": LayerCost(5, 0)}, 2: {"sdp": LayerCost(7, 30), "cp": LayerCost(1, 2)}}
-        report = OpCostReport(per_level)
-        assert report.per_level is per_level
-        assert report.total == LayerCost(13, 32)
-        assert report.rows()[1:3] == [("2", "cp", "1", "2"), ("2", "sdp", "7", "30")]
+    def test_report_is_filled_by_count_params_only(self):
+        with pytest.raises(TypeError):
+            OpCostReport({2: {"sdp": LayerCost(7, 30)}})
+        assert {name for name in vars(OpCostReport) if not name.startswith("_")} == {
+            "module_total", "total", "to_dict", "rows"}
 
     def test_absent_module_totals_zero(self):
         report = count_params(PyramidConfig(channels=256), base_hw=(200, 200))
@@ -648,12 +639,11 @@ class TestPyramidIo:
             write_pyramid_dir(tmp_path / "pyr", levels(small_pyramid()[2]))
         assert list(tmp_path.iterdir()) == []
 
-    def test_mapping_of_nested_levels_writes_as_its_pyramid(self, tmp_path):
-        pyr = small_pyramid(seed=7)
-        write_pyramid_dir(tmp_path / "dict", dict(pyr.items()))
-        write_pyramid_dir(tmp_path / "pyr", pyr)
-        for lv in (2, 3, 4, 5):
-            assert (tmp_path / "dict" / f"p{lv}.pft").read_bytes() == (tmp_path / "pyr" / f"p{lv}.pft").read_bytes()
+    def test_mapping_of_nested_levels_refused(self, tmp_path):
+        # a plain mapping is not taken through a FeaturePyramid: only a pyramid is written
+        with pytest.raises(ValidationError, match="must be a FeaturePyramid"):
+            write_pyramid_dir(tmp_path / "pyr", dict(small_pyramid(seed=7).items()))
+        assert list(tmp_path.iterdir()) == []
 
     def test_layer_missing_its_bias_rejected_where_built(self):
         # refused where it is built, before a forward pass can use it
