@@ -33,7 +33,6 @@ from .tensor import (
     adaptive_pool,
     as_tensor,
     conv2d,
-    relu,
     sigmoid,
     upsample2x,
 )

@@ -12,7 +12,7 @@ import numpy as np
 
 from .frequency import highfreq_response
 from .tensor import (ConvLayer, ConvSpec, adaptive_pool, as_tensor, check_field_types, check_integers, check_layers,
-                     check_real, check_type, relu, sigmoid)
+                     check_real, check_type, sigmoid)
 
 
 def hfp_specs(channels: int, groups: int = 1, bias: bool = True) -> dict:
@@ -71,7 +71,7 @@ def channel_path(f, params: HfpParams) -> np.ndarray:
     k = min(params.k, *f.shape[2:])
     scores = []
     for mode, conv in (("avg", params.gap_conv), ("max", params.gmp_conv)):
-        pooled = relu(adaptive_pool(f, k, k, mode))
+        pooled = np.maximum(adaptive_pool(f, k, k, mode), 0)
         scores.append(conv(pooled.astype(np.float64).sum(axis=(2, 3), keepdims=True).astype(f.dtype)))
     u_cp = params.merge_conv(np.concatenate(scores, axis=1))
     return sigmoid(u_cp) if params.squash else u_cp

@@ -54,16 +54,14 @@ class PyramidConfig:
         check_choice("fusion_mode", self.fusion_mode, FUSION_MODES)
         check_choice("mode", self.mode, PYRAMID_MODES)
         for level in self.filter_levels:
-            if level not in LEVELS:
-                raise ValidationError(f"unknown filter level {level}")
+            check_choice("filter level", level, LEVELS)
         layer_specs(self)  # channels and groups are valid iff every layer they imply is
 
 
 def _at_level(table: Mapping, level):
     """`table[level]`; a level that is no integer (numpy ones too) or not a key of `table` raises ValidationError."""
     check_integers("level", level)
-    if level not in table:
-        raise ValidationError(f"level {level} is not one of {tuple(table)}")
+    check_choice("level", int(level), tuple(table))  # int: a numpy integer is no int
     return table[level]
 
 
@@ -151,8 +149,7 @@ class HsfpnWeights:
         check_type("layers", self.layers, Mapping)
         config, layers = self.config, dict(self.layers)
         for name, layer in layers.items():
-            if not isinstance(layer, ConvLayer):
-                raise ValidationError(f"{name}: expected a ConvLayer, got {type(layer).__name__}")
+            check_type(name, layer, ConvLayer)
         specs = layer_specs(config)
         missing, extra = sorted(specs.keys() - layers.keys()), sorted(layers.keys() - specs.keys(), key=str)
         if missing or extra:

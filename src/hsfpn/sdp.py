@@ -65,13 +65,11 @@ def block_attention(q, k, v, counts=None) -> np.ndarray:
     so complex values, or values numpy cannot convert, raise ValidationError.
     """
     try:
-        q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+        q, k, v = (as_tensor(block, rank=2) for block in (q, k, v))
     except ShapeError as err:  # e.g. a block without keys
         raise ShapeError(f"query, key and value blocks: {err}") from None
-    if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
-        raise ShapeError(f"expected (hw, C) and (u, C) matrices, got {q.shape} and {k.shape}")
-    if v.ndim != 2 or len(v) != len(k):
-        raise ShapeError(f"value block {v.shape} does not match {len(k)} keys")
+    if k.shape != (len(v), q.shape[1]):
+        raise ShapeError(f"expected (hw, C), (u, C) and (u, D) blocks, got {q.shape}, {k.shape} and {v.shape}")
     z = q.astype(np.float64) @ k.astype(np.float64).T
     z *= 1.0 / sqrt(q.shape[1])
     z -= z.max(axis=1, keepdims=True)
@@ -102,8 +100,8 @@ def _upper_span(start: int, extent: int):
 def sdp_forward(c_low, p_up, params: SdpParams) -> np.ndarray:
     """Cross-attention fusion of a feature with its upsampled upper neighbour.
 
-    `p_up` must have half the spatial extents of `c_low` and the same channel
-    count, and the block extents must divide those of `c_low`. Q is projected
+    `p_up` must have half the spatial extents of `c_low` and the same batch and
+    channel count, and the block extents must divide those of `c_low`. Q is projected
     from c_low, K and V from p_up itself. Block (r0, c0) is the slice
     [r0:r0+block_h, c0:c0+block_w] of the projected queries; it attends over
     the p_up pixels under its upsampled span, each counted as often as the
@@ -116,12 +114,8 @@ def sdp_forward(c_low, p_up, params: SdpParams) -> np.ndarray:
     c_low = as_tensor(c_low, rank=4)
     p_up = as_tensor(p_up, rank=4)
     n_, c, h, w = c_low.shape
-    if p_up.shape[0] != n_ or p_up.shape[1] != c:
-        raise ShapeError(f"feature pair disagrees on batch/channels: {c_low.shape} vs {p_up.shape}")
-    if p_up.shape[2] * 2 != h or p_up.shape[3] * 2 != w:
-        raise ShapeError(
-            f"upper feature {p_up.shape[2:]} must be half the lower extents {(h, w)}"
-        )
+    if (n_, c, h, w) != (*p_up.shape[:2], 2 * p_up.shape[2], 2 * p_up.shape[3]):
+        raise ShapeError(f"upper map {p_up.shape} needs the batch and channels of {c_low.shape} at half its extents")
     bh, bw = params.block_h, params.block_w
     if h % bh or w % bw:
         raise ShapeError(f"block extents ({bh}, {bw}) do not divide spatial extents ({h}, {w})")

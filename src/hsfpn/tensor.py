@@ -21,13 +21,19 @@ MAX_RANK = 4  # (N, C, H, W)
 
 
 def as_real(x, dtype) -> np.ndarray:
-    """`x` as a C-contiguous array of `dtype`, copied only if it is not one; a complex value
-    (numpy would drop its imaginary part) or one numpy cannot convert raises ValidationError."""
+    """`x` as a C-contiguous array of `dtype`, copied only if it is not one. A complex value (numpy
+    would drop its imaginary part), one numpy cannot convert, or a finite one beyond the range of
+    `dtype` (numpy would make it inf, with a warning) raises ValidationError; ±inf and NaN convert."""
+    if isinstance(x, np.ndarray) and x.dtype == dtype:  # no cast, so nothing can overflow
+        return np.asarray(x, order="C")
     try:
         if not np.iscomplexobj(x):
-            return np.asarray(x, dtype=dtype, order="C")
+            with np.errstate(over="raise"):
+                return np.asarray(x, dtype=dtype, order="C")
     except (TypeError, ValueError) as err:
         raise ValidationError(f"not convertible to {np.dtype(dtype)} values: {err}") from None
+    except ArithmeticError:  # the cast's FloatingPointError, or a Python int's OverflowError
+        raise ValidationError(f"values beyond the {np.dtype(dtype)} range do not convert") from None
     raise ValidationError(f"complex values do not convert to {np.dtype(dtype)} values")
 
 
@@ -35,8 +41,8 @@ def as_tensor(x, rank: int | None = None) -> np.ndarray:
     """Coerce `x` to a C-contiguous float32 array and check its rank.
 
     Rank may be at most MAX_RANK, interpreted (N, C, H, W); `rank=n` requires
-    exactly n dimensions. Zero-length extents are rejected. A complex value,
-    or one numpy cannot convert to float32, raises ValidationError (:func:`as_real`).
+    exactly n dimensions. Zero-length extents are rejected. A complex value, one numpy
+    cannot convert to float32, or a finite one beyond its range raises ValidationError (:func:`as_real`).
     """
     arr = as_real(x, DTYPE)
     if arr.ndim == 0:
@@ -142,8 +148,7 @@ class ConvSpec:
     def __post_init__(self):
         check_field_types(self)
         check_integers("channel counts", self.in_channels, self.out_channels, least=1)
-        if self.kernel not in (1, 3):
-            raise ValidationError(f"kernel must be 1 or 3, got {self.kernel}")
+        check_choice("kernel", self.kernel, (1, 3))
         if self.groups < 1 or self.in_channels % self.groups or self.out_channels % self.groups:
             raise ValidationError(
                 f"groups={self.groups} must divide in_channels={self.in_channels} "
@@ -345,12 +350,6 @@ def _window_index(start, stop) -> np.ndarray:
     return np.minimum(start[:, None] + offsets, stop[:, None] - 1)
 
 
-def relu(x) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    x = as_tensor(x)
-    return np.maximum(x, DTYPE(0))
-
-
 def upsample2x(x) -> np.ndarray:
     """Nearest-neighbour upsampling: each pixel becomes a 2x2 constant block."""
     x = as_tensor(x, rank=4)
@@ -358,7 +357,8 @@ def upsample2x(x) -> np.ndarray:
 
 
 def sigmoid(x) -> np.ndarray:
-    """Elementwise logistic function (optional squashing of attention weights)."""
+    """Elementwise logistic function (optional squashing of attention weights); NaN stays NaN."""
     z = as_tensor(x).astype(np.float64)
-    # exp(-log(1 + e^-z)): saturates to exactly 0 or 1 without overflowing
-    return np.exp(-np.logaddexp(0.0, -z)).astype(DTYPE)
+    # exp(-log(1 + e^-z)): saturates to exactly 0 or 1 without overflowing; NaN passes without a warning
+    with np.errstate(invalid="ignore"):
+        return np.exp(-np.logaddexp(0.0, -z)).astype(DTYPE)

@@ -667,6 +667,11 @@ class TestUsage:
         assert code == 1
         assert "usage" in capsys.readouterr().err
 
+    def test_negative_cut_usage_error(self, scene_pgm, tmp_path, capsys):
+        # only the attached form reaches the cut's own check: in "--cut -1x2", -1x2 reads as a flag
+        assert main(["filter", str(scene_pgm), "-o", str(tmp_path / "o.pgm"), "--cut=-1x2"]) == 1
+        assert "cut extents must be >= 0" in capsys.readouterr().err
+
     def test_alpha_out_of_range_config_error(self, scene_pgm, tmp_path):
         assert main(["filter", str(scene_pgm), "-o", str(tmp_path / "o.pgm"),
                      "--alpha", "1.5"]) == 3

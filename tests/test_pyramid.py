@@ -114,6 +114,9 @@ class TestFeaturePyramid:
         assert pyr.extents(2) == (16, 16) and pyr.extents(5) == (2, 2)
         assert pyr.channels == 4
 
+    def test_batch(self):
+        assert small_pyramid().batch == 1 and random_pyramid(2, (8, 8), batch=3).batch == 3
+
     def test_numpy_integer_levels_accepted(self):
         pyr = small_pyramid()
         assert pyr[np.int64(3)] is pyr[3]
@@ -200,7 +203,7 @@ class TestWeightTable:
     @pytest.mark.parametrize("edit, match", [
         (swap("hfp2.fuse_conv", lambda layers: layers["hfp2.gap_conv"]), "hfp2.fuse_conv: spec"),
         (swap("out2.conv", lambda layers: ConvLayer(BIAS_FREE, layers["out2.conv"].weight)), "out2.conv: spec"),
-        (swap("sdp3.k_conv", lambda layers: layers["sdp3.k_conv"].weight), "sdp3.k_conv: expected a ConvLayer"),
+        (swap("sdp3.k_conv", lambda layers: layers["sdp3.k_conv"].weight), "sdp3.k_conv must be a ConvLayer"),
         (drop("sdp3.k_conv"), r"missing layers \['sdp3.k_conv'\]"),
         (swap("hfp6.gap_conv", lambda layers: layers["hfp5.gap_conv"]), r"not of the config \['hfp6.gap_conv'\]"),
     ], ids=["1x1-in-3x3-role", "bias-free-under-conv-bias", "not-a-layer", "missing", "extra"])

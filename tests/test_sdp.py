@@ -211,6 +211,11 @@ class TestRepeatedKeys:
         with pytest.raises(ShapeError):
             block_attention(q, k, np.repeat(v, 4, axis=0))
 
+    def test_queries_without_the_key_channels_rejected(self):
+        q, k, v = self.blocks()
+        with pytest.raises(ShapeError, match=r"expected \(hw, C\), \(u, C\) and \(u, D\) blocks"):
+            block_attention(q[:, :-1], k, v)
+
 
 class TestSdpForward:
     def test_zero_value_path_is_identity(self):
@@ -303,6 +308,14 @@ class TestSdpForward:
         c_low = RNG.standard_normal((1, 4, 8, 8)).astype(np.float32)
         with pytest.raises(ShapeError):
             sdp_forward(c_low, RNG.standard_normal((1, 4, 8, 8)).astype(np.float32), params)
+
+    def test_batch_mismatch_rejected(self):
+        # without the check, the blocks of the first sample would run and the second be ignored
+        params = make_params(4, 4, 4)
+        c_low = RNG.standard_normal((1, 4, 8, 8)).astype(np.float32)
+        p_up = RNG.standard_normal((2, 4, 4, 4)).astype(np.float32)
+        with pytest.raises(ShapeError, match="batch and channels"):
+            sdp_forward(c_low, p_up, params)
 
     def test_projection_channel_mismatch_rejected(self):
         # 4-channel projections on an 8-channel pair: the query projection rejects it

@@ -12,7 +12,6 @@ from hsfpn import (
     adaptive_pool,
     as_tensor,
     conv2d,
-    relu,
     sigmoid,
     tensor,
     upsample2x,
@@ -401,21 +400,6 @@ class TestAdaptivePool:
         for mode in ("avg", "max"):
             got = adaptive_pool(x, np.int64(3), np.int32(2), mode)
             assert got.tobytes() == adaptive_pool(x, 3, 2, mode).tobytes()
-
-
-class TestRelu:
-    def test_basic(self):
-        np.testing.assert_array_equal(
-            relu(np.array([-1.0, 0.0, 2.0], np.float32)), [0.0, 0.0, 2.0]
-        )
-
-    def test_nonnegative_unchanged(self):
-        x = np.abs(randf(2, 3, 4, 4))
-        np.testing.assert_array_equal(relu(x), x)
-
-    def test_idempotent(self):
-        x = randf(3, 4)
-        np.testing.assert_array_equal(relu(relu(x)), relu(x))
 
 
 class TestSigmoid:
