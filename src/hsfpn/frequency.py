@@ -25,7 +25,7 @@ from math import ceil
 
 import numpy as np
 
-from .errors import DegenerateBackgroundError, ValidationError
+from .errors import DegenerateBackgroundError, ShapeError, ValidationError
 from .tensor import (DTYPE, as_tensor, check_field_types, check_finite, check_integers, check_real, check_type,
                      map_plane_groups)
 
@@ -87,7 +87,9 @@ def lowcut_filter(x, cut_rows: int, cut_cols: int) -> np.ndarray:
     :func:`hsfpn.tensor.map_plane_groups`, so the float64 working memory is one
     group's, not the map's; every plane's result is independent of its group.
     """
-    x = as_tensor(x, rank=2) if np.ndim(x) == 2 else as_tensor(x, rank=4)
+    x = as_tensor(x)
+    if x.ndim not in (2, 4):
+        raise ShapeError(f"expected a rank-2 plane or a rank-4 (N, C, H, W) tensor, got rank {x.ndim}")
     check_integers("cut extents", cut_rows, cut_cols)
     h, w = x.shape[-2:]
     r, s = min(cut_rows, h), min(cut_cols, w)

@@ -429,6 +429,7 @@ HOSTILE_ARRAYS = {
     "object": lambda a: np.full(a.shape, object()),
     "nan": lambda a: np.full(a.shape, np.nan),
     "1e39": lambda a: np.full(a.shape, 1e39),  # finite in float64, beyond float32
+    "ragged": lambda a: [a.tolist(), [0.0]],  # a nested list numpy cannot make one array of
 }
 ARRAY_CALLS = {f"{export}.{arg}": pair for export, args in ARRAY_ARGS.items() for arg, pair in args.items()}
 

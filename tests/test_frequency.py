@@ -8,6 +8,7 @@ import pytest
 from hsfpn import (
     DegenerateBackgroundError,
     ScrWindows,
+    ShapeError,
     ValidationError,
     blob_scene,
     dct_matrix,
@@ -587,6 +588,32 @@ class TestCutExtents:
         cut = (np.int64(3), np.int32(2))
         assert lowcut_filter(self.SCENE, *cut).tobytes() == lowcut_filter(self.SCENE, 3, 2).tobytes()
         assert scr_filter_sweep(self.SCENE, self.WIN, [cut]) == scr_filter_sweep(self.SCENE, self.WIN, [(3, 2)])
+
+
+class TestLowcutRank:
+    """lowcut_filter converts its input once, then takes rank 2 (a bare plane) or rank 4."""
+
+    X = RNG.standard_normal((2, 20, 40, 24)).astype(np.float32)
+
+    @pytest.mark.parametrize("shape", [(24,), (20, 40, 24)], ids=["rank-1", "rank-3"])
+    def test_other_ranks_rejected(self, shape):
+        with pytest.raises(ShapeError, match=r"rank-2 plane or a rank-4 .* got rank"):
+            lowcut_filter(np.ones(shape, np.float32), 2, 2)
+
+    def test_ragged_list_rejected_as_unconvertible(self):
+        with pytest.raises(ValidationError, match="not convertible"):
+            lowcut_filter([[1], [1, 2]], 2, 2)
+
+    @pytest.mark.parametrize("cut", [(5, 7), (40, 1), (64, 64)])
+    def test_every_plane_equals_the_tensor_filter(self, cut):
+        out = lowcut_filter(self.X, *cut)
+        for s in range(self.X.shape[0]):
+            for c in range(self.X.shape[1]):
+                assert lowcut_filter(self.X[s, c], *cut).tobytes() == out[s, c].tobytes(), (s, c)
+
+    def test_nested_list_plane_equals_its_array(self):
+        plane = self.X[1, 3]
+        assert lowcut_filter(plane.tolist(), 5, 7).tobytes() == lowcut_filter(plane, 5, 7).tobytes()
 
 
 class TestDctMatrixCache:
