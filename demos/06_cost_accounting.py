@@ -29,5 +29,11 @@ print(f"\nthe 3x3 fuse convolutions dominate: {fuse / 1e6:.2f} M of "
       f"{report.total.params / 1e6:.2f} M total")
 print(f"channel/spatial scoring convolutions stay tiny: {cp} + {sp} params")
 print(f"attention projections across three levels: {sdp / 1e6:.2f} M")
+
+# Each row is what its module adds, so a network without some modules costs the
+# total minus their rows. HFP without SDP keeps cp, sp and the fuse convolution.
+hfp_only = report.module_total("cp") + report.module_total("sp") + report.module_total("hfp_fuse")
+print(f"HFP alone (no SDP) would add {hfp_only.params / 1e6:.2f} M params and "
+      f"{hfp_only.macs / 1e9:.1f} GMAC of the full {report.total.macs / 1e9:.1f} GMAC")
 print("\nthe same tables are available as:  hsfpn cost --n 625 --h 8 --w 8 --c 256")
 print("                                   hsfpn params --no-bias")

@@ -100,7 +100,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("forward", help="run a pyramid directory through the network")
     p.add_argument("input_dir", help="directory with c2.pft..c5.pft")
     p.add_argument("-o", "--output-dir", required=True)
-    p.add_argument("--mode", choices=["hsfpn", "fpn", "fpn_baseline"], default=PyramidConfig.mode)
+    p.add_argument("--mode", choices=["hsfpn", "fpn"], default=PyramidConfig.mode)
     p.add_argument("--seed", type=int, default=PyramidConfig.seed)
     p.add_argument("--alpha", type=float, default=PyramidConfig.alpha)
     p.add_argument("--k", type=int, default=PyramidConfig.k)
@@ -121,9 +121,6 @@ def build_parser() -> _Parser:
     p.add_argument("--base-h", type=int, default=200, help="level-2 height")
     p.add_argument("--base-w", type=int, default=200, help="level-2 width")
     p.add_argument("--bias", action=argparse.BooleanOptionalAction, default=PyramidConfig.conv_bias)
-    p.add_argument("--no-cp", action="store_true")
-    p.add_argument("--no-sp", action="store_true")
-    p.add_argument("--no-sdp", action="store_true")
     p.add_argument("--format", choices=REPORT_FORMATS, default="table")
     return parser
 
@@ -246,8 +243,7 @@ def cmd_cost(args) -> int:
 
 def cmd_params(args) -> int:
     config = PyramidConfig(channels=args.channels, groups=_groups(args, args.channels), conv_bias=args.bias)
-    report = count_params(config, (args.base_h, args.base_w), with_cp=not args.no_cp,
-                          with_sp=not args.no_sp, with_sdp=not args.no_sdp)
+    report = count_params(config, (args.base_h, args.base_w))
     _print_report(args.format, report.to_dict(), report.rows())
     return 0
 

@@ -60,11 +60,13 @@ def cost_table_rows(model: CostModel) -> list:
 
 
 def render(rows, fmt: str) -> str:
-    """Header-first rows of strings as CSV text for ``csv``, else as an aligned text table.
+    """Header-first rows of strings as an aligned text table (``table``) or as CSV text (``csv``).
 
     A table pads every column to its widest cell, separates columns by two
-    spaces and ends without a newline; CSV ends every line with one.
+    spaces and ends without a newline; CSV ends every line with one. Any
+    other `fmt` raises ValidationError.
     """
+    check_choice("fmt", fmt, ("table", "csv"))
     if fmt == "csv":
         return "".join(",".join(row) + "\n" for row in rows)
     widths = [max(map(len, column)) for column in zip(*rows)]
@@ -98,6 +100,8 @@ class OpCostReport:
     per_level: dict = field(default_factory=dict, init=False)
 
     def module_total(self, module: str) -> LayerCost:
+        """One report row's cost summed over the levels; a name that is no row raises ValidationError."""
+        check_choice("module", module, tuple(dict.fromkeys(_ROW.values())))
         return sum((mods.get(module, LayerCost()) for mods in self.per_level.values()), LayerCost())
 
     @property
@@ -136,22 +140,18 @@ _ROW = {
 }
 
 
-def count_params(config, base_hw, with_cp: bool = True, with_sp: bool = True,
-                 with_sdp: bool = True) -> OpCostReport:
+def count_params(config, base_hw) -> OpCostReport:
     """Exact added parameter/MAC counts of the pyramid modules over a plain FPN.
 
     `config` is a :class:`hsfpn.pyramid.PyramidConfig`; `base_hw` gives the
     level-2 spatial extents (see :func:`hsfpn.pyramid.level_extents`) used
     for the MAC counts. SDP's key and value projections run on the level
     above, so they count at its extents; attention counts on the
-    n*(hw)^2*c calculus. The 3x3 fuse convolution belongs to the reweighting
-    module as a whole and is counted whenever the channel or spatial path is
-    enabled. With every module disabled the report is empty (zero added
-    parameters). The three switches are exactly bools, as a bool field is.
+    n*(hw)^2*c calculus. Each row is one module's added cost, so a network
+    without some modules costs the total minus their rows; the 3x3 fuse
+    convolution belongs to the reweighting module as a whole (`hfp_fuse`).
     """
     check_type("config", config, PyramidConfig)
-    for name, flag in (("with_cp", with_cp), ("with_sp", with_sp), ("with_sdp", with_sdp)):
-        check_choice(name, flag, (False, True))
     report = OpCostReport()
 
     def add(level, row, params, macs):
@@ -159,20 +159,17 @@ def count_params(config, base_hw, with_cp: bool = True, with_sp: bool = True,
         mods[row] = mods.get(row, LayerCost()) + LayerCost(params, macs)
 
     extents = level_extents(base_hw)
-    enabled = {"cp": with_cp, "sp": with_sp, "hfp_fuse": with_cp or with_sp, "sdp": with_sdp}
     specs = module_specs(config)
     for level, roles in [*specs["hfp"].items(), *specs["sdp"].items()]:  # in layer_specs order
         for role, spec in roles.items():
             row = _ROW[role]
-            if enabled[row]:
-                # keys and values are projected from the upper level's map
-                at = level + 1 if role in ("k_conv", "v_conv") else level
-                hw = (1, 1) if row == "cp" else extents[at]
-                add(level, row, spec.param_count, spec.macs(*hw))
-    if with_sdp:
-        h5, w5 = extents[LEVELS[-1]]
-        for level in SDP_LEVELS:  # blocks have the top level's extents
-            h, w = extents[level]
-            model = CostModel(n=(h // h5) * (w // w5), h=h5, w=w5, c=config.channels)
-            add(level, "sdp", 0, attention_cost(model, "sdp"))
+            # keys and values are projected from the upper level's map
+            at = level + 1 if role in ("k_conv", "v_conv") else level
+            hw = (1, 1) if row == "cp" else extents[at]
+            add(level, row, spec.param_count, spec.macs(*hw))
+    h5, w5 = extents[LEVELS[-1]]
+    for level in SDP_LEVELS:  # blocks have the top level's extents
+        h, w = extents[level]
+        model = CostModel(n=(h // h5) * (w // w5), h=h5, w=w5, c=config.channels)
+        add(level, "sdp", 0, attention_cost(model, "sdp"))
     return report

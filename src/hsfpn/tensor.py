@@ -120,7 +120,7 @@ def check_real(what: str, value, low: float = -math.inf, high: float = math.inf,
 
 
 def check_choice(what: str, value, choices: tuple) -> None:
-    """Raise ValidationError unless `value` is one of `choices` and of their type (a str, or a bool)."""
+    """Raise ValidationError unless `value` is one of `choices` and of their type (a str, or an int)."""
     if not (isinstance(value, type(choices[0])) and value in choices):
         raise ValidationError(f"{what} must be one of {choices}, got {value!r}")
 

@@ -157,10 +157,9 @@ HOSTILE_CALLS = {
     "blob-scene-tiny-sigma": lambda: blob_scene(8, 8, blob_sigma=1e-200),
     "blob-scene-huge-background": lambda: blob_scene(8, 8, background=1e39),
     "blob-scene-int-beyond-float": lambda: blob_scene(8, 8, amplitude=10**400),
-    # a module switch is exactly a bool, as a bool field is: "no" would count the module
-    "count-params-str-switch": lambda: count_params(SMALL, (8, 8), with_cp="no"),
-    "count-params-int-switch": lambda: count_params(SMALL, (8, 8), with_sp=1),
-    "count-params-none-switch": lambda: count_params(SMALL, (8, 8), with_sdp=None),
+    # a module total names a report row: an unknown name would total zero
+    "module-total-unknown-row": lambda: count_params(SMALL, (8, 8)).module_total("nope"),
+    "module-total-list-row": lambda: count_params(SMALL, (8, 8)).module_total([]),
     # a package object is of its class where it enters, so a wrong one fails before any attribute is read
     "hsfpn-forward-dict-pyramid": lambda: hsfpn_forward({2: FEATURE}, WEIGHTS),
     "hsfpn-forward-config-for-weights": lambda: hsfpn_forward(PYRAMID, WEIGHTS.config),
@@ -259,10 +258,7 @@ SCALAR_ARGS = {
                               in_channels=2, out_channels=2),
     "CostModel": keyword_calls(CostModel, "nhwc", n=1, h=2, w=2, c=2),
     "attention_cost": {"layout": lambda v: attention_cost(CostModel(1, 2, 2, 2), v)},
-    "count_params": {
-        "base_hw": lambda v: count_params(SMALL, (v, 8)),
-        **keyword_calls(functools.partial(count_params, SMALL, (8, 8)), ("with_cp", "with_sp", "with_sdp")),
-    },
+    "count_params": {"base_hw": lambda v: count_params(SMALL, (v, 8))},
     "dct_matrix": keyword_calls(dct_matrix, ("n", "rows"), n=4, rows=2),
     "highfreq_response": {"alpha": lambda v: highfreq_response(X, v)},
     "highpass_cut": keyword_calls(highpass_cut, ("h", "w", "alpha"), h=4, w=4, alpha=0.25),

@@ -242,6 +242,16 @@ class TestForward:
             differs = differs or a.tobytes() != b.tobytes()
         assert differs
 
+    def test_fpn_baseline_is_no_mode_flag(self, pyramid_dir, tmp_path, capsys):
+        # `fpn` is the one spelling; report.json still names the mode "fpn_baseline"
+        out = tmp_path / "out"
+        assert main(["forward", str(pyramid_dir), "-o", str(out), "--k", "2", "--mode", "fpn_baseline"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("hsfpn: usage:"), err
+        assert not out.exists()
+        assert main(["forward", str(pyramid_dir), "-o", str(out), "--k", "2", "--mode", "fpn"]) == 0
+        assert json.loads((out / "report.json").read_text())["mode"] == "fpn_baseline"
+
     def test_report_contents(self, pyramid_dir, tmp_path):
         out = tmp_path / "out"
         assert main(["forward", str(pyramid_dir), "-o", str(out), "--k", "2"]) == 0
@@ -394,6 +404,13 @@ class TestParams:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("hsfpn: usage:"), err
 
+    @pytest.mark.parametrize("flag", ["--no-cp", "--no-sp", "--no-sdp"])
+    def test_no_module_switch(self, flag, capsys):
+        # a network without a module costs the full report minus its rows, so no switch leaves them out
+        assert main(["params", flag]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("hsfpn: usage:"), err
+
     def test_invalid_groups_config_error(self, pyramid_dir, tmp_path, capsys):
         for argv in (["params", "--channels", "30", "--groups", "16"],
                      ["params", "--groups", "0"],
@@ -411,38 +428,45 @@ SETTING_FLAGS = {
     "forward": {"--mode": ["--mode", "fpn"], "--seed": ["--seed", "3"], "--alpha": ["--alpha", "0.5"],
                 "--k": ["--k", "2"], "--groups": ["--groups", "2"], "--fusion": ["--fusion", "sdp_plus_add"]},
     "params": {"--channels": ["--channels", "64"], "--groups": ["--groups", "2"], "--base-h": ["--base-h", "64"],
-               "--base-w": ["--base-w", "64"], "--bias": ["--no-bias"], "--no-cp": ["--no-cp"],
-               "--no-sp": ["--no-sp"], "--no-sdp": ["--no-sdp"]},
+               "--base-w": ["--base-w", "64"], "--bias": ["--no-bias"]},
 }
-# PyramidConfig fields no flag sets yet: ROADMAP items 2 (squash) and 7 (filter_levels)
+# PyramidConfig fields no flag sets yet: ROADMAP items 2 (squash) and 1 (filter_levels)
 PENDING_FIELDS = {"squash", "filter_levels"}
 
 
 class TestEverySettingCounts:
     """Each setting of forward and params changes a result: every flag in SETTING_FLAGS
-    changes the level files forward writes or the report params prints, and every
+    changes the level files forward writes or the report params prints, every params
+    flag changes the network params counts (its config or its level-2 extents), and every
     PyramidConfig field is set by one of those flags or is in PENDING_FIELDS."""
 
     @pytest.fixture()
     def run(self, tmp_path, capsys, monkeypatch):
-        """`run(command, tokens)`: the bytes the command computes, and the config it built."""
+        """`run(command, tokens)`: the bytes the command computes, the config it built and
+        the `(config, base_hw)` of its last count_params call (None if it made none)."""
         write_pyramid_dir(tmp_path / "in", random_pyramid(4, base_hw=(16, 16), seed=2), prefix="c")
-        built = []
+        built, counted = [], []
 
         class Recorded(PyramidConfig):
             def __post_init__(self):
                 super().__post_init__()
                 built.append(self)
 
+        def recorded_count_params(config, base_hw):
+            counted.append((config, tuple(base_hw)))
+            return count_params(config, base_hw)
+
         monkeypatch.setattr(cli, "PyramidConfig", Recorded)
+        monkeypatch.setattr(cli, "count_params", recorded_count_params)
 
         def run(command, tokens):
             out = tmp_path / f"out{len(built)}"
             argv = [command, str(tmp_path / "in"), "-o", str(out)] if command == "forward" else [command]
+            counted.clear()
             assert main(argv + tokens) == 0, tokens
             printed = capsys.readouterr().out.encode()
             written = b"".join((out / level_file("p", lv)).read_bytes() for lv in LEVELS) if out.exists() else b""
-            return printed + written, built[-1]
+            return printed + written, built[-1], counted[-1] if counted else None
         return run
 
     @pytest.mark.parametrize("command", sorted(SETTING_FLAGS))
@@ -456,10 +480,12 @@ class TestEverySettingCounts:
     def test_every_flag_changes_the_result_and_every_field_is_set(self, run):
         set_fields = set()
         for command, rows in SETTING_FLAGS.items():
-            default, default_config = run(command, [])
+            default, default_config, default_counted = run(command, [])
             for flag, tokens in rows.items():
-                result, config = run(command, tokens)
+                result, config, counted = run(command, tokens)
                 assert result != default, (command, flag)
+                if command == "params":  # a report-only switch would leave both the same
+                    assert counted[0] == config and counted != default_counted, flag
                 set_fields |= {f.name for f in dataclasses.fields(PyramidConfig)
                                if getattr(config, f.name) != getattr(default_config, f.name)}
         assert set_fields | PENDING_FIELDS == {f.name for f in dataclasses.fields(PyramidConfig)}
@@ -592,7 +618,7 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-PARAMS_FLAGS = ("--channels", "64", "--groups", "8", "--no-bias", "--no-cp", "--base-h", "64", "--base-w", "128")
+PARAMS_FLAGS = ("--channels", "64", "--groups", "8", "--no-bias", "--base-h", "64", "--base-w", "128")
 
 
 class TestReportBytes:
@@ -608,11 +634,11 @@ class TestReportBytes:
         (("params",), "21866fb1f2fe6178c490add0ab7d37acb9d67a9b72b1e307dcdc973e43b6d0c9"),
         (("params", "--format", "json"), "a2a9887c63db5b67df5a22f445a5b52b90cd761fbd6d18f22134c385e7b2c110"),
         (("params", "--format", "csv"), "0169b7dde4770d97388ea3c7f33ca81e9e42e9dd1543764c1f5467531ee5feb3"),
-        (("params", *PARAMS_FLAGS), "09156138a0f04cedaf18679c2aed85444b794444cc07e290176e6f3474314896"),
+        (("params", *PARAMS_FLAGS), "c2ea0a51b3e81a5aa4a63e54ae8b3369f0ffa70ecd6b33a5fa715b25c83ae40f"),
         (("params", *PARAMS_FLAGS, "--format", "json"),
-         "32218afd9fd721151809386a5d8d631b01a04b4e200e751d0e0106dd72ac54e0"),
+         "aaf638c94144708fcbd5d7bea7c792618fbadfff3d984ab67f25be48d6c4c573"),
         (("params", *PARAMS_FLAGS, "--format", "csv"),
-         "6c0a49a65d507fbe621afee1933f094cc922ab1b1a6b981a5eda164a633b8746"),
+         "b298aea155f48b87434f7d7685e9d42d2a4f02a08b50e2bcadd7bd628bc448b9"),
     ])
     def test_stdout_pinned(self, argv, digest, capsys):
         assert main(list(argv)) == 0
@@ -654,6 +680,18 @@ class TestReadme:
                         for action in sub._actions if flag in action.option_strings}
             assert defaults, flag
             assert all(str(value) == default for value in defaults.values()), (flag, default, defaults)
+
+    def test_every_documented_flag_is_an_option(self):
+        # the "Command line" section names no flag the parser lacks; the benchmark's own
+        # flags (`bench/run.py`) belong to that script, not to hsfpn
+        text = README.read_text()
+        section = text[text.index("## Command line"):]
+        section = section[:section.index("\n## ", 1)]
+        documented = set(re.findall(r"--[a-z][\w-]*", re.sub(r"`[^`]*bench/run\.py[^`]*`", "", section)))
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {o for sub in subparsers.choices.values() for action in sub._actions for o in action.option_strings}
+        assert len(documented) >= 10 and documented <= options, documented - options
 
 
 class TestUsage:
@@ -776,7 +814,7 @@ class TestHostileFlags:
                 ("--report", str(tmp_path / "r.json"))]),
             (["cost"], [("--n", "4"), ("--h", "8"), ("--w", "8"), ("--c", "16"), ("--format", "json")]),
             (["params"], [("--channels", "32"), ("--groups", "4"), ("--base-h", "64"),
-                          ("--base-w", "64"), ("--no-bias", None), ("--no-cp", None), ("--format", "csv")]),
+                          ("--base-w", "64"), ("--no-bias", None), ("--format", "csv")]),
         ]
 
     def test_mutated_flags_end_in_one_documented_line(self, valid_argvs, tmp_path, monkeypatch, capsys):

@@ -31,7 +31,7 @@ from hsfpn import (
 )
 from hsfpn import io as hio
 from hsfpn.cost import LayerCost, OpCostReport, render
-from hsfpn.pyramid import layer_specs, level_extents
+from hsfpn.pyramid import layer_specs, level_extents, module_specs
 
 from oracles import naive_fpn_forward, naive_hsfpn_forward
 
@@ -535,12 +535,6 @@ class TestCountParams:
         assert report.per_level[2]["sdp"].macs == 16_732_160_000
         assert report.total.macs == 53_309_025_536
 
-    def test_disabled_modules_count_zero(self):
-        config = PyramidConfig(channels=256)
-        report = count_params(config, base_hw=(200, 200),
-                              with_cp=False, with_sp=False, with_sdp=False)
-        assert report.total.params == 0 and report.total.macs == 0
-
     def test_macs_scale_with_resolution(self):
         config = PyramidConfig(channels=64, groups=8, conv_bias=False)
         small = count_params(config, base_hw=(64, 64))
@@ -556,16 +550,31 @@ class TestCountParams:
         assert "level,module,params,macs" in render(report.rows(), "csv")
         assert "hfp_fuse" in render(report.rows(), "table")
 
+    @pytest.mark.parametrize("fmt", ["json", "xml", "CSV", "", None])
+    def test_render_refuses_other_formats(self, fmt):
+        # JSON is written from to_dict, not rendered from rows
+        with pytest.raises(ValidationError):
+            render([("a", "b"), ("1", "2")], fmt)
+
     def test_report_is_filled_by_count_params_only(self):
         with pytest.raises(TypeError):
             OpCostReport({2: {"sdp": LayerCost(7, 30)}})
         assert {name for name in vars(OpCostReport) if not name.startswith("_")} == {
             "module_total", "total", "to_dict", "rows"}
 
-    def test_absent_module_totals_zero(self):
+    def test_module_total_refuses_a_name_that_is_no_row(self):
         report = count_params(PyramidConfig(channels=256), base_hw=(200, 200))
-        assert report.module_total("no_such_module") == LayerCost(0, 0)
-        assert OpCostReport().total == LayerCost(0, 0)
+        with pytest.raises(ValidationError):
+            report.module_total("no_such_module")
+        assert OpCostReport().module_total("sdp") == OpCostReport().total == LayerCost(0, 0)
+
+    def test_ablation_is_the_total_minus_its_rows(self):
+        # HFP without its spatial path, and without SDP: the fuse conv stays, as the channel path does
+        config = PyramidConfig(channels=64, groups=8)
+        report = count_params(config, base_hw=(64, 64))
+        ablation = report.module_total("cp") + report.module_total("hfp_fuse")
+        assert ablation.params == sum(spec.param_count for roles in module_specs(config)["hfp"].values()
+                                      for role, spec in roles.items() if role != "spatial_conv")
 
     def test_total_is_sum_of_module_totals(self):
         report = count_params(PyramidConfig(channels=256), base_hw=(200, 200))
