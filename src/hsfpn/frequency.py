@@ -29,7 +29,7 @@ from .errors import DegenerateBackgroundError, ShapeError, ValidationError
 from .tensor import (DTYPE, as_tensor, check_field_types, check_finite, check_integers, check_real, check_type,
                      map_plane_groups)
 
-SWEEP_BAND_ROWS = 128  # image rows per scr_filter_sweep corner product; sets the size of its float64 workspace
+SWEEP_BAND_ROWS = 128  # rows per scr_filter_sweep corner product: not a BAND_ROWS share, as it orders the sums
 
 
 def dct_matrix(n: int, rows: int | None = None) -> np.ndarray:
@@ -84,8 +84,8 @@ def lowcut_filter(x, cut_rows: int, cut_cols: int) -> np.ndarray:
     the mask form (transform, zero the corner, invert; the reference in
     ``tests/oracles.py``) without transforming the whole plane. An empty cut
     returns the input unchanged (bitwise). Planes run in groups by
-    :func:`hsfpn.tensor.map_plane_groups`, so the float64 working memory is one
-    group's, not the map's; every plane's result is independent of its group.
+    :func:`hsfpn.tensor.map_plane_groups`, so the float64 working memory is a
+    conv band's share of the map; every plane's result is independent of its group.
     """
     x = as_tensor(x)
     if x.ndim not in (2, 4):

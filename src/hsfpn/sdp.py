@@ -60,9 +60,12 @@ def block_attention(q, k, v, counts=None) -> np.ndarray:
     both the value product and the row sums counts[j] times. Normalisation is
     deferred: exp(s - rowmax(s)) multiplies v and the (hw, D) product is
     divided by the row sums, so the (hw, u) matrix is never divided.
-    Everything runs in float64 and rounds to float32 once. Blocks go through
-    :func:`hsfpn.tensor.as_tensor` and counts through :func:`hsfpn.tensor.as_real`,
-    so complex values, or values numpy cannot convert, raise ValidationError.
+    Everything runs in float64 and rounds to float32 once, in chunks of
+    max(1, hw*C // u) query rows, so the float64 logits never hold more
+    values than the queries; softmax rows are independent, so no chunk is
+    rescaled. Blocks go through :func:`hsfpn.tensor.as_tensor` and counts
+    through :func:`hsfpn.tensor.as_real`, so complex values, or values numpy
+    cannot convert, raise ValidationError.
     """
     try:
         q, k, v = (as_tensor(block, rank=2) for block in (q, k, v))
@@ -70,17 +73,21 @@ def block_attention(q, k, v, counts=None) -> np.ndarray:
         raise ShapeError(f"query, key and value blocks: {err}") from None
     if k.shape != (len(v), q.shape[1]):
         raise ShapeError(f"expected (hw, C), (u, C) and (u, D) blocks, got {q.shape}, {k.shape} and {v.shape}")
-    z = q.astype(np.float64) @ k.astype(np.float64).T
-    z *= 1.0 / sqrt(q.shape[1])
-    z -= z.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
     counts = np.ones(len(k)) if counts is None else as_real(counts, np.float64)
     if counts.shape != v.shape[:1]:
         raise ShapeError(f"counts {counts.shape} do not match {v.shape[0]} keys")
     if not (counts > 0).all():
         raise ValidationError("key counts must be positive")
-    out = z @ (v * counts[:, None])
-    out /= z @ counts[:, None]
+    keys, values = k.astype(np.float64).T, v * counts[:, None]
+    out = np.empty((len(q), v.shape[1]))
+    step = max(1, q.size // len(k))
+    for r0 in range(0, len(q), step):
+        z = q[r0:r0 + step].astype(np.float64) @ keys
+        z *= 1.0 / sqrt(q.shape[1])
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        rows = np.matmul(z, values, out=out[r0:r0 + step])
+        rows /= z @ counts[:, None]
     return out.astype(DTYPE)
 
 

@@ -15,8 +15,7 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 
 DTYPE = np.float32
-BAND_ROWS = 16  # output rows per conv2d band; sets the size of its float64 workspace
-GROUP_PLANES = 16  # planes per map_plane_groups group; sets the size of its callers' workspace
+BAND_ROWS = 16  # output rows per conv2d band, whose share of the map sets every float64 plane workspace
 MAX_RANK = 4  # (N, C, H, W)
 
 
@@ -288,12 +287,14 @@ def conv2d(x, spec: ConvSpec, weight, bias=None) -> np.ndarray:
 
 
 def map_plane_groups(fn, x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """`fn`, which maps (g, H, W) planes to (g, out_h, out_w), over `x`'s planes
-    `GROUP_PLANES` at a time into one float32 output: the workspace is one group's."""
+    """`fn`, which maps (g, H, W) planes to (g, out_h, out_w), over `x`'s P planes of height H,
+    max(1, P * BAND_ROWS // H) at a time, into one float32 output. A group holds the share of the
+    map that a :func:`conv2d` band does, so the workspace is one group's at every shape."""
     planes = x.reshape(-1, *x.shape[-2:])
+    group = max(1, len(planes) * BAND_ROWS // x.shape[-2])
     out = np.empty((len(planes), out_h, out_w), DTYPE)
-    for p0 in range(0, len(planes), GROUP_PLANES):
-        out[p0 : p0 + GROUP_PLANES] = fn(planes[p0 : p0 + GROUP_PLANES])
+    for p0 in range(0, len(planes), group):
+        out[p0 : p0 + group] = fn(planes[p0 : p0 + group])
     return out.reshape(*x.shape[:-2], out_h, out_w)
 
 
@@ -305,10 +306,11 @@ def adaptive_pool(x, out_h: int, out_w: int, mode: str = "avg") -> np.ndarray:
     output extents are integers (numpy ones too, no bools; else
     ValidationError) between 1 and the input's (else ShapeError).
 
-    Planes are pooled in groups by :func:`map_plane_groups`. Average pooling is the
-    float64 product P_h @ x @ P_w.T, with 1/len weights in the pooling
-    matrices; max pooling gathers each row window, then each column window.
-    Every plane's result is independent of the group it runs in.
+    Planes are pooled in groups, a conv band's share of the map each, by
+    :func:`map_plane_groups`. Average pooling is the float64 product
+    P_h @ x @ P_w.T, with 1/len weights in the pooling matrices; max pooling
+    gathers each row window, then each column window. Every plane's result
+    is independent of the group it runs in.
     """
     x = as_tensor(x, rank=4)
     h, w = x.shape[2:]

@@ -238,16 +238,17 @@ class TestHighfreqResponse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the float32 output plus one group of GROUP_PLANES planes in float64: 2.16x
-        assert peak <= 2.5 * x.nbytes, f"peak {peak} B is {peak / x.nbytes:.2f}x the input"
+        # the float32 output plus one group of 64 * BAND_ROWS // 128 = 8 planes in float64: 1.33x
+        assert peak <= 1.5 * x.nbytes, f"peak {peak} B is {peak / x.nbytes:.2f}x the input"
 
-    @pytest.mark.parametrize("planes", [1, 3, 16])
-    def test_bitwise_equal_to_one_whole_map_group(self, planes, monkeypatch):
-        # 14 planes: no group size above 1 divides them
+    # 14 planes of 40 rows: BAND_ROWS 1, 9 and 40 give groups of 1, 3 (which does not divide 14) and
+    # all 14 planes; the ids are the group sizes
+    @pytest.mark.parametrize("band_rows", [1, 9, 40], ids=["1", "3", "14"])
+    def test_bitwise_equal_to_one_whole_map_group(self, band_rows, monkeypatch):
         x = RNG.standard_normal((2, 7, 40, 24)).astype(np.float32)
-        monkeypatch.setattr(tensor, "GROUP_PLANES", planes)
+        monkeypatch.setattr(tensor, "BAND_ROWS", band_rows)
         grouped = lowcut_filter(x, 11, 5)
-        monkeypatch.setattr(tensor, "GROUP_PLANES", 10**6)
+        monkeypatch.setattr(tensor, "BAND_ROWS", 10**6)
         assert grouped.tobytes() == lowcut_filter(x, 11, 5).tobytes()
 
 

@@ -379,14 +379,20 @@ class TestForward:
         assert peak <= 3.3 * level_2, f"peak {peak} B is {peak / level_2:.2f}x level 2"
 
     @pytest.mark.parametrize("fusion_mode", ["sdp_only", "sdp_plus_add"])
-    @pytest.mark.parametrize("channels, base", [(64, 128), (256, 64)])
-    def test_peak_memory_at_the_fpn_baseline(self, channels, base, fusion_mode):
+    @pytest.mark.parametrize("channels, base, groups, bound", [
+        pytest.param(64, 128, 16, 1.02, id="64-128"),
+        pytest.param(256, 64, 16, 1.02, id="256-64"),
+        pytest.param(8, 256, 8, 1.15, id="8-256"),
+    ])
+    def test_peak_memory_at_the_fpn_baseline(self, channels, base, groups, bound, fusion_mode):
         # HFP and SDP add compute, not memory: each level's fused map is freed before the next
-        # level runs, so the peak is the level-2 3x3 conv's, as in FPN (measured 1.0002x and 1.0001x)
-        config = PyramidConfig(channels=channels, alpha=0.25, k=16, groups=16, fusion_mode=fusion_mode, seed=0)
+        # level runs, so the peak is the level-2 3x3 conv's, as in FPN (measured 1.0002x and 1.0001x).
+        # At 8 channels on 256x256 the filter's and pooling's plane groups and SDP's query chunks hold
+        # a conv band's share of the map, not all of it (measured 1.09x)
+        config = PyramidConfig(channels=channels, alpha=0.25, k=16, groups=groups, fusion_mode=fusion_mode, seed=0)
         peak, _ = forward_peak(config, (base, base))
         fpn, _ = forward_peak(dataclasses.replace(config, mode="fpn_baseline"), (base, base))
-        assert peak <= 1.02 * fpn, f"hsfpn peak {peak} B is {peak / fpn:.4f}x FPN's {fpn} B"
+        assert peak <= bound * fpn, f"hsfpn peak {peak} B is {peak / fpn:.4f}x FPN's {fpn} B"
 
 
 SATURATION = PyramidConfig(channels=8, k=4, groups=4, seed=0)  # squash at its default

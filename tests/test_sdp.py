@@ -161,6 +161,36 @@ class TestRepeatedKeys:
         want = ((z @ v.astype(np.float64)) / z.sum(axis=1, keepdims=True)).astype(np.float32)
         assert block_attention(q, k, v).tobytes() == want.tobytes()
 
+    # queries run in chunks of hw*C // u rows: 32 rows of 4096, and 12 rows, which do not divide 1000
+    CHUNKED = [(4096, 1024, 8), (1000, 250, 3)]
+
+    @pytest.mark.parametrize("hw, u, c", CHUNKED)
+    def test_query_chunks_equal_the_unchunked_formula(self, hw, u, c):
+        q = RNG.standard_normal((hw, c)).astype(np.float32)
+        k = RNG.standard_normal((u, c)).astype(np.float32)
+        v = RNG.standard_normal((u, c)).astype(np.float32)
+        counts = np.full(u, 4.0)
+        z = q.astype(np.float64) @ k.astype(np.float64).T
+        z *= 1.0 / sqrt(c)
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        want = (z @ (v * counts[:, None])) / (z @ counts[:, None])
+        assert block_attention(q, k, v, counts).tobytes() == want.astype(np.float32).tobytes()
+
+    def test_logits_never_outgrow_the_queries(self):
+        # (4096, 8) queries over 1024 keys: the whole (hw, u) float64 logits would be 33.6 MB;
+        # one 32-row chunk of them, the float64 result and its float32 copy measured 3.55x q in float64
+        hw, u, c = self.CHUNKED[0]
+        q = RNG.standard_normal((hw, c)).astype(np.float32)
+        k = RNG.standard_normal((u, c)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            block_attention(q, k, k, np.full(u, 4.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * q.size, f"peak {peak} B is {peak / (8 * q.size):.2f}x q in float64"
+
     @pytest.mark.parametrize("hw, u, c", [(4, 4, 4), (64, 16, 16), (256, 64, 64), (625, 169, 32)])
     def test_default_counts_are_ones(self, hw, u, c):
         # one weighted path: no counts means one copy of each key, bitwise
