@@ -63,10 +63,11 @@ def highpass_cut(h: int, w: int, alpha: float) -> tuple:
     """Extents (r, s) of the top-left DCT corner that the fraction `alpha` blocks.
 
     r counts the rows u with u < alpha*h and s the columns v with v < alpha*w,
-    compared on the real-valued products (no rounding): alpha=0.25 on h=10
-    blocks u in {0, 1, 2}. alpha=0 blocks nothing, alpha=1 everything. The
-    plane extents must be integers >= 1 and alpha a real number (no bool) in
-    [0, 1], or ValidationError is raised.
+    compared on the float64 products: alpha=0.25 on h=10 blocks u in {0, 1, 2},
+    and alpha=0.1 on h=10 blocks u = 0 alone, as 0.1*10 rounds to 1.0 though
+    the exact product of the binary 0.1 with 10 exceeds 1. alpha=0 blocks
+    nothing, alpha=1 everything. The plane extents must be integers >= 1 and
+    alpha a real number (no bool) in [0, 1], or ValidationError is raised.
     """
     check_integers("plane extents", h, w, least=1)
     check_real("alpha", alpha, 0.0, 1.0)
@@ -175,14 +176,10 @@ def scr(image, windows: ScrWindows) -> float:
     trs, tcs = windows.target_slice(h, w)
     nrs, ncs = windows.neighborhood_slice(h, w)
 
-    # the target window lies inside the neighbourhood window (see ScrWindows), so the
-    # annulus in row-major order is the rows above it, the pixels beside it row by
-    # row, then the rows below it
     hood = image[nrs, ncs]
-    top, bottom = trs.start - nrs.start, trs.stop - nrs.start
-    left, right = tcs.start - ncs.start, tcs.stop - ncs.start
-    beside = np.concatenate((hood[top:bottom, :left], hood[top:bottom, right:]), axis=1)
-    background = np.concatenate((hood[:top].ravel(), beside.ravel(), hood[bottom:].ravel()), dtype=np.float64)
+    annulus = np.ones(hood.shape, dtype=bool)
+    annulus[trs.start - nrs.start:trs.stop - nrs.start, tcs.start - ncs.start:tcs.stop - ncs.start] = False
+    background = hood[annulus].astype(np.float64)
     n = background.size
     if n == 0:
         raise ValidationError("neighbourhood window adds no pixels beyond the target window")

@@ -8,6 +8,7 @@ mismatches, and non-finite payloads.
 
 import math
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -71,30 +72,19 @@ def read_tensor(path) -> np.ndarray:
 # PGM (P5, 8-bit binary)
 # ---------------------------------------------------------------------------
 
-def _next_token(raw: bytes, pos: int):
-    """Skip whitespace and '#' comments, return (token_bytes, start, end)."""
-    n = len(raw)
-    while pos < n:
-        b = raw[pos:pos + 1]
-        if b == b"#":
-            nl = raw.find(b"\n", pos)
-            if nl < 0:
-                raise PgmParseError("unterminated comment", pos)
-            pos = nl + 1
-        elif b.isspace():
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise PgmParseError("unexpected end of header", pos)
-    start = pos
-    while pos < n and not raw[pos:pos + 1].isspace():
-        pos += 1
-    return raw[start:pos], start, pos
+_SKIP = re.compile(rb"(?:\s+|#[^\n]*\n)*")  # whitespace and whole '#' comments; a '#' with no newline stops it
+_TOKEN = re.compile(rb"\S*")
 
 
 def _header_int(raw: bytes, pos: int, what: str):
-    token, start, end = _next_token(raw, pos)
+    """The decimal header field after `pos`, past whitespace and '#' comments: (value, start, end)."""
+    start = _SKIP.match(raw, pos).end()
+    if raw[start:start + 1] == b"#":
+        raise PgmParseError("unterminated comment", start)
+    if start >= len(raw):
+        raise PgmParseError("unexpected end of header", start)
+    end = _TOKEN.match(raw, start).end()
+    token = raw[start:end]
     if not token.isdigit():
         raise PgmParseError(f"expected {what} as a decimal integer, got {token!r}", start)
     return int(token), start, end

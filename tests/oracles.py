@@ -164,10 +164,16 @@ def naive_conv1x1_vec(vec, weight, bias, groups):
     return out
 
 
+def naive_sigmoid(z):
+    """The logistic function in float64 as 0.5 * (1 + tanh(z / 2)), which overflows nowhere."""
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=np.float64)))
+
+
 def naive_channel_path(f, params):
     """Stage-by-stage channel-path pipeline with naive building blocks.
 
     The pooling extent is params.k, but at most the map's height and width.
+    With params.squash the weights pass through :func:`naive_sigmoid`.
     """
     f = np.asarray(f, dtype=np.float64)
     k = min(params.k, f.shape[2], f.shape[3])
@@ -180,12 +186,13 @@ def naive_channel_path(f, params):
     gm = naive_conv1x1_vec(max_vec, params.gmp_conv.weight, params.gmp_conv.bias,
                            params.gmp_conv.spec.groups)
     cat = np.concatenate([ga, gm], axis=1)
-    return naive_conv1x1_vec(cat, params.merge_conv.weight, params.merge_conv.bias,
+    u_cp = naive_conv1x1_vec(cat, params.merge_conv.weight, params.merge_conv.bias,
                              params.merge_conv.spec.groups)
+    return naive_sigmoid(u_cp) if params.squash else u_cp
 
 
 def naive_spatial_path(f, params):
-    """Per-pixel dot product over channels."""
+    """Per-pixel dot product over channels, through :func:`naive_sigmoid` with params.squash."""
     f = np.asarray(f, dtype=np.float64)
     n, c, h, w = f.shape
     weight = np.asarray(params.spatial_conv.weight, dtype=np.float64).reshape(c)
@@ -197,7 +204,7 @@ def naive_spatial_path(f, params):
                 out[s, 0, i, j] = float(weight @ f[s, :, i, j]) + (
                     float(bias[0]) if bias is not None else 0.0
                 )
-    return out
+    return naive_sigmoid(out) if params.squash else out
 
 
 def naive_hfp_forward(c, params, alpha):

@@ -430,7 +430,7 @@ SETTING_FLAGS = {
     "params": {"--channels": ["--channels", "64"], "--groups": ["--groups", "2"], "--base-h": ["--base-h", "64"],
                "--base-w": ["--base-w", "64"], "--bias": ["--no-bias"]},
 }
-# PyramidConfig fields no flag sets yet: ROADMAP items 2 (squash) and 1 (filter_levels)
+# PyramidConfig fields no flag sets yet: ROADMAP item 2 deletes both
 PENDING_FIELDS = {"squash", "filter_levels"}
 
 

@@ -324,6 +324,16 @@ class TestForward:
         for lv in (2, 3, 4, 5):
             np.testing.assert_allclose(out[lv], ref[lv], atol=1e-4)
 
+    def test_squashed_forward_matches_end_to_end_oracle(self):
+        # level 2 at 16x16: at 32x32 the O(N^4) DCT oracle costs 16 times as much
+        config = PyramidConfig(channels=8, k=4, groups=4, seed=0, squash=True)
+        weights = init_weights(config)
+        pyr = random_pyramid(8, (16, 16), seed=1)
+        out = hsfpn_forward(pyr, weights)
+        ref = naive_hsfpn_forward({lv: pyr[lv] for lv in (2, 3, 4, 5)}, weights, config.alpha)
+        for lv in (2, 3, 4, 5):
+            np.testing.assert_allclose(out[lv], ref[lv], atol=1e-4)
+
     def test_modes_differ_but_shapes_match(self):
         pyr = small_pyramid(seed=7)
         out_h = hsfpn_forward(pyr, init_weights(SMALL))
