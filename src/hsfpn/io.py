@@ -1,16 +1,15 @@
 """File formats: the PFT1 tensor container and binary (P5) PGM images.
 
-PFT1 layout: 4-byte magic ``PFT1``, little-endian u32 rank, rank little-endian
-u32 extents, then the raw little-endian float32 payload in row-major (H, W)
-order, channel-major across C. Readers reject a wrong magic, extent/length
-mismatches, and non-finite payloads.
+PFT1 layout: 4-byte magic ``PFT1``, little-endian u32 rank, rank little-endian u32 extents, then the raw
+little-endian float32 payload in row-major (H, W) order, channel-major across C. Readers reject a wrong magic,
+extent/length mismatches and non-finite payloads. Both formats are read into one buffer of the size the file
+reports: a file that yields more or fewer bytes (a device, a pipe, one that changes size) raises ValidationError.
 """
 
 import math
 import os
 import re
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -38,12 +37,18 @@ def write_tensor(path, x) -> None:
         x.astype("<f4", copy=False).tofile(fh)
 
 
-def read_tensor(path) -> np.ndarray:
-    """Read and validate a PFT1 file; the array views the one buffer the file is read into."""
+def _read_file(path) -> bytearray:
+    """The bytes of `path` in one buffer of the size the file reports, the only way a file is read."""
     with open(check_path(path), "rb") as fh:
         raw = bytearray(os.fstat(fh.fileno()).st_size)
-        if fh.readinto(raw) != len(raw):
-            raise ValidationError(f"{path}: file changed size while it was read")
+        if fh.readinto(raw) != len(raw) or fh.read(1):
+            raise ValidationError(f"{path}: the file yields more or fewer bytes than the {len(raw)} its size reports")
+    return raw
+
+
+def read_tensor(path) -> np.ndarray:
+    """Read and validate a PFT1 file; the array views the one buffer the file is read into."""
+    raw = _read_file(path)
     if raw[:4] != PFT_MAGIC:
         raise ValidationError(f"{path}: bad magic {bytes(raw[:4])!r}, expected {PFT_MAGIC!r}")
     if len(raw) < 8:
@@ -76,7 +81,7 @@ _SKIP = re.compile(rb"(?:\s+|#[^\n]*\n)*")  # whitespace and whole '#' comments;
 _TOKEN = re.compile(rb"\S*")
 
 
-def _header_int(raw: bytes, pos: int, what: str):
+def _header_int(raw: bytearray, pos: int, what: str):
     """The decimal header field after `pos`, past whitespace and '#' comments: (value, start, end)."""
     start = _SKIP.match(raw, pos).end()
     if raw[start:start + 1] == b"#":
@@ -86,15 +91,15 @@ def _header_int(raw: bytes, pos: int, what: str):
     end = _TOKEN.match(raw, start).end()
     token = raw[start:end]
     if not token.isdigit():
-        raise PgmParseError(f"expected {what} as a decimal integer, got {token!r}", start)
+        raise PgmParseError(f"expected {what} as a decimal integer, got {bytes(token)!r}", start)
     return int(token), start, end
 
 
 def read_pgm(path) -> np.ndarray:
     """Read an 8-bit binary PGM into a float32 (H, W) image scaled to [0, 1]; a byte above maxval is an error."""
-    raw = Path(check_path(path)).read_bytes()
+    raw = _read_file(path)
     if raw[:2] != b"P5":
-        raise PgmParseError(f"expected magic 'P5', got {raw[:2]!r}", 0)
+        raise PgmParseError(f"expected magic 'P5', got {bytes(raw[:2])!r}", 0)
     pos = 2
     width, width_at, pos = _header_int(raw, pos, "width")
     height, _, pos = _header_int(raw, pos, "height")

@@ -66,11 +66,11 @@ def _at_level(table: Mapping, level):
 
 
 class FeaturePyramid:
-    """Mapping of level -> (N, C, H, W) tensor: one (N, C) at every level, with strict 2x nesting.
+    """Mapping of level -> (N, C, H, W) tensor; ``channels`` reads the one C of every level.
 
-    `levels` is a mapping (else ValidationError) with exactly the keys 2..5 whose tensors
-    share N and C and nest (else ShapeError); ``channels`` reads the shared C.
-    A lookup at any other level, or at a level that is no integer, raises ValidationError.
+    `levels` is a mapping (else ValidationError) with exactly the keys 2..5 whose tensors share N and C and have
+    the extents :func:`level_extents` gives level 2's: else ShapeError, or its ValidationError where 8 does not
+    divide level 2. A lookup at any other level, or at a level that is no integer, raises ValidationError.
     """
 
     def __init__(self, levels: Mapping):
@@ -81,13 +81,8 @@ class FeaturePyramid:
         n_c = [tensors[lv].shape[:2] for lv in LEVELS]
         if len(set(n_c)) > 1:
             raise ShapeError(f"pyramid levels {LEVELS} must share one (N, C), got {n_c}")
-        for lv in LEVELS[:-1]:
-            h, w = tensors[lv].shape[2:]
-            hn, wn = tensors[lv + 1].shape[2:]
-            if h != 2 * hn or w != 2 * wn:
-                raise ShapeError(
-                    f"level {lv} extents {(h, w)} are not twice level {lv + 1} {(hn, wn)}"
-                )
+        if (extents := {lv: t.shape[2:] for lv, t in tensors.items()}) != level_extents(extents[LEVELS[0]]):
+            raise ShapeError(f"pyramid levels {LEVELS} must halve their extents level by level, got {extents}")
         self._levels = tensors
 
     def __getitem__(self, level: int) -> np.ndarray:

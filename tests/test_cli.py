@@ -596,6 +596,22 @@ class TestForwardKeepsItsInputs:
         assert tree_bytes(tmp_path) == before
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize("argv", [
+    ("filter", "/dev/zero", "-o", "x.pgm", "--alpha", "0.1"),
+    ("scr-sweep", "/dev/zero", "-o", "s.csv", "--target-center", "1,1", "--cut-max", "2"),
+], ids=["filter", "scr-sweep"])
+def test_endless_device_input_ends_in_one_config_line(argv, tmp_path):
+    # /dev/zero reports size 0 and never ends: read to its end, it exhausts the 1 GB address space
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = run_cli(*argv, cwd=tmp_path, preexec_fn=limit_memory)
+    assert proc.returncode == 3, proc.stderr
+    assert re.fullmatch(r"hsfpn: config: /dev/zero: .*\n", proc.stderr), proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestImageCommandsKeepTheirInput:
     """An output of `filter` or `scr-sweep` that names its input image fails before any work."""
 

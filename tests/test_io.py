@@ -1,10 +1,15 @@
+import ast
 import os
+import re
 import struct
 import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hsfpn.io
 from hsfpn import (PgmParseError, ShapeError, ValidationError, random_pyramid, read_pgm, read_pyramid_dir,
                    read_tensor, write_pgm, write_pyramid_dir, write_tensor)
 
@@ -269,3 +274,80 @@ def test_int_path_is_refused_not_opened_as_a_descriptor(call, tmp_path):
         except OSError:
             pass
     assert path.read_bytes() == b""
+
+
+# Each reader given a valid file of its format: (write the file, read it back).
+READERS = {
+    "pgm": (lambda path: write_pgm(path, RNG.uniform(size=(6, 8))), read_pgm),
+    "pft": (lambda path: write_tensor(path, RNG.standard_normal((2, 3, 4)).astype(np.float32)), read_tensor),
+}
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["reports-a-byte-less", "reports-a-byte-more"])
+@pytest.mark.parametrize("fmt", READERS)
+def test_file_of_another_size_than_reported_refused(fmt, delta, tmp_path, monkeypatch):
+    # a device, a pipe or a file that changes size while it is read yields other than its size:
+    # both readers read one buffer of the reported size and refuse the file, whatever it holds
+    write, read = READERS[fmt]
+    path = tmp_path / f"f.{fmt}"
+    write(path)
+    size = path.stat().st_size
+    real_fstat = os.fstat
+    monkeypatch.setattr(hsfpn.io.os, "fstat", lambda fd: types.SimpleNamespace(st_size=real_fstat(fd).st_size + delta))
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: the file yields more or fewer bytes than the "
+                                                        f"{size + delta} its size reports")):
+        read(path)
+
+
+# Calls that read a file: `open` in a read mode (a mode that is no constant counts as one),
+# `<path>.read_bytes()`, `<path>.read_text()`, `np.fromfile` and `np.load`.
+def reads_a_file(call: ast.Call) -> bool:
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+    if name == "open":  # builtin open(file, mode) or Path.open(mode)
+        args = call.args[1:] if isinstance(func, ast.Name) else call.args
+        mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), args[0] if args else ast.Constant("r"))
+        return not isinstance(mode, ast.Constant) or "r" in mode.value or "+" in mode.value
+    if name in ("fromfile", "load"):
+        return isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+    return name in ("read_bytes", "read_text")
+
+
+def file_reads(source: str) -> list:
+    """The name of the function around each call in `source` that reads a file, in source order."""
+    reads = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and reads_a_file(node):
+            reads.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return reads
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("def f(p): return Path(p).read_bytes()", ["f"]),
+    ("def f(p): return p.read_text()", ["f"]),
+    ("def f(p): return open(p)", ["f"]),
+    ("def f(p): return open(p, mode='rb')", ["f"]),
+    ("def f(p, m): return open(p, m)", ["f"]),
+    ("def f(p): return p.open('r+b')", ["f"]),
+    ("x = np.load('a.npy')", ["<module>"]),
+    ("def f(p):\n    def g(): return numpy.fromfile(p)\n    return g", ["g"]),
+    ("def f(p): return open(p, 'wb'), p.open('ab'), p.write_bytes(b'')", []),
+], ids=["read-bytes", "read-text", "open", "open-rb", "open-unknown-mode", "path-open", "np-load", "nested",
+        "writes"])
+def test_file_reads_finds_each_kind_of_read(source, reads):
+    assert file_reads(source) == reads
+
+
+def test_one_function_reads_files():
+    # the one bounded reader of both formats is io._read_file; the writes stay where they are
+    package = Path(hsfpn.io.__file__).parent
+    reads = [(path.name, scope) for path in sorted(package.glob("*.py"))
+             for scope in file_reads(path.read_text(encoding="utf-8"))]
+    assert reads == [("io.py", "_read_file")]
