@@ -17,7 +17,7 @@ print(f"while all-pixel attention would cost hw = {hw}x "
       f"({attention_cost(model, 'global') / 1e12:.1f} TMAC: impractical).")
 
 print("\nadded parameters over a plain FPN (C=256, level-2 extents 200x200):\n")
-config = PyramidConfig(channels=256, conv_bias=False)
+config = PyramidConfig(channels=256)
 report = count_params(config, base_hw=(200, 200))
 print(render(report.rows(), "table"))
 
@@ -36,4 +36,4 @@ hfp_only = report.module_total("cp") + report.module_total("sp") + report.module
 print(f"HFP alone (no SDP) would add {hfp_only.params / 1e6:.2f} M params and "
       f"{hfp_only.macs / 1e9:.1f} GMAC of the full {report.total.macs / 1e9:.1f} GMAC")
 print("\nthe same tables are available as:  hsfpn cost --n 625 --h 8 --w 8 --c 256")
-print("                                   hsfpn params --no-bias")
+print("                                   hsfpn params")

@@ -120,7 +120,6 @@ def build_parser() -> _Parser:
     _add_groups_flag(p)
     p.add_argument("--base-h", type=int, default=200, help="level-2 height")
     p.add_argument("--base-w", type=int, default=200, help="level-2 width")
-    p.add_argument("--bias", action=argparse.BooleanOptionalAction, default=PyramidConfig.conv_bias)
     p.add_argument("--format", choices=REPORT_FORMATS, default="table")
     return parser
 
@@ -242,7 +241,7 @@ def cmd_cost(args) -> int:
 
 
 def cmd_params(args) -> int:
-    config = PyramidConfig(channels=args.channels, groups=_groups(args, args.channels), conv_bias=args.bias)
+    config = PyramidConfig(channels=args.channels, groups=_groups(args, args.channels))
     report = count_params(config, (args.base_h, args.base_w))
     _print_report(args.format, report.to_dict(), report.rows())
     return 0

@@ -15,15 +15,15 @@ from .tensor import (ConvLayer, ConvSpec, adaptive_pool, as_tensor, check_field_
                      check_real, check_type, sigmoid)
 
 
-def hfp_specs(channels: int, groups: int = 1, bias: bool = True) -> dict:
-    """The ConvSpec of each HfpParams layer role, in draw order."""
+def hfp_specs(channels: int, groups: int = 1) -> dict:
+    """The ConvSpec of each HfpParams layer role, in draw order; every layer has a bias."""
     c = channels
     return {
-        "gap_conv": ConvSpec(c, c, kernel=1, groups=groups, has_bias=bias),
-        "gmp_conv": ConvSpec(c, c, kernel=1, groups=groups, has_bias=bias),
-        "merge_conv": ConvSpec(2 * c, c, kernel=1, groups=groups, has_bias=bias),
-        "spatial_conv": ConvSpec(c, 1, kernel=1, has_bias=bias),
-        "fuse_conv": ConvSpec(c, c, kernel=3, has_bias=bias),
+        "gap_conv": ConvSpec(c, c, kernel=1, groups=groups),
+        "gmp_conv": ConvSpec(c, c, kernel=1, groups=groups),
+        "merge_conv": ConvSpec(2 * c, c, kernel=1, groups=groups),
+        "spatial_conv": ConvSpec(c, 1, kernel=1),
+        "fuse_conv": ConvSpec(c, c, kernel=3),
     }
 
 

@@ -3,7 +3,7 @@
 PFT1 layout: 4-byte magic ``PFT1``, little-endian u32 rank, rank little-endian u32 extents, then the raw
 little-endian float32 payload in row-major (H, W) order, channel-major across C. Readers reject a wrong magic,
 extent/length mismatches and non-finite payloads. Both formats are read into one buffer of the size the file
-reports: a file that yields more or fewer bytes (a device, a pipe, one that changes size) raises ValidationError.
+reports: a file too large for memory, or one yielding other than that size (a device, a pipe), raises ValidationError.
 """
 
 import math
@@ -31,18 +31,20 @@ def write_tensor(path, x) -> None:
     check_path(path)
     x = check_finite(as_tensor(x), f"{path}")
     with open(path, "wb") as fh:
-        fh.write(PFT_MAGIC)
-        fh.write(struct.pack("<I", x.ndim))
-        fh.write(struct.pack(f"<{x.ndim}I", *x.shape))
+        fh.write(PFT_MAGIC + struct.pack(f"<{1 + x.ndim}I", x.ndim, *x.shape))  # the rank, then the extents
         x.astype("<f4", copy=False).tofile(fh)
 
 
 def _read_file(path) -> bytearray:
     """The bytes of `path` in one buffer of the size the file reports, the only way a file is read."""
     with open(check_path(path), "rb") as fh:
-        raw = bytearray(os.fstat(fh.fileno()).st_size)
-        if fh.readinto(raw) != len(raw) or fh.read(1):
-            raise ValidationError(f"{path}: the file yields more or fewer bytes than the {len(raw)} its size reports")
+        size = os.fstat(fh.fileno()).st_size
+        try:
+            raw = bytearray(size)
+        except MemoryError:  # a size no buffer can hold ends as one line, like a size the file does not yield
+            raise ValidationError(f"{path}: the {size} bytes its size reports do not fit in memory") from None
+        if fh.readinto(raw) != size or fh.read(1):
+            raise ValidationError(f"{path}: the file yields more or fewer bytes than the {size} its size reports")
     return raw
 
 

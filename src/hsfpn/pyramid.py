@@ -42,7 +42,6 @@ class PyramidConfig:
     mode: str = "hsfpn"
     seed: int = 0
     filter_levels: tuple = DEFAULT_FILTER_LEVELS
-    conv_bias: bool = True
     squash: bool = False
 
     def __post_init__(self):
@@ -112,10 +111,9 @@ def module_specs(config: PyramidConfig) -> dict:
     projections `sdp` (:func:`hsfpn.sdp.sdp_specs`), per level 2..5 the output convolution `out`
     (role `conv`). A role names the HfpParams/SdpParams field its layer fills.
     """
-    c, bias = config.channels, config.conv_bias
-    out = {"conv": ConvSpec(c, c, kernel=3, has_bias=bias)}
-    return {"hfp": dict.fromkeys(LEVELS, hfp_specs(c, config.groups, bias)),
-            "sdp": dict.fromkeys(SDP_LEVELS, sdp_specs(c)), "out": dict.fromkeys(LEVELS, out)}
+    c = config.channels
+    return {"hfp": dict.fromkeys(LEVELS, hfp_specs(c, config.groups)), "sdp": dict.fromkeys(SDP_LEVELS, sdp_specs(c)),
+            "out": dict.fromkeys(LEVELS, {"conv": ConvSpec(c, c, kernel=3)})}
 
 
 def layer_specs(config: PyramidConfig) -> dict:

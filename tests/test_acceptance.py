@@ -205,12 +205,12 @@ def test_complexity_multipliers():
 
 def test_parameter_accounting():
     with criterion("parameter accounting matches the reference deltas"):
-        config = PyramidConfig(channels=256, conv_bias=False)
+        config = PyramidConfig(channels=256)
         report = count_params(config, base_hw=(200, 200))
         per_level_fuse = report.per_level[2]["hfp_fuse"].params
-        assert per_level_fuse == 256 * 256 * 9 == 589824
+        assert per_level_fuse == 256 * 256 * 9 + 256 == 590080
         fuse_total = report.module_total("hfp_fuse").params
-        assert fuse_total == 2359296
+        assert fuse_total == 2360320
         reference_delta = 71.31e6 - 68.95e6  # 2.36 M
         assert abs(fuse_total - reference_delta) / reference_delta < 0.02
 
@@ -275,7 +275,7 @@ def test_degenerate_collapse():
                                                  np.full(channels, 0.5, np.float32)),
                 f"hfp{lv}.spatial_conv": ConvLayer(p.spatial_conv.spec, np.zeros_like(p.spatial_conv.weight),
                                                    np.full(1, 0.5, np.float32)),
-                # the config's spec (conv_bias=True) with a zero bias: the identity still
+                # the config's spec, which has a bias, with a zero bias: the identity still
                 f"hfp{lv}.fuse_conv": ConvLayer(p.fuse_conv.spec, identity, np.zeros(channels, np.float32)),
             })
         for lv in (2, 3, 4):

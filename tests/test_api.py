@@ -276,7 +276,7 @@ SCALAR_ARGS = {
     "SdpParams": keyword_calls(functools.partial(dataclasses.replace, SDP), ("block_h", "block_w")),
     "PyramidConfig": {
         **keyword_calls(functools.partial(dataclasses.replace, SMALL), ("channels", "alpha", "k", "groups",
-                        "fusion_mode", "mode", "seed", "conv_bias", "squash")),
+                        "fusion_mode", "mode", "seed", "squash")),
         "filter_levels": lambda v: dataclasses.replace(SMALL, filter_levels=(v,)),
     },
     "random_pyramid": {

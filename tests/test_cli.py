@@ -373,15 +373,15 @@ class TestCost:
 
 class TestParams:
     def test_reference_fuse_count(self, capsys):
-        assert main(["params", "--no-bias", "--format", "json"]) == 0
+        assert main(["params", "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["per_level"]["2"]["hfp_fuse"]["params"] == 589824
+        assert report["per_level"]["2"]["hfp_fuse"]["params"] == 256 * 256 * 9 + 256 == 590080
 
     def test_csv_sdp_rows(self, capsys):
-        assert main(["params", "--channels", "256", "--no-bias", "--format", "csv"]) == 0
+        assert main(["params", "--channels", "256", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert "2,sdp,196608,16732160000" in lines
-        assert lines[-1] == "total,all,3015680,53309025536"
+        assert lines[-1] == "total,all,3019780,53309025536"
 
     def test_table_format(self, capsys):
         assert main(["params", "--channels", "32", "--groups", "4", "--base-h", "64", "--base-w", "64"]) == 0
@@ -404,9 +404,10 @@ class TestParams:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("hsfpn: usage:"), err
 
-    @pytest.mark.parametrize("flag", ["--no-cp", "--no-sp", "--no-sdp"])
+    @pytest.mark.parametrize("flag", ["--no-cp", "--no-sp", "--no-sdp", "--bias", "--no-bias"])
     def test_no_module_switch(self, flag, capsys):
-        # a network without a module costs the full report minus its rows, so no switch leaves them out
+        # params counts the network forward runs: a network without a module costs the full report minus
+        # its rows, so no switch leaves them out, and every HFP and output convolution has its bias
         assert main(["params", flag]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("hsfpn: usage:"), err
@@ -428,7 +429,7 @@ SETTING_FLAGS = {
     "forward": {"--mode": ["--mode", "fpn"], "--seed": ["--seed", "3"], "--alpha": ["--alpha", "0.5"],
                 "--k": ["--k", "2"], "--groups": ["--groups", "2"], "--fusion": ["--fusion", "sdp_plus_add"]},
     "params": {"--channels": ["--channels", "64"], "--groups": ["--groups", "2"], "--base-h": ["--base-h", "64"],
-               "--base-w": ["--base-w", "64"], "--bias": ["--no-bias"]},
+               "--base-w": ["--base-w", "64"]},
 }
 # PyramidConfig fields no flag sets yet: ROADMAP item 2 deletes both
 PENDING_FIELDS = {"squash", "filter_levels"}
@@ -490,6 +491,13 @@ class TestEverySettingCounts:
                                if getattr(config, f.name) != getattr(default_config, f.name)}
         assert set_fields | PENDING_FIELDS == {f.name for f in dataclasses.fields(PyramidConfig)}
         assert not set_fields & PENDING_FIELDS
+
+    @pytest.mark.parametrize("groups", [[], ["--groups", "2"]], ids=["default-groups", "groups-2"])
+    def test_params_counts_the_network_forward_runs(self, run, groups):
+        # the input pyramid has 4 channels: at the same channels and groups, both commands build one config
+        _, forward_config, _ = run("forward", groups)
+        _, params_config, counted = run("params", ["--channels", "4", *groups])
+        assert params_config == forward_config and counted[0] == forward_config
 
 
 class TestOutputPathIsDirectory:
@@ -612,6 +620,27 @@ def test_endless_device_input_ends_in_one_config_line(argv, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, big", [
+    (("filter", "big.pgm", "-o", "x.pgm", "--alpha", "0.1"), "big.pgm"),
+    (("scr-sweep", "big.pgm", "-o", "s.csv", "--target-center", "1,1", "--cut-max", "2"), "big.pgm"),
+    (("forward", "in", "-o", "out"), "in/c2.pft"),
+], ids=["filter", "scr-sweep", "forward"])
+def test_input_too_large_for_memory_ends_in_one_config_line(argv, big, tmp_path):
+    # a sparse 3 GB file holds no data on disk, but one buffer of its size does not fit a 1 GB address space
+    write_pyramid_dir(tmp_path / "in", random_pyramid(4, base_hw=(16, 16), seed=1), prefix="c")
+    (tmp_path / big).touch()
+    os.truncate(tmp_path / big, 3 << 30)
+    before = sorted(tmp_path.rglob("*"))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = run_cli(*argv, cwd=tmp_path, preexec_fn=limit_memory)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == f"hsfpn: config: {big}: the {3 << 30} bytes its size reports do not fit in memory\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestImageCommandsKeepTheirInput:
     """An output of `filter` or `scr-sweep` that names its input image fails before any work."""
 
@@ -634,7 +663,7 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-PARAMS_FLAGS = ("--channels", "64", "--groups", "8", "--no-bias", "--base-h", "64", "--base-w", "128")
+PARAMS_FLAGS = ("--channels", "64", "--groups", "8", "--base-h", "64", "--base-w", "128")
 
 
 class TestReportBytes:
@@ -650,11 +679,11 @@ class TestReportBytes:
         (("params",), "21866fb1f2fe6178c490add0ab7d37acb9d67a9b72b1e307dcdc973e43b6d0c9"),
         (("params", "--format", "json"), "a2a9887c63db5b67df5a22f445a5b52b90cd761fbd6d18f22134c385e7b2c110"),
         (("params", "--format", "csv"), "0169b7dde4770d97388ea3c7f33ca81e9e42e9dd1543764c1f5467531ee5feb3"),
-        (("params", *PARAMS_FLAGS), "c2ea0a51b3e81a5aa4a63e54ae8b3369f0ffa70ecd6b33a5fa715b25c83ae40f"),
+        (("params", *PARAMS_FLAGS), "9eddd77b3e080570c579feb7c5fee5711fe1ab7cad891a6ed5e930c5fe2199e9"),
         (("params", *PARAMS_FLAGS, "--format", "json"),
-         "aaf638c94144708fcbd5d7bea7c792618fbadfff3d984ab67f25be48d6c4c573"),
+         "5976612c683d834ca88a8c68fc2cf75ea23b4b5c94dcc71d6b703e31e52b2619"),
         (("params", *PARAMS_FLAGS, "--format", "csv"),
-         "b298aea155f48b87434f7d7685e9d42d2a4f02a08b50e2bcadd7bd628bc448b9"),
+         "35ba631ab22d539d88225f7112778f1e43bd721c8113d54531dca8d11f4b173f"),
     ])
     def test_stdout_pinned(self, argv, digest, capsys):
         assert main(list(argv)) == 0
@@ -830,7 +859,7 @@ class TestHostileFlags:
                 ("--report", str(tmp_path / "r.json"))]),
             (["cost"], [("--n", "4"), ("--h", "8"), ("--w", "8"), ("--c", "16"), ("--format", "json")]),
             (["params"], [("--channels", "32"), ("--groups", "4"), ("--base-h", "64"),
-                          ("--base-w", "64"), ("--no-bias", None), ("--format", "csv")]),
+                          ("--base-w", "64"), ("--format", "csv")]),
         ]
 
     def test_mutated_flags_end_in_one_documented_line(self, valid_argvs, tmp_path, monkeypatch, capsys):

@@ -299,6 +299,22 @@ def test_file_of_another_size_than_reported_refused(fmt, delta, tmp_path, monkey
         read(path)
 
 
+@pytest.mark.parametrize("fmt", READERS)
+def test_file_too_large_for_memory_refused(fmt, tmp_path, monkeypatch):
+    # a size the process cannot allocate (a sparse file beyond the address space) names the file and its size
+    write, read = READERS[fmt]
+    path = tmp_path / f"f.{fmt}"
+    write(path)
+
+    def no_memory(size):
+        raise MemoryError
+
+    monkeypatch.setattr(hsfpn.io, "bytearray", no_memory, raising=False)
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: the {path.stat().st_size} bytes its size "
+                                                        "reports do not fit in memory")):
+        read(path)
+
+
 # Calls that read a file: `open` in a read mode (a mode that is no constant counts as one),
 # `<path>.read_bytes()`, `<path>.read_text()`, `np.fromfile` and `np.load`.
 def reads_a_file(call: ast.Call) -> bool:

@@ -39,8 +39,7 @@ RNG = np.random.default_rng(424242)
 
 SMALL = PyramidConfig(channels=4, alpha=0.25, k=2, groups=2, seed=1)
 NON_DEFAULT = PyramidConfig(channels=8, alpha=0.5, k=3, groups=4, fusion_mode="sdp_plus_add",
-                            mode="fpn_baseline", seed=9, filter_levels=(2, 3, 4, 5),
-                            conv_bias=False, squash=True)
+                            mode="fpn_baseline", seed=9, filter_levels=(2, 3, 4, 5), squash=True)
 
 
 def small_pyramid(seed=0, channels=4, base=(16, 16)):
@@ -166,7 +165,7 @@ class TestInitWeights:
     # layer_specs order: pins init_weights' draw order, layer names and bounds.
     @pytest.mark.parametrize("config, digest", [
         (SMALL, "d8d46604cb96032b570099e758cb8a46379dd111e9f028bbd0db564c0e2a2f4a"),
-        (NON_DEFAULT, "e887e00b5ffa877f0a000ed05f9a1824e6ad40a1049e94fca3776347713dfb76"),
+        (NON_DEFAULT, "823d4f37c27c1d771d1b8ac22b84a1a4b87f7fc0269247aef4df3f6bd24413d6"),
     ], ids=["small", "non-default"])
     def test_draws_pinned(self, config, digest):
         sha = hashlib.sha256()
@@ -178,7 +177,7 @@ class TestInitWeights:
         assert sha.hexdigest() == digest
 
     def test_sdp_projections_bias_free(self):
-        # whatever conv_bias says (True in SMALL, False in NON_DEFAULT)
+        # in both modes (hsfpn in SMALL, fpn_baseline in NON_DEFAULT), though every other layer has a bias
         for config in (SMALL, NON_DEFAULT):
             weights = init_weights(config)
             for lv in (2, 3, 4):
@@ -509,7 +508,7 @@ class TestDegenerateCollapse:
                 f"hfp{lv}.merge_conv": ConvLayer(p.merge_conv.spec, np.zeros_like(p.merge_conv.weight), half),
                 f"hfp{lv}.spatial_conv": ConvLayer(p.spatial_conv.spec, np.zeros_like(p.spatial_conv.weight),
                                                    np.full(1, 0.5, np.float32)),
-                # the config's spec (conv_bias=True) with a zero bias: the identity still
+                # the config's spec, which has a bias, with a zero bias: the identity still
                 f"hfp{lv}.fuse_conv": ConvLayer(p.fuse_conv.spec, identity, np.zeros(channels, np.float32)),
             })
         for lv in (2, 3, 4):
@@ -530,21 +529,21 @@ class TestDegenerateCollapse:
 
 class TestCountParams:
     def test_fuse_conv_count_matches_reference_delta(self):
-        config = PyramidConfig(channels=256, conv_bias=False)
+        config = PyramidConfig(channels=256)
         report = count_params(config, base_hw=(200, 200))
-        assert report.per_level[2]["hfp_fuse"].params == 589824
+        assert report.per_level[2]["hfp_fuse"].params == 256 * 256 * 9 + 256 == 590080
         fuse_total = report.module_total("hfp_fuse").params
-        assert fuse_total == 4 * 589824 == 2359296
+        assert fuse_total == 4 * 590080 == 2360320
         assert abs(fuse_total - 2.36e6) / 2.36e6 < 0.02
 
     def test_sdp_projection_count(self):
-        config = PyramidConfig(channels=256, conv_bias=False)
+        config = PyramidConfig(channels=256)
         report = count_params(config, base_hw=(200, 200))
         assert report.module_total("sdp").params == 3 * 3 * 256 * 256 == 589824
 
     def test_sdp_keys_and_values_count_at_upper_extents(self):
         # q at 200x200, k and v at the level above (100x100), attention on n*(hw)^2*c
-        config = PyramidConfig(channels=256, conv_bias=False)
+        config = PyramidConfig(channels=256)
         report = count_params(config, base_hw=(200, 200))
         attention = attention_cost(CostModel(64, 25, 25, 256), "sdp")
         assert report.per_level[2]["sdp"].macs == 256 ** 2 * (200 ** 2 + 2 * 100 ** 2) + attention
@@ -552,14 +551,14 @@ class TestCountParams:
         assert report.total.macs == 53_309_025_536
 
     def test_macs_scale_with_resolution(self):
-        config = PyramidConfig(channels=64, groups=8, conv_bias=False)
+        config = PyramidConfig(channels=64, groups=8)
         small = count_params(config, base_hw=(64, 64))
         large = count_params(config, base_hw=(128, 128))
         assert large.per_level[2]["hfp_fuse"].macs == 4 * small.per_level[2]["hfp_fuse"].macs
         assert large.total.params == small.total.params
 
     def test_report_formats(self):
-        config = PyramidConfig(channels=32, groups=4, conv_bias=False)
+        config = PyramidConfig(channels=32, groups=4)
         report = count_params(config, base_hw=(64, 64))
         d = report.to_dict()
         assert "per_level" in d and "total" in d
@@ -722,10 +721,10 @@ class TestRandomPyramid:
 class TestConfigFieldTypes:
     @pytest.mark.parametrize("field,value", [
         ("k", 2.5), ("alpha", "0.2"), ("channels", True), ("groups", 2.0), ("seed", None),
-        ("fusion_mode", b"sdp_only"), ("squash", 1), ("conv_bias", np.True_),
+        ("fusion_mode", b"sdp_only"), ("squash", 1), ("squash", np.True_),
         ("filter_levels", (2, 3.0)), ("filter_levels", [True]), ("filter_levels", {2, 3}),
     ], ids=["k-float", "alpha-str", "channels-bool", "groups-float", "seed-none", "fusion-bytes",
-            "squash-int", "bias-numpy-bool", "levels-float", "levels-bool", "levels-set"])
+            "squash-int", "squash-numpy-bool", "levels-float", "levels-bool", "levels-set"])
     def test_wrong_typed_field_rejected(self, field, value):
         with pytest.raises(ValidationError, match=f"{field}: .* is not a valid"):
             dataclasses.replace(SMALL, **{field: value})
