@@ -6,6 +6,8 @@ stay within ~1e-5 of a naive double-precision evaluation. All operations are
 pure functions: the same inputs produce bitwise-identical outputs.
 """
 
+import ctypes
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -227,19 +229,27 @@ def conv2d(x, spec: ConvSpec, weight, bias=None) -> np.ndarray:
     float64 buffer of rows W + 2*pad wide, flattened per channel; halo rows
     past the image edges and kernel 3's spare row are zeros. Tap (di, dj) is
     the strided view of length band*(W + 2*pad) starting at
-    di*(W + 2*pad) + dj, which BLAS reads without a copy; each tap is one
-    batched float64 product over the groups. The bias is added to the band's
-    sum, whose wrap-around columns are dropped as it is rounded into the
-    float32 output. Kernel 1 is the single unpadded tap. Every output value
-    sums its taps in the same order as a whole-map loop, so the band height
-    does not change a bit of the result.
+    di*(W + 2*pad) + dj, which BLAS reads without a copy. Tap 0 is one
+    batched float64 product over the groups into the band's accumulator.
+    Kernel 3 adds taps 1..8 into it through the `cblas_dgemm` of numpy's own
+    OpenBLAS with beta=1 (C <- AB + C, Level 3 BLAS), one call per (sample,
+    group, tap), so each add happens as the kernel stores C. Where numpy
+    exports no such symbol (numpy 1.x, MKL, Accelerate), each tap is a
+    batched product into a tap buffer, added with `+=`. The two give the
+    same bits while in_channels / groups fits OpenBLAS's K block (128 with
+    the oldest x86-64 kernels, 256 to 384 with newer ones), as then each
+    tap reaches C as one sum. The bias is added to the band's sum, whose
+    wrap-around columns are dropped as it is rounded into the float32
+    output. Kernel 1 is the single unpadded tap. Every output value sums its
+    taps in the same order as a whole-map loop, so the band height does not
+    change a bit of the result.
 
-    The band buffer, the accumulator and (kernel 3) one tap product are
+    The band buffer and the accumulator (and the fallback's tap buffer) are
     allocated once per call and reused for every band, so working memory
     does not grow with H; im2col's 9x window copy is never made. Measured
-    with tracemalloc, the peak is 1.89x the input for a 64 -> 64 3x3 conv
-    at 128x128 and 1.64x for 256 -> 256 at 200x200 (1x1: 1.52x and 1.34x),
-    of which the float32 output is 1x.
+    with tracemalloc, the peak is 1.64x the input for a 64 -> 64 3x3 conv
+    at 128x128 and 1.47x for 256 -> 256 at 200x200 (fallback: 1.89x and
+    1.64x; 1x1: 1.52x and 1.34x), of which the float32 output is 1x.
     """
     x = as_tensor(x, rank=4)
     n, c, h, w = x.shape
@@ -259,9 +269,10 @@ def conv2d(x, spec: ConvSpec, weight, bias=None) -> np.ndarray:
     # kernel 1 writes every element it reads, so only kernel 3 needs the zero fill
     padded = (np.zeros if pad else np.empty)((n, c, rows, pitch))
     flat = padded.reshape(n, g, cin_g, rows * pitch)
-    taps = weight.reshape(g, cout_g, cin_g, kernel * kernel).astype(np.float64)
+    taps = np.ascontiguousarray(weight.reshape(g, cout_g, cin_g, kernel * kernel).transpose(3, 0, 1, 2), np.float64)
     acc = np.empty((n, g, cout_g, band * pitch))
-    product = np.empty_like(acc) if pad else None
+    gemm = _blas_dgemm() if pad else None
+    product = np.empty_like(acc) if pad and gemm is None else None
     bias = None if bias is None else bias.astype(np.float64)[:, None, None]
     out = np.empty((n, spec.out_channels, h, w), DTYPE)
     for r0 in range(0, h, band):
@@ -275,15 +286,50 @@ def conv2d(x, spec: ConvSpec, weight, bias=None) -> np.ndarray:
         padded[:, :, end:] = 0
         length = b * pitch
         total = acc[..., :length]
-        np.matmul(taps[..., 0], flat[..., :length], out=total)
-        for tap in range(1, kernel * kernel):
-            start = (tap // kernel) * pitch + tap % kernel
-            total += np.matmul(taps[..., tap], flat[..., start:start + length], out=product[..., :length])
+        np.matmul(taps[0], flat[..., :length], out=total)
+        if gemm is not None:
+            _add_taps(gemm, taps, flat, acc, kernel, pitch, length)
+        else:
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN without a warning, as inside BLAS
+                for tap in range(1, kernel * kernel):
+                    start = (tap // kernel) * pitch + tap % kernel
+                    total += np.matmul(taps[tap], flat[..., start:start + length], out=product[..., :length])
         total = total.reshape(n, spec.out_channels, b, pitch)
         if bias is not None:
             total += bias
         out[:, :, r0:r0 + b] = total[..., :w]
     return out
+
+
+@functools.cache
+def _blas_dgemm():
+    """numpy's own ILP64 `cblas_dgemm` (scipy-openblas), or None where numpy exports none (numpy 1.x, MKL, Accelerate)."""
+    try:
+        gemm = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_cblas_dgemm64_
+    except (AttributeError, OSError):
+        return None
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    # order, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc
+    gemm.argtypes = [ctypes.c_int] * 3 + [i64] * 3 + [f64, ptr, i64, ptr, i64, f64, ptr, i64]
+    gemm.restype = None
+    return gemm
+
+
+def _add_taps(gemm, taps, flat, acc, kernel, pitch, length):
+    """acc[s, j, :, :length] += taps[t, j] @ flat[s, j, :, start_t:start_t + length] for taps t = 1..k*k-1, as one
+    `dgemm` with beta=1 per (sample s, group j, tap t): the same kernel as np.matmul's, adding into C as it stores it.
+    All three arrays are conv2d's own C-contiguous float64 buffers, so their shapes give every leading dimension."""
+    _, g, cout_g, cin_g = taps.shape
+    ld_b, ld_c = flat.shape[-1], acc.shape[-1]
+    row_major, no_trans, f8 = 101, 111, 8  # CblasRowMajor, CblasNoTrans, bytes per float64
+    a0, b0, c0 = taps.ctypes.data, flat.ctypes.data, acc.ctypes.data
+    for pair in range(len(flat) * g):  # (sample, group) pairs, in the order of the leading axes
+        b = b0 + pair * cin_g * ld_b * f8
+        c = c0 + pair * cout_g * ld_c * f8
+        for tap in range(1, kernel * kernel):
+            a = a0 + (tap * g + pair % g) * cout_g * cin_g * f8
+            start = (tap // kernel) * pitch + tap % kernel
+            gemm(row_major, no_trans, no_trans, cout_g, length, cin_g, 1.0, a, cin_g, b + start * f8, ld_b, 1.0, c, ld_c)
 
 
 def map_plane_groups(fn, x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -684,7 +684,8 @@ class TestReportBytes:
          "5976612c683d834ca88a8c68fc2cf75ea23b4b5c94dcc71d6b703e31e52b2619"),
         (("params", *PARAMS_FLAGS, "--format", "csv"),
          "35ba631ab22d539d88225f7112778f1e43bd721c8113d54531dca8d11f4b173f"),
-    ])
+    ], ids=["cost", "cost-json", "cost-csv", "params", "params-json", "params-csv",
+            "params-flags", "params-flags-json", "params-flags-csv"])
     def test_stdout_pinned(self, argv, digest, capsys):
         assert main(list(argv)) == 0
         out = capsys.readouterr().out

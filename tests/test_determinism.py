@@ -8,6 +8,9 @@ writes, `report.json` included. Level 2 there holds 131,072 values, enough
 for a BLAS-threaded reduction in the report to show. Under an OpenBLAS built
 with DYNAMIC_ARCH, `OPENBLAS_CORETYPE` picks the kernels at import, so a run
 with the oldest x86-64 kernels (Prescott) is compared with the native one.
+Each run also prints whether `conv2d` adds its 3x3 taps through numpy's own
+`cblas_dgemm`, and the two pyramid digests again with that binding forced
+off, which must equal the first two.
 """
 
 import json
@@ -16,8 +19,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
+
+from test_tensor import numpy_blas
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -26,16 +30,22 @@ import hashlib, json, tempfile
 from pathlib import Path
 import numpy as np
 from hsfpn import (PyramidConfig, ScrWindows, blob_scene, hsfpn_forward, init_weights,
-                   random_pyramid, scr_filter_sweep, write_pyramid_dir)
+                   random_pyramid, scr_filter_sweep, tensor, write_pyramid_dir)
 from hsfpn.cli import main
 
-out = {}
+out = {"binding": tensor._blas_dgemm() is not None}
 pyr = random_pyramid(32, base_hw=(64, 64), seed=3)
-for mode in ("hsfpn", "fpn_baseline"):
-    config = PyramidConfig(channels=32, alpha=0.25, k=8, groups=8, mode=mode, seed=2,
-                           filter_levels=(2, 3, 4, 5))
-    levels = hsfpn_forward(pyr, init_weights(config))
-    out[mode] = hashlib.sha256(b"".join(levels[lv].tobytes() for lv in (2, 3, 4, 5))).hexdigest()
+
+
+def pyramid_digests(suffix=""):
+    for mode in ("hsfpn", "fpn_baseline"):
+        config = PyramidConfig(channels=32, alpha=0.25, k=8, groups=8, mode=mode, seed=2,
+                               filter_levels=(2, 3, 4, 5))
+        levels = hsfpn_forward(pyr, init_weights(config))
+        out[mode + suffix] = hashlib.sha256(b"".join(levels[lv].tobytes() for lv in (2, 3, 4, 5))).hexdigest()
+
+
+pyramid_digests()
 scene, windows = blob_scene(256, 256), ScrWindows(target_center=(128, 128))
 rows = scr_filter_sweep(scene, windows, [(c, c) for c in range(0, 129, 16)])
 out["sweep"] = hashlib.sha256(np.float64([s for _, _, s in rows]).tobytes()).hexdigest()
@@ -47,6 +57,8 @@ with tempfile.TemporaryDirectory() as tmp:
     assert main(["forward", str(Path(tmp, "in")), "-o", str(Path(tmp, "out")), "--k", "8", "--seed", "2"]) == 0
     out["cli_forward"] = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                           for path in sorted(Path(tmp, "out").iterdir())}
+tensor._blas_dgemm = lambda: None  # conv2d's path where numpy exports no cblas_dgemm
+pyramid_digests("_fallback")
 print(json.dumps(out))
 """
 
@@ -60,24 +72,22 @@ def digests(threads, **blas_env):
     return json.loads(proc.stdout)
 
 
+def assert_fallback_equal(run):
+    """conv2d's path without numpy's `cblas_dgemm` gave the pyramid digests of the path with it."""
+    assert (run["hsfpn_fallback"], run["fpn_baseline_fallback"]) == (run["hsfpn"], run["fpn_baseline"])
+
+
 def test_outputs_bitwise_equal_at_one_and_two_blas_threads():
     one = digests(1)
-    assert set(one) == {"hsfpn", "fpn_baseline", "sweep", "sweep_reset", "cli_forward"}
+    assert set(one) == {"binding", "hsfpn", "fpn_baseline", "sweep", "sweep_reset", "cli_forward",
+                        "hsfpn_fallback", "fpn_baseline_fallback"}
     assert sorted(one["cli_forward"]) == ["p2.pft", "p3.pft", "p4.pft", "p5.pft", "report.json"]
+    assert_fallback_equal(one)
     assert digests(2) == one
 
 
-def dynamic_arch_openblas() -> bool:
-    """True when numpy reports an OpenBLAS built with DYNAMIC_ARCH, whose kernels OPENBLAS_CORETYPE selects."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.26 prints its config and takes no mode
-        return False
-    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
-
-
-@pytest.mark.skipif(not dynamic_arch_openblas(), reason="numpy reports no DYNAMIC_ARCH OpenBLAS, so "
-                    "OPENBLAS_CORETYPE selects no kernels")
+@pytest.mark.skipif("DYNAMIC_ARCH" not in numpy_blas().get("openblas configuration", ""),
+                    reason="numpy reports no DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE selects no kernels")
 def test_pyramid_outputs_bitwise_equal_across_blas_core_types():
     # The SCR sweeps are left out. Measured against native SkylakeX kernels:
     # Haswell matched every key; under Prescott, Sandybridge and Nehalem
@@ -87,3 +97,4 @@ def test_pyramid_outputs_bitwise_equal_across_blas_core_types():
     for key in ("sweep", "sweep_reset"):
         del native[key], prescott[key]
     assert prescott == native
+    assert_fallback_equal(prescott)

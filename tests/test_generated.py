@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hsfpn import (ConvLayer, ConvSpec, PyramidConfig, ScrWindows, SdpParams, adaptive_pool, block_attention,
-                   conv2d, hsfpn_forward, init_weights, lowcut_filter, random_pyramid, read_pgm, scr, sdp_forward)
+                   conv2d, hsfpn_forward, init_weights, lowcut_filter, random_pyramid, read_pgm, scr, sdp_forward,
+                   tensor)
 from hsfpn.sdp import sdp_specs
 
 from oracles import (naive_adaptive_pool, naive_block_attention, naive_conv2d, naive_hsfpn_forward,
@@ -25,15 +26,36 @@ def normal(seed, *shape):
     return np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
 
 
-@settings(max_examples=50)
-@given(batch=st.integers(1, 2), groups=st.integers(1, 3), cin_g=st.integers(1, 3), cout_g=st.integers(1, 3),
-       kernel=st.sampled_from([1, 3]), h=st.integers(1, 40), w=st.integers(1, 12), bias=st.booleans(), seed=SEEDS)
-def test_conv2d(batch, groups, cin_g, cout_g, kernel, h, w, bias, seed):
+CONV_CASES = dict(batch=st.integers(1, 2), groups=st.integers(1, 3), cin_g=st.integers(1, 3),
+                  cout_g=st.integers(1, 3), kernel=st.sampled_from([1, 3]), h=st.integers(1, 40),
+                  w=st.integers(1, 12), bias=st.booleans(), seed=SEEDS)
+
+
+def conv_case(batch, groups, cin_g, cout_g, kernel, h, w, bias, seed):
     spec = ConvSpec(groups * cin_g, groups * cout_g, kernel=kernel, groups=groups, has_bias=bias)
     x = normal(seed, batch, spec.in_channels, h, w)
     weight = normal(seed + 1, *spec.weight_shape)
-    b = normal(seed + 2, spec.out_channels) if bias else None
-    np.testing.assert_allclose(conv2d(x, spec, weight, b), naive_conv2d(x, weight, b, groups), atol=1e-5)
+    return x, spec, weight, normal(seed + 2, spec.out_channels) if bias else None
+
+
+@settings(max_examples=50)
+@given(**CONV_CASES)
+def test_conv2d(**case):
+    x, spec, weight, b = conv_case(**case)
+    np.testing.assert_allclose(conv2d(x, spec, weight, b), naive_conv2d(x, weight, b, spec.groups), atol=1e-5)
+
+
+@settings(max_examples=50)
+@given(**CONV_CASES, nonfinite=st.lists(st.tuples(st.sampled_from([np.inf, -np.inf, np.nan]), st.integers(0)),
+                                        max_size=3))
+def test_conv2d_fallback_gives_the_same_bits(nonfinite, **case):
+    x, spec, weight, b = conv_case(**case)
+    for value, at in nonfinite:
+        x.flat[at % x.size] = value
+    bound = conv2d(x, spec, weight, b)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensor, "_blas_dgemm", lambda: None)  # the path of a numpy without the symbol
+        assert conv2d(x, spec, weight, b).tobytes() == bound.tobytes()
 
 
 @settings(max_examples=50)

@@ -1,17 +1,25 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hsfpn import (
+    LEVELS,
     ConvLayer,
     ConvSpec,
+    PyramidConfig,
     ShapeError,
     ValidationError,
     adaptive_pool,
     as_tensor,
     conv2d,
+    hsfpn_forward,
+    init_weights,
+    random_pyramid,
     sigmoid,
     tensor,
     upsample2x,
@@ -201,8 +209,8 @@ def conv_peak_over_input(kernel):
 
 class TestConv2dMemoryAndAccumulation:
     def test_3x3_peak_memory_bounded_by_input(self):
-        # the float32 output (1x) plus a 16-row band's float64 input buffer,
-        # accumulator and one tap product (~0.3x each at 128 rows): 1.89x
+        # the float32 output (1x) plus a 16-row band's float64 input buffer and
+        # accumulator (~0.3x each at 128 rows): 1.64x; the fallback's tap product adds ~0.25x
         ratio = conv_peak_over_input(3)
         assert ratio <= 2.2, f"peak is {ratio:.2f}x the input"
 
@@ -235,6 +243,56 @@ class TestConv2dMemoryAndAccumulation:
         spec = ConvSpec(1, 1, kernel=3, has_bias=False)
         out = conv2d(x, spec, np.ones((1, 1, 3, 3), np.float32))
         assert out[0, 0, 1, 1] == 1.0
+
+
+def numpy_blas() -> dict:
+    """The BLAS numpy reports it was built with, or {} where it reports none."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config and takes no mode
+        return {}
+
+
+# the ILP64 scipy-openblas of numpy's wheels, which exports `scipy_cblas_dgemm64_`
+NUMPY_ILP64_OPENBLAS = (numpy_blas().get("name") == "scipy-openblas"
+                        and "USE64BITINT" in numpy_blas().get("openblas configuration", ""))
+
+
+def without_binding(monkeypatch):
+    """Make `conv2d` take the path of a numpy that exports no `cblas_dgemm` (numpy 1.x, MKL, Accelerate)."""
+    monkeypatch.setattr(tensor, "_blas_dgemm", lambda: None)
+
+
+class TestConvBlasBinding:
+    """Kernel 3 adds taps 1..8 with numpy's own `cblas_dgemm` at beta=1 where numpy exports it."""
+
+    @pytest.mark.skipif(not NUMPY_ILP64_OPENBLAS, reason="numpy reports no ILP64 scipy-openblas")
+    def test_binding_active_with_numpys_openblas(self):
+        assert tensor._blas_dgemm() is not None
+
+    def test_import_opens_no_library(self):
+        script = "import hsfpn; print(hsfpn.tensor._blas_dgemm.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr[-2000:]
+
+    @pytest.mark.parametrize("mode", ["hsfpn", "fpn_baseline"])
+    def test_forward_bitwise_equal_without_binding(self, mode, monkeypatch):
+        config = PyramidConfig(channels=8, alpha=0.25, k=4, groups=4, mode=mode, seed=0)
+        pyr, weights = random_pyramid(8, base_hw=(40, 24), batch=2, seed=5), init_weights(config)
+        bound = hsfpn_forward(pyr, weights)
+        without_binding(monkeypatch)
+        fallback = hsfpn_forward(pyr, weights)
+        for lv in LEVELS:
+            assert fallback[lv].tobytes() == bound[lv].tobytes(), lv
+
+    @pytest.mark.skipif(not NUMPY_ILP64_OPENBLAS, reason="numpy reports no ILP64 scipy-openblas")
+    def test_binding_drops_the_tap_product(self, monkeypatch):
+        peak, _, _ = conv_peak(3)
+        without_binding(monkeypatch)
+        fallback_peak, _, _ = conv_peak(3)
+        product = 64 * tensor.BAND_ROWS * 130 * 8  # one band's float64 tap product: 64 planes, rows of 128 + 2
+        assert abs(fallback_peak - peak - product) <= 0.01 * product, (peak, fallback_peak)
 
 
 class TestConvSpec:
